@@ -24,9 +24,7 @@ from .design import (
     cod_alamouti,
     cod_trivial,
     evaluate,
-    load_design,
     reindex,
-    save_design,
     verify_cod,
 )
 from .construct import (
@@ -71,7 +69,6 @@ from .diversity import (
     check_pic_sic,
     check_zf,
     cod_certificate,
-    complement_transform_selftest,
     relay_failure_sweep,
 )
 from .harness import (

@@ -31,7 +31,6 @@ from .design import (
     cod_trivial,
     design_from_dict,
     design_to_dict,
-    evaluate,
     independent_weights,
 )
 
@@ -88,6 +87,16 @@ class GroupingScheme:
     @property
     def lam_max(self) -> int:
         return max(len(g) for g in self.groups)
+
+    def check_sets(self, sets) -> tuple:
+        """sets as a tuple, after checking there is one per group, of its size."""
+        sets = tuple(sets)
+        if len(sets) != self.g:
+            raise ValueError("need one signal set per group")
+        for s, grp in zip(sets, self.groups):
+            if s.dim != len(grp):
+                raise ValueError("signal set dimension must match group size")
+        return sets
 
     def complement(self, k: int) -> tuple:
         """Indices outside group k, ascending."""
@@ -168,13 +177,7 @@ class DstbcCode:
         if self.grouping.K != self.design.K:
             raise ValueError("grouping does not cover the design's symbols")
         if self.group_sets is not None:
-            sets = tuple(self.group_sets)
-            if len(sets) != self.grouping.g:
-                raise ValueError("need one signal set per group")
-            for s, grp in zip(sets, self.grouping.groups):
-                if s.dim != len(grp):
-                    raise ValueError("signal set dimension must match group size")
-            object.__setattr__(self, "group_sets", sets)
+            object.__setattr__(self, "group_sets", self.grouping.check_sets(self.group_sets))
 
     @property
     def N(self) -> int:
@@ -338,25 +341,6 @@ def extract_relay_form(design: LinearDesign, pairing=None) -> ConjugateLinearFor
         b_mats.append(cols)
     s = frozenset(int(j) for j in np.nonzero(col_conj)[0])
     return ConjugateLinearForm(t1, v, tuple(b_mats), s)
-
-
-def relay_form_consistent(
-    design: LinearDesign,
-    form: ConjugateLinearForm,
-    trials: int = 20,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-10,
-) -> bool:
-    """Check the reconstruction identity on random symbol vectors."""
-    rng = rng or np.random.default_rng(0)
-    for _ in range(trials):
-        x = rng.standard_normal(design.K)
-        xmat = evaluate(design, x)
-        z = form.V @ x
-        for j in range(design.N):
-            if np.abs(form.codeword_column(j, z) - xmat[:, j]).max() > tol:
-                return False
-    return True
 
 
 def build(

@@ -7,13 +7,15 @@ are the same decoders under the all-singleton refinement of the grouping,
 available when the group alphabets factor per coordinate. ML is exhaustive
 search over the full product alphabet.
 
-All decoders break metric ties toward the lowest candidate index, so equal
-inputs always produce equal outputs.
+Decoding is batch-first: GroupDecoder decides a chunk of trials along a
+leading axis, and the single-problem functions below are batches of one
+over the same arithmetic. All decoders break metric ties toward the lowest
+candidate index, so equal inputs always produce equal outputs.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,11 @@ from .constellation import SignalSet
 from .construct import GroupingScheme
 
 __all__ = [
+    "DECODERS",
     "DecodeProblem",
     "DecodeResult",
+    "GroupDecoder",
+    "group_symbols",
     "projector_complement",
     "pic_decode",
     "pic_sic_decode",
@@ -33,6 +38,7 @@ __all__ = [
     "ML_CANDIDATE_CAP",
 ]
 
+DECODERS = ("ml", "pic", "pic-sic", "zf", "zf-sic")
 _RANK_TOL = 1e-10
 ML_CANDIDATE_CAP = 2**20
 
@@ -51,15 +57,9 @@ class DecodeProblem:
             raise ValueError("G must have one column per symbol")
         if g.shape[0] != y.shape[0]:
             raise ValueError("y length must match the rows of G")
-        sets = tuple(self.group_sets)
-        if len(sets) != self.grouping.g:
-            raise ValueError("need one signal set per group")
-        for s, grp in zip(sets, self.grouping.groups):
-            if s.dim != len(grp):
-                raise ValueError("signal set dimension must match group size")
         object.__setattr__(self, "G", g)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "group_sets", sets)
+        object.__setattr__(self, "group_sets", self.grouping.check_sets(self.group_sets))
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,35 @@ class DecodeResult:
         return float(sum(self.per_group_residuals))
 
 
+def group_symbols(groups, sets, idx: np.ndarray) -> np.ndarray:
+    """Symbol vectors (b, K) from per-group point indices idx (b, g)."""
+    x = np.empty((idx.shape[0], sum(len(g) for g in groups)))
+    for k, (grp, s) in enumerate(zip(groups, sets)):
+        x[:, list(grp)] = s.points[idx[:, k]]
+    return x
+
+
+def _range_basis(m: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
+    """Orthonormal column-space bases of a stack of matrices (b, d, c).
+
+    Numerical rank counts singular values above tol times the largest;
+    basis vectors beyond it are zeroed, so an all-zero matrix has none.
+    """
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    keep = s > tol * np.maximum(s[:, 0:1], 1e-300)
+    return u if keep.all() else u * keep[:, None, :]
+
+
+def _project_out(cols, y, gk):
+    """Remove the column space of cols (b, d, c) from y (b, d) and gk (b, d, m)."""
+    if cols.shape[2] == 0:
+        return y, gk
+    q = _range_basis(cols)
+    py = y - np.einsum("bdr,br->bd", q, np.einsum("bdr,bd->br", q, y))
+    pg = gk - q @ np.einsum("bdr,bdc->brc", q, gk)
+    return py, pg
+
+
 def projector_complement(m: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the complement of the column space of m.
 
@@ -81,138 +110,170 @@ def projector_complement(m: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim == 1:
         m = m[:, None]
+    eye = np.eye(m.shape[0])
     if m.shape[1] == 0:
-        return np.eye(m.shape[0])
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(m.shape[0])
-    r = int(np.sum(s > tol * s[0]))
-    q = u[:, :r]
-    return np.eye(m.shape[0]) - q @ q.T
-
-
-def _best_point(proj: np.ndarray | None, g_cols: np.ndarray, target: np.ndarray,
-                points: np.ndarray):
-    """argmin_a || target - P g_cols a ||^2 over the rows of points.
-
-    proj is applied to both the group's columns and the target; None means
-    identity. Ties break to the lowest index (np.argmin convention).
-    """
-    if proj is not None:
-        g_cols = proj @ g_cols
-        target = proj @ target
-    cand = g_cols @ points.T  # (dim_y, M)
-    d = target[:, None] - cand
-    metrics = np.einsum("dm,dm->m", d, d)
-    idx = int(np.argmin(metrics))
-    return idx, float(metrics[idx])
-
-
-def pic_decode(p: DecodeProblem) -> DecodeResult:
-    """Decode every group independently behind its interference-nulling projector."""
-    x_hat = np.empty(p.grouping.K)
-    residuals, indices = [], []
-    for k, grp in enumerate(p.grouping.groups):
-        comp = p.grouping.complement(k)
-        proj = projector_complement(p.G[:, comp]) if comp else None
-        idx, metric = _best_point(proj, p.G[:, grp], p.y, p.group_sets[k].points)
-        point = p.group_sets[k].points[idx]
-        x_hat[list(grp)] = point
-        residuals.append(metric)
-        indices.append(idx)
-    return DecodeResult(x_hat, tuple(residuals), tuple(indices))
-
-
-def pic_sic_decode(p: DecodeProblem) -> DecodeResult:
-    """Groups in index order; each decision is subtracted before the next."""
-    x_hat = np.empty(p.grouping.K)
-    residuals, indices = [], []
-    y_k = p.y.copy()
-    for k, grp in enumerate(p.grouping.groups):
-        tail = p.grouping.tail(k)
-        proj = projector_complement(p.G[:, tail]) if tail else None
-        g_cols = p.G[:, grp]
-        idx, metric = _best_point(proj, g_cols, y_k, p.group_sets[k].points)
-        point = p.group_sets[k].points[idx]
-        x_hat[list(grp)] = point
-        residuals.append(metric)
-        indices.append(idx)
-        y_k = y_k - g_cols @ point
-    return DecodeResult(x_hat, tuple(residuals), tuple(indices))
+        return eye
+    q = _range_basis(m[None], tol)[0]
+    return eye - q @ q.T
 
 
 def _separable_axes(s: SignalSet):
-    """Per-coordinate level lists if the set is their full product, else None."""
-    axes = [np.unique(np.round(s.points[:, d], 12)) for d in range(s.dim)]
-    total = 1
-    for a in axes:
-        total *= a.size
-    if total != s.size:
+    """Per-coordinate levels and the table from mixed-radix level index to
+    point index, if the set is the full product of its levels; else None."""
+    rounded = np.round(s.points, 12)
+    axes = [np.unique(rounded[:, d]) for d in range(s.dim)]
+    sizes = [a.size for a in axes]
+    if math.prod(sizes) != s.size:
         return None
-    got = {tuple(np.round(pt, 12)) for pt in s.points}
-    want = {tuple(v) for v in itertools.product(*[a.tolist() for a in axes])}
-    return axes if got == want else None
+    levels = [np.searchsorted(a, rounded[:, d]) for d, a in enumerate(axes)]
+    code = np.ravel_multi_index(levels, sizes)
+    if np.unique(code).size != s.size:
+        return None
+    table = np.empty(s.size, dtype=np.int64)
+    table[code] = np.arange(s.size)
+    return axes, table
 
 
-def _singleton_refinement(p: DecodeProblem) -> DecodeProblem:
-    sets = []
-    for k, s in enumerate(p.group_sets):
+def _singleton_refinement(grouping: GroupingScheme, sets):
+    """The ZF view of a grouping: one group per symbol, per-coordinate sets.
+
+    Also returns the label map (strides (K, g), offsets (g,), table) that
+    takes per-symbol level indices lv back to each original group's point
+    index: table[lv @ strides + offsets].
+    """
+    coord_sets = [None] * grouping.K
+    strides = np.zeros((grouping.K, grouping.g), dtype=np.int64)
+    offsets, tables = [], []
+    for k, (grp, s) in enumerate(zip(grouping.groups, sets)):
+        offsets.append(sum(t.size for t in tables))
         if s.dim == 1:
-            sets.append(s)
+            coord_sets[grp[0]] = s
+            strides[grp[0], k] = 1
+            tables.append(np.arange(s.size, dtype=np.int64))
             continue
-        axes = _separable_axes(s)
-        if axes is None:
+        split = _separable_axes(s)
+        if split is None:
             raise ValueError(
                 f"group {k} is not coordinate-separable; ZF decoding needs "
                 "per-symbol alphabets (a rotated group alphabet couples its symbols)"
             )
-        for levels in axes:
+        axes, table = split
+        stride = s.size
+        for i, levels in zip(grp, axes):
             m = levels.size
             bits = int(np.log2(m))
             if 2**bits != m:
                 raise ValueError("coordinate alphabet size is not a power of two")
-            sets.append(
-                SignalSet(1, levels.reshape(-1, 1), bits, np.arange(m, dtype=np.int64))
-            )
-    grouping = GroupingScheme(tuple((i,) for i in range(p.grouping.K)))
-    order = [i for g in p.grouping.groups for i in g]
-    ordered_sets = [None] * p.grouping.K
-    for pos, i in enumerate(order):
-        ordered_sets[i] = sets[pos]
-    return DecodeProblem(p.G, p.y, grouping, tuple(ordered_sets))
+            coord_sets[i] = SignalSet(1, levels.reshape(-1, 1), bits, np.arange(m))
+            stride //= m
+            strides[i, k] = stride
+        tables.append(table)
+    singles = GroupingScheme(tuple((i,) for i in range(grouping.K)))
+    label_map = (strides, np.array(offsets, dtype=np.int64), np.concatenate(tables))
+    return singles, tuple(coord_sets), label_map
+
+
+def _ml_candidates(grouping: GroupingScheme, sets, cap: int):
+    """Every point of the product alphabet, last group varying fastest (so
+    candidate 0 is all-lowest-index), with its per-group point indices."""
+    sizes = [s.size for s in sets]
+    total = math.prod(sizes)
+    if total > cap:
+        raise ValueError(f"product alphabet has {total} points, above the cap {cap}")
+    idx = np.stack(np.unravel_index(np.arange(total), sizes), axis=1)
+    return group_symbols(grouping.groups, sets, idx), idx
+
+
+class GroupDecoder:
+    """One decoder's tables for one grouping, applied to chunks of trials.
+
+    decide(G (b, d, K), y (b, d)) returns each trial's point index and
+    metric per decode group. ZF flavours decode the singleton refinement;
+    group_indices maps their decisions back to the grouping's groups.
+    """
+
+    def __init__(self, decoder: str, grouping: GroupingScheme, sets,
+                 ml_cap: int = ML_CANDIDATE_CAP):
+        if decoder not in DECODERS:
+            raise ValueError(f"decoder must be one of {DECODERS}")
+        self.decoder = decoder
+        self.label_map = None
+        if decoder in ("zf", "zf-sic"):
+            grouping, sets, self.label_map = _singleton_refinement(grouping, sets)
+        self.groups = [list(g) for g in grouping.groups]
+        self.sets = tuple(sets)
+        if decoder == "ml":
+            self.cand_x, self.cand_idx = _ml_candidates(grouping, self.sets, ml_cap)
+        else:
+            nulled = grouping.complement if decoder in ("pic", "zf") else grouping.tail
+            self.interference = [list(nulled(k)) for k in range(grouping.g)]
+
+    def decide(self, g: np.ndarray, y: np.ndarray):
+        if self.decoder == "ml":
+            return self._ml(g, y)
+        b = g.shape[0]
+        idx = np.empty((b, len(self.groups)), dtype=np.int64)
+        metric = np.empty((b, len(self.groups)))
+        sic = self.decoder.endswith("-sic")
+        yk = y.copy() if sic else y
+        for k, grp in enumerate(self.groups):
+            gk = g[:, :, grp]
+            py, pg = _project_out(g[:, :, self.interference[k]], yk, gk)
+            points = self.sets[k].points
+            diff = py[:, :, None] - pg @ points.T
+            metrics = np.einsum("bdm,bdm->bm", diff, diff)
+            choice = np.argmin(metrics, axis=1)
+            idx[:, k] = choice
+            metric[:, k] = metrics[np.arange(b), choice]
+            if sic:
+                yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
+        return idx, metric
+
+    def _ml(self, g, y):
+        """Exhaustive search of ||y - G x||^2, ranked by x'G'Gx - 2 x'G'y."""
+        c1 = np.einsum("bdk,bd->bk", g, y)
+        gram = np.einsum("bdk,bdl->bkl", g, g)
+        best = np.empty(g.shape[0], dtype=np.int64)
+        for i in range(g.shape[0]):
+            quad = np.einsum("mk,mk->m", self.cand_x @ gram[i], self.cand_x)
+            best[i] = np.argmin(quad - 2.0 * (self.cand_x @ c1[i]))
+        r = y - np.einsum("bdk,bk->bd", g, self.cand_x[best])
+        return self.cand_idx[best], np.einsum("bd,bd->b", r, r)[:, None]
+
+    def group_indices(self, dec_idx: np.ndarray) -> np.ndarray:
+        """Map decode-group decisions to point indices of the original groups."""
+        if self.label_map is None:
+            return dec_idx
+        strides, offsets, table = self.label_map
+        return table[dec_idx @ strides + offsets]
+
+
+def _decode(p: DecodeProblem, decoder: str, ml_cap: int = ML_CANDIDATE_CAP) -> DecodeResult:
+    dec = GroupDecoder(decoder, p.grouping, p.group_sets, ml_cap)
+    idx, metric = dec.decide(p.G[None], p.y[None])
+    x_hat = group_symbols(dec.groups, dec.sets, idx)[0]
+    return DecodeResult(x_hat, tuple(float(v) for v in metric[0]),
+                        tuple(int(i) for i in idx[0]))
+
+
+def pic_decode(p: DecodeProblem) -> DecodeResult:
+    """Decode every group independently behind its interference-nulling projector."""
+    return _decode(p, "pic")
+
+
+def pic_sic_decode(p: DecodeProblem) -> DecodeResult:
+    """Groups in index order; each decision is subtracted before the next."""
+    return _decode(p, "pic-sic")
 
 
 def zf_decode(p: DecodeProblem) -> DecodeResult:
-    return pic_decode(_singleton_refinement(p))
+    return _decode(p, "zf")
 
 
 def zf_sic_decode(p: DecodeProblem) -> DecodeResult:
-    return pic_sic_decode(_singleton_refinement(p))
+    return _decode(p, "zf-sic")
 
 
 def ml_decode(p: DecodeProblem, cap: int = ML_CANDIDATE_CAP) -> DecodeResult:
     """Exhaustive minimization of ||y - G x||^2 over the product alphabet."""
-    total = 1
-    for s in p.group_sets:
-        total *= s.size
-    if total > cap:
-        raise ValueError(f"product alphabet has {total} points, above the cap {cap}")
-    sizes = [s.size for s in p.group_sets]
-    # enumerate candidates with the last group varying fastest; candidate 0
-    # is all-lowest-index, preserving the common tie-break
-    x_all = np.empty((total, p.grouping.K))
-    reps = total
-    for k, (grp, s) in enumerate(zip(p.grouping.groups, p.group_sets)):
-        reps //= sizes[k]
-        tile = total // (reps * sizes[k])
-        idx = np.tile(np.repeat(np.arange(sizes[k]), reps), tile)
-        x_all[:, list(grp)] = s.points[idx]
-    d = p.y[:, None] - p.G @ x_all.T
-    metrics = np.einsum("dm,dm->m", d, d)
-    best = int(np.argmin(metrics))
-    x_hat = x_all[best]
-    indices = []
-    for k in range(p.grouping.g):
-        stride = total // int(np.prod(sizes[: k + 1]))
-        indices.append((best // stride) % sizes[k])
-    return DecodeResult(x_hat, (float(metrics[best]),), tuple(int(i) for i in indices))
+    return _decode(p, "ml", cap)

@@ -9,7 +9,6 @@ X(x)^H X(x) = (sum x_i^2) I for every real x.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "reindex",
     "design_to_dict",
     "design_from_dict",
-    "save_design",
-    "load_design",
 ]
 
 _COD_TOL = 1e-12
@@ -169,13 +166,3 @@ def design_from_dict(doc: dict, require_independent: bool = True) -> LinearDesig
     if require_independent and not independent_weights(d):
         raise ValueError("design weights are linearly dependent over R")
     return d
-
-
-def save_design(d: LinearDesign, path) -> None:
-    with open(path, "w") as f:
-        json.dump(design_to_dict(d), f)
-
-
-def load_design(path) -> LinearDesign:
-    with open(path) as f:
-        return design_from_dict(json.load(f))

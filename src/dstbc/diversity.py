@@ -17,11 +17,10 @@ the PIC-SIC criterion deterministically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import noise_bound
 from .constellation import difference_set, verify_rotation
 from .construct import DstbcCode, drop_relays
 from .design import verify_cod
@@ -34,8 +33,6 @@ __all__ = [
     "check_zf",
     "cod_certificate",
     "relay_failure_sweep",
-    "complement_transform_selftest",
-    "noise_bound",
 ]
 
 # pass iff smallest singular value > REL_SV_THRESHOLD * largest
@@ -82,6 +79,7 @@ class CriterionReport:
             "min_singular_value": self.min_singular_value,
             "witness": None if self.witness is None else self.witness.to_dict(),
             "analytic_certificate": self.analytic_certificate,
+            "coverage": self.coverage,
         }
 
 
@@ -177,10 +175,7 @@ def check_pic(code: DstbcCode, trials: int = 1000,
     cert = None
     if code.params is not None and code.params.n <= 2:
         cert = cod_certificate(code)
-    return CriterionReport(
-        report.criterion, report.passed, report.samples_tested,
-        report.min_singular_value, report.witness, cert, report.coverage,
-    )
+    return replace(report, analytic_certificate=cert)
 
 
 def check_pic_sic(code: DstbcCode, trials: int = 1000,
@@ -189,10 +184,7 @@ def check_pic_sic(code: DstbcCode, trials: int = 1000,
     rng = rng or np.random.default_rng(0)
     report = _scan_groups(code, "PIC-SIC", code.grouping.tail, trials, rng)
     cert = cod_certificate(code) if code.params is not None else None
-    return CriterionReport(
-        report.criterion, report.passed, report.samples_tested,
-        report.min_singular_value, report.witness, cert, report.coverage,
-    )
+    return replace(report, analytic_certificate=cert)
 
 
 def check_zf(code: DstbcCode, trials: int = 1000,
@@ -291,34 +283,3 @@ def relay_failure_sweep(
             sub_code = drop_relays(code, sub) if sub else code
             reports.append((sub, check_pic_sic(sub_code, trials, rng)))
     return reports
-
-
-def complement_transform_selftest(
-    dim: int, trials: int = 100, rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
-) -> bool:
-    """Orthogonal complements pull back through a symmetric map as claimed.
-
-    For full-rank symmetric A and a random subspace V', the projector onto
-    (A V')^perp must equal the projector onto the column space of
-    A^{-1} (basis of V'^perp).
-    """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    rng = rng or np.random.default_rng(0)
-    for _ in range(trials):
-        m = rng.standard_normal((dim, dim))
-        a = 0.5 * (m + m.T)
-        if np.linalg.cond(a) > 1e6:
-            continue
-        r = max(1, dim // 2)
-        basis = rng.standard_normal((dim, r))
-        q1 = np.linalg.qr(a @ basis)[0]
-        p1 = np.eye(dim) - q1 @ q1.T
-        u = np.linalg.svd(basis, full_matrices=True)[0]
-        comp = u[:, r:]
-        q2 = np.linalg.qr(np.linalg.solve(a, comp))[0]
-        p2 = q2 @ q2.T
-        if np.abs(p1 - p2).max() > tol:
-            return False
-    return True

@@ -25,10 +25,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import PowerConfig
+from .channel import PowerConfig, RelayChannel
 from .constellation import SignalSet, make_pam, make_rotated_qam, rotation_2d
 from .construct import DstbcCode, code_from_dict, preset
-from .decode import ML_CANDIDATE_CAP, DecodeProblem, _singleton_refinement
+from .decode import DECODERS, GroupDecoder, group_symbols
 
 __all__ = [
     "ExperimentConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "worker_count",
 ]
 
-DECODERS = ("ml", "pic", "pic-sic", "zf", "zf-sic")
 _CHUNK = 256
 _MASK64 = (1 << 64) - 1
 
@@ -72,9 +71,12 @@ def snr_db_to_power(snr_db: float) -> float:
 
 def worker_count() -> int:
     env = os.environ.get("DSTBC_THREADS", "").strip()
-    if env:
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
         return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"DSTBC_THREADS must be an integer, got {env!r}") from None
 
 
 def modulation_set(name: str) -> SignalSet:
@@ -113,6 +115,8 @@ class ExperimentConfig:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if not self.snr_grid_db:
             raise ValueError("SNR grid is empty")
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ValueError("SNR grid values must be finite")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ValueError("SNR grid must be ascending")
         if self.max_trials < 1 or self.max_bit_errors < 1:
@@ -149,93 +153,36 @@ class BerCurve:
             f.write(self.to_csv())
 
 
-def resolve_code(config: ExperimentConfig) -> DstbcCode:
-    if config.design_file is not None:
-        with open(config.design_file) as f:
+def resolve_code(spec) -> DstbcCode:
+    """The code named by spec, an ExperimentConfig or parsed CLI arguments:
+    a preset (with N, lam, n) or a design file, plus an optional modulation."""
+    if (spec.preset is None) == (spec.design_file is None):
+        raise ValueError("give exactly one of preset or design_file")
+    gset = modulation_set(spec.modulation) if spec.modulation else None
+    if spec.design_file is not None:
+        with open(spec.design_file) as f:
             code = code_from_dict(json.load(f))
-    else:
-        if config.N is None:
-            raise ValueError("preset codes need N")
-        gset = modulation_set(config.modulation) if config.modulation else None
-        code = preset(config.preset, config.N, config.lam, config.n, gset)
-    if config.modulation is not None and config.design_file is not None:
-        code = code.with_sets(modulation_set(config.modulation))
-    if code.group_sets is None:
-        raise ValueError("code has no signal sets; pick a modulation")
-    if code.relay_form is None:
-        raise ValueError("code is not conjugate linear; channel simulation refused")
-    return code
+        return code if gset is None else code.with_sets(gset)
+    if spec.N is None:
+        raise ValueError("preset codes need N")
+    return preset(spec.preset, spec.N, spec.lam, 1 if spec.n is None else spec.n, gset)
 
 
 class _Engine:
     """Chunk-batched transmission/decoding pipeline for one (code, decoder)."""
 
     def __init__(self, code: DstbcCode, decoder: str, nd: int):
-        self.code = code
+        if code.group_sets is None:
+            raise ValueError("code has no signal sets; pick a modulation")
         self.decoder = decoder
         self.nd = nd
-        form = code.relay_form
-        self.V = form.V
-        self.relay_mats = np.stack([form.relay_matrix(j) for j in range(code.N)])
-        self.bbh = np.einsum("jts,jus->jtu", self.relay_mats, self.relay_mats.conj())
-        self.s_mask = np.array([j in form.S for j in range(code.N)])
-        self.weights = code.design.weights
-        self.T1, self.T2, self.N, self.K = form.T1, code.T2, code.N, code.K
-
-        self.groups = [list(g) for g in code.grouping.groups]
-        self.sets = list(code.group_sets)
+        self.channel = RelayChannel(code)
+        self.dec = GroupDecoder(decoder, code.grouping, code.group_sets)
+        self.T1, self.T2, self.N = code.T1, code.T2, code.N
+        self.groups = code.grouping.groups
+        self.sets = code.group_sets
         self.bits_per_group = [s.bits_per_point for s in self.sets]
         self.bits_per_cw = sum(self.bits_per_group)
-
-        # decode-side structure; ZF flavors run on the singleton refinement
-        if decoder in ("zf", "zf-sic"):
-            probe = DecodeProblem(
-                np.zeros((2 * nd * self.T2, self.K)), np.zeros(2 * nd * self.T2),
-                code.grouping, code.group_sets,
-            )
-            refined = _singleton_refinement(probe)
-            self.dec_groups = [list(g) for g in refined.grouping.groups]
-            self.dec_sets = list(refined.group_sets)
-            # original-group point index from its decoded coordinates
-            self.group_lookup = []
-            for s in self.sets:
-                self.group_lookup.append(
-                    {tuple(np.round(pt, 12)): i for i, pt in enumerate(s.points)}
-                )
-        else:
-            self.dec_groups = self.groups
-            self.dec_sets = self.sets
-            self.group_lookup = None
-        g_dec = len(self.dec_groups)
-        if decoder in ("pic", "zf"):
-            all_idx = set(range(self.K))
-            self.interference = [
-                sorted(all_idx - set(g)) for g in self.dec_groups
-            ]
-        elif decoder in ("pic-sic", "zf-sic"):
-            self.interference = [
-                sorted(i for g in self.dec_groups[k + 1:] for i in g)
-                for k in range(g_dec)
-            ]
-        else:  # ml
-            total = 1
-            for s in self.dec_sets:
-                total *= s.size
-            if total > ML_CANDIDATE_CAP:
-                raise ValueError(
-                    f"ml decoder needs {total} candidates, above the cap "
-                    f"{ML_CANDIDATE_CAP}"
-                )
-            self.ml_x = np.empty((total, self.K))
-            self.ml_group_idx = np.empty((total, g_dec), dtype=np.int64)
-            sizes = [s.size for s in self.dec_sets]
-            reps = total
-            for k, (grp, s) in enumerate(zip(self.dec_groups, self.dec_sets)):
-                reps //= sizes[k]
-                tile = total // (reps * sizes[k])
-                idx = np.tile(np.repeat(np.arange(sizes[k]), reps), tile)
-                self.ml_x[:, grp] = s.points[idx]
-                self.ml_group_idx[:, k] = idx
 
     # -- draws ------------------------------------------------------------
     def _draw_chunk(self, seeds):
@@ -265,110 +212,20 @@ class _Engine:
 
     # -- physical channel + whitened model ---------------------------------
     def _observe(self, tx_idx, f, gm, v, w, power: PowerConfig):
-        b = tx_idx.shape[0]
-        x = np.empty((b, self.K))
-        for k, (grp, s) in enumerate(zip(self.groups, self.sets)):
-            x[:, grp] = s.points[tx_idx[:, k]]
-        z = x @ self.V.T
-        amp1 = math.sqrt(power.pi1 * power.P)
-        amp2 = math.sqrt(power.relay_gain)
-        r = amp1 * f[:, :, None] * z[:, None, :] + v
-        r[:, self.s_mask, :] = r[:, self.s_mask, :].conj()
-        t = amp2 * np.einsum("jts,bjs->bjt", self.relay_mats, r)
-        y = np.einsum("bjl,bjt->btl", gm, t) + w
-
-        fbar = np.where(self.s_mask[None, :], f.conj(), f)
-        h = fbar[:, :, None] * gm  # (b, N, nd)
-        ah = np.einsum("ktn,bnl->bktl", self.weights, h)
-        m = np.moveaxis(ah, 3, 2).reshape(b, self.K, self.nd * self.T2)
-        gprime = math.sqrt(power.rho) * np.concatenate([m.real, m.imag], axis=2)
-        gprime = gprime.transpose(0, 2, 1)  # (b, 2*nd*T2, K)
-        ym = np.moveaxis(y, 2, 1).reshape(b, self.nd * self.T2)
-        yprime = np.concatenate([ym.real, ym.imag], axis=1)
-
-        coef = power.relay_gain * (gm[:, :, :, None] * gm.conj()[:, :, None, :])
-        gamma_c = np.einsum("bjlm,jxy->blxmy", coef, self.bbh).reshape(
-            b, self.nd * self.T2, self.nd * self.T2
-        )
-        gamma_c[:, np.arange(self.nd * self.T2), np.arange(self.nd * self.T2)] += 1.0
-        d = 2 * self.nd * self.T2
-        gamma = np.empty((b, d, d))
-        half = self.nd * self.T2
-        gamma[:, :half, :half] = 0.5 * gamma_c.real
-        gamma[:, half:, half:] = 0.5 * gamma_c.real
-        gamma[:, :half, half:] = -0.5 * gamma_c.imag
-        gamma[:, half:, :half] = 0.5 * gamma_c.imag
-        evals, evecs = np.linalg.eigh(gamma)
-        inv_sqrt = 1.0 / np.sqrt(np.maximum(evals, 1e-12))
-        whitener = np.einsum("bij,bj,bkj->bik", evecs, inv_sqrt, evecs)
-        g = whitener @ gprime
-        yw = np.einsum("bij,bj->bi", whitener, yprime)
-        return x, g, yw
-
-    # -- batched projector-complement application --------------------------
-    @staticmethod
-    def _project_out(cols, y, gk):
-        """Remove the column space of cols from y and gk, batched over axis 0."""
-        if cols.shape[2] == 0:
-            return y, gk
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        smax = s[:, 0:1]
-        mask = s > 1e-10 * np.maximum(smax, 1e-300)
-        if mask.all():
-            q = u
-        else:
-            q = u * mask[:, None, :]
-        py = y - np.einsum("bdr,br->bd", q, np.einsum("bdr,bd->br", q, y))
-        pg = gk - q @ np.einsum("bdr,bdc->brc", q, gk)
-        return py, pg
+        x = group_symbols(self.groups, self.sets, tx_idx)
+        return self.channel.observe(x, f, gm, v, w, power)
 
     def _decide(self, g, yw):
         """Per-trial decoded group indices, in decode-group order."""
-        b = g.shape[0]
-        if self.decoder == "ml":
-            c1 = np.einsum("bdk,bd->bk", g, yw)
-            gram = np.einsum("bdk,bdl->bkl", g, g)
-            idx = np.empty(b, dtype=np.int64)
-            for i in range(b):
-                quad = np.einsum("mk,mk->m", self.ml_x @ gram[i], self.ml_x)
-                idx[i] = np.argmin(quad - 2.0 * (self.ml_x @ c1[i]))
-            return self.ml_group_idx[idx]
-        out = np.empty((b, len(self.dec_groups)), dtype=np.int64)
-        sic = self.decoder in ("pic-sic", "zf-sic")
-        yk = yw.copy() if sic else yw
-        for k, grp in enumerate(self.dec_groups):
-            cols = g[:, :, self.interference[k]]
-            gk = g[:, :, grp]
-            py, pg = self._project_out(cols, yk, gk)
-            cand = pg @ self.dec_sets[k].points.T  # (b, d, M)
-            diff = py[:, :, None] - cand
-            metrics = np.einsum("bdm,bdm->bm", diff, diff)
-            choice = np.argmin(metrics, axis=1)
-            out[:, k] = choice
-            if sic:
-                yk = yk - np.einsum(
-                    "bdc,bc->bd", gk, self.dec_sets[k].points[choice]
-                )
-        return out
+        return self.dec.decide(g, yw)[0]
 
     def _rx_group_indices(self, dec_idx):
         """Map decode-group decisions back to original-group point indices."""
-        if self.group_lookup is None:
-            return dec_idx
-        b = dec_idx.shape[0]
-        coords = np.empty((b, self.K))
-        for k, grp in enumerate(self.dec_groups):
-            coords[:, grp] = self.dec_sets[k].points[dec_idx[:, k]]
-        out = np.empty((b, len(self.groups)), dtype=np.int64)
-        for k, grp in enumerate(self.groups):
-            lut = self.group_lookup[k]
-            for i in range(b):
-                out[i, k] = lut[tuple(np.round(coords[i, grp], 12))]
-        return out
+        return self.dec.group_indices(dec_idx)
 
     def chunk_bit_errors(self, power: PowerConfig, seeds) -> np.ndarray:
         tx_idx, f, gm, v, w = self._draw_chunk(seeds)
-        _, g, yw = self._observe(tx_idx, f, gm, v, w, power)
+        g, yw = self._observe(tx_idx, f, gm, v, w, power)
         rx_idx = self._rx_group_indices(self._decide(g, yw))
         errors = np.zeros(len(seeds), dtype=np.int64)
         for k, s in enumerate(self.sets):

@@ -37,6 +37,14 @@ class TestPowerConfig:
         code = _alamouti_code()
         assert not PowerConfig(10.0, 1.0, 17.3).satisfies_constraint(code)
 
+    @pytest.mark.parametrize("pi1", [0.0, -1.0, 2.5, 3.0, float("nan")])
+    def test_balanced_rejects_pi1_outside_open_interval(self, pi1):
+        # T1 = 2, T2 = 3: pi1 must lie in (0, 5/2) for pi2 to stay positive
+        code = build(2, cod_trivial(), 1, 2)
+        with pytest.raises(ValueError, match="pi1"):
+            PowerConfig.balanced(code, 100.0, pi1)
+        assert PowerConfig.balanced(code, 100.0, 2.4).pi2 > 0
+
 
 class TestEffectiveChannel:
     def test_single_relay_no_conjugation(self):

@@ -17,9 +17,10 @@ from dstbc.construct import (
     from_design,
     preset,
     rate_cspcu,
-    relay_form_consistent,
 )
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
+
+from tests.helpers import relay_form_consistent
 
 
 class TestGrouping:

@@ -15,6 +15,8 @@ from dstbc.design import (
     verify_cod,
 )
 
+from tests.helpers import load_design, save_design
+
 
 def test_evaluate_zero_and_unit_vectors():
     d = cod_alamouti().design
@@ -116,6 +118,13 @@ def test_json_round_trip(tmp_path):
     back = design_from_dict(json.loads(text))
     np.testing.assert_array_equal(back.weights, d.weights)
     assert (back.T, back.N, back.K) == (d.T, d.N, d.K)
+
+
+def test_file_round_trip(tmp_path):
+    d = cod_alamouti().design
+    path = tmp_path / "design.json"
+    save_design(d, path)
+    np.testing.assert_array_equal(load_design(path).weights, d.weights)
 
 
 def test_load_rejects_dependent_weights():

@@ -17,9 +17,10 @@ from dstbc.diversity import (
     check_pic_sic,
     check_zf,
     cod_certificate,
-    complement_transform_selftest,
     relay_failure_sweep,
 )
+
+from tests.helpers import complement_transform_selftest
 
 
 def duplicated_column_code():
@@ -298,7 +299,7 @@ def test_report_json_shape():
     doc = r.to_dict()
     assert set(doc) == {
         "criterion", "passed", "samples_tested", "min_singular_value",
-        "witness", "analytic_certificate",
+        "witness", "analytic_certificate", "coverage",
     }
     assert doc["criterion"] == "PIC-SIC" and doc["witness"] is None
 
@@ -323,3 +324,4 @@ def test_oversized_difference_set_is_subsampled():
     assert r.passed
     assert 0 < r.coverage < 1
     assert abs(r.coverage - 2 * 256 / (2 * 960)) < 1e-12
+    assert r.to_dict()["coverage"] == r.coverage

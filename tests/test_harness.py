@@ -14,9 +14,16 @@ from dstbc.channel import (
     simulate_transmission,
     whiten,
 )
-from dstbc.constellation import make_pam
+from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
 from dstbc.construct import build, code_to_dict, from_design, GroupingScheme
-from dstbc.decode import DecodeProblem, pic_sic_decode
+from dstbc.decode import (
+    DecodeProblem,
+    ml_decode,
+    pic_decode,
+    pic_sic_decode,
+    zf_decode,
+    zf_sic_decode,
+)
 from dstbc.design import cod_trivial
 from dstbc.harness import (
     BerCurve,
@@ -27,6 +34,7 @@ from dstbc.harness import (
     modulation_set,
     run_ber,
     snr_db_to_power,
+    worker_count,
 )
 
 
@@ -89,11 +97,30 @@ class TestSeedMixing:
         assert len(seeds) == 40000
 
 
+SINGLE_TRIAL_DECODERS = {
+    "pic": pic_decode, "pic-sic": pic_sic_decode, "zf": zf_decode,
+    "zf-sic": zf_sic_decode, "ml": ml_decode,
+}
+
+
+def _pam2_code():
+    return build(2, cod_trivial(), 1, 2, make_pam(2))
+
+
+def _unrotated_qam4_code():
+    # lambda = 2 groups whose alphabet factors per coordinate, so ZF decodes
+    # per symbol and maps level pairs back to QAM points through the label map
+    return build(2, cod_trivial(), 2, 2, make_rotated_qam(4, identity_rotation(2)))
+
+
 class TestEngineCrossCheck:
-    def test_batched_equals_single_trial_pipeline(self):
-        code = build(2, cod_trivial(), 1, 2, make_pam(2))
+    @pytest.mark.parametrize("decoder,make_code", [
+        pytest.param(d, _pam2_code, id=d) for d in SINGLE_TRIAL_DECODERS
+    ] + [pytest.param("zf-sic", _unrotated_qam4_code, id="zf-sic-unrotated-qam4")])
+    def test_batched_equals_single_trial_pipeline(self, decoder, make_code):
+        code = make_code()
         power = PowerConfig.balanced(code, snr_db_to_power(6.0))
-        engine = _Engine(code, "pic-sic", 2)
+        engine = _Engine(code, decoder, 2)
         seeds = [mix_seed(3, 0, i) for i in range(150)]
         batched = engine.chunk_bit_errors(power, seeds)
 
@@ -118,11 +145,13 @@ class TestEngineCrossCheck:
             h = effective_channel(code, real)
             gp = equivalent_real_channel(code.design, h, power.rho)
             g, yw = whiten(model, gp, rvec(y))
-            res = pic_sic_decode(DecodeProblem(g, yw, code.grouping, code.group_sets))
-            errs = sum(
-                bin(int(s.labels[tx[k]]) ^ int(s.labels[res.group_indices[k]])).count("1")
-                for k, s in enumerate(code.group_sets)
-            )
+            problem = DecodeProblem(g, yw, code.grouping, code.group_sets)
+            x_hat = SINGLE_TRIAL_DECODERS[decoder](problem).x_hat
+            errs = 0
+            for k, (grp, s) in enumerate(zip(code.grouping.groups, code.group_sets)):
+                # nearest point: ZF decisions carry per-coordinate levels
+                rx = int(np.argmin(np.sum((s.points - x_hat[list(grp)]) ** 2, axis=1)))
+                errs += bin(int(s.labels[tx[k]]) ^ int(s.labels[rx])).count("1")
             singles.append(errs)
         assert batched.sum() > 0  # the comparison must see actual errors
         np.testing.assert_array_equal(batched, np.array(singles))
@@ -262,6 +291,17 @@ class TestCsvAndConfig:
             small_config(decoder="magic").validate()
         with pytest.raises(ValueError):
             small_config(preset=None).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_snr_grid_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            small_config(snr_grid_db=(0.0, bad)).validate()
+
+    @pytest.mark.parametrize("value", ["two", "1.5"])
+    def test_non_integer_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("DSTBC_THREADS", value)
+        with pytest.raises(ValueError, match="DSTBC_THREADS"):
+            worker_count()
 
 
 def test_modulation_set_parsing():
