@@ -41,28 +41,8 @@ from .construct import (
     preset,
     rate_cspcu,
 )
-from .channel import (
-    ChannelRealization,
-    NoiseModel,
-    PowerConfig,
-    draw_realization,
-    effective_channel,
-    equivalent_real_channel,
-    noise_covariance,
-    rvec,
-    simulate_transmission,
-    whiten,
-)
-from .decode import (
-    DecodeProblem,
-    DecodeResult,
-    ml_decode,
-    pic_decode,
-    pic_sic_decode,
-    projector_complement,
-    zf_decode,
-    zf_sic_decode,
-)
+from .channel import PowerConfig, RelayChannel, rvec
+from .decode import DECODERS, GroupDecoder, group_symbols
 from .diversity import (
     CriterionReport,
     check_pic,

@@ -11,9 +11,7 @@ module provides the physical simulation, the exact noise covariance and its
 whitening transform, and the real-valued equivalent model y' = G' x + u'.
 
 The pipeline is batch-first: RelayChannel runs a chunk of trials along a
-leading axis, and simulate_transmission, effective_channel,
-noise_covariance and equivalent_real_channel are batches of one over the
-same arithmetic.
+leading axis, and a single trial is a batch of one.
 
 Realification convention: rvec(A) stacks vec(Re A) over vec(Im A) with
 column-major vec, matching the block form Gamma = 1/2 [[Re, -Im], [Im, Re]]
@@ -28,74 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import DstbcCode, rate_cspcu
-from .design import LinearDesign
 
-__all__ = [
-    "ChannelRealization",
-    "PowerConfig",
-    "NoiseModel",
-    "RelayChannel",
-    "draw_realization",
-    "draw_cn",
-    "rvec",
-    "effective_channel",
-    "noise_covariance",
-    "simulate_transmission",
-    "equivalent_real_channel",
-    "whiten",
-    "noise_bound",
-]
+__all__ = ["PowerConfig", "RelayChannel", "rvec"]
 
 _POWER_TOL = 1e-9
 _EIG_CLAMP = 1e-12
 
 
-def draw_cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly symmetric complex Gaussian, unit variance per entry."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
 def rvec(a: np.ndarray) -> np.ndarray:
-    """Stack vec(Re a) over vec(Im a), column-major; a stack of matrices
-    (b, T, N) maps trial by trial to (b, 2*T*N)."""
-    a = np.asarray(a)
-    if a.ndim == 3:
-        flat = np.swapaxes(a, 1, 2).reshape(a.shape[0], -1)
-    else:
-        flat = a.reshape(-1, order="F")
+    """Stack vec(Re a) over vec(Im a), column-major, trial by trial:
+    (b, T, N) maps to (b, 2*T*N)."""
+    flat = np.swapaxes(a, 1, 2).reshape(a.shape[0], -1)
     return np.concatenate([flat.real, flat.imag], axis=-1)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Source-to-relay gains f (N,) and relay-to-destination gains Gmat (N, N_D)."""
-
-    f: np.ndarray
-    Gmat: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=complex).reshape(-1)
-        g = np.asarray(self.Gmat, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != f.shape[0]:
-            raise ValueError("Gmat must be (N, N_D) with N matching f")
-        f.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "Gmat", g)
-
-    @property
-    def N(self) -> int:
-        return self.f.shape[0]
-
-    @property
-    def n_dest(self) -> int:
-        return self.Gmat.shape[1]
-
-
-def draw_realization(rng: np.random.Generator, n_relays: int, n_dest: int) -> ChannelRealization:
-    return ChannelRealization(draw_cn(rng, n_relays), draw_cn(rng, (n_relays, n_dest)))
 
 
 @dataclass(frozen=True)
@@ -156,10 +98,11 @@ class RelayChannel:
         self.bbh = np.einsum("jts,jus->jtu", self.relay_mats, self.relay_mats.conj())
         self.s_mask = np.array([j in form.S for j in range(code.N)])
         self.weights = code.design.weights
-        self.T2 = code.T2
+        self.N, self.T2 = code.N, code.T2
 
     def transmit(self, x, f, gm, v, w, power: PowerConfig) -> np.ndarray:
         """Destination observations Y, (b, T2, N_D)."""
+        self._check_relays(f=f, gm=gm)
         z = x @ self.V.T
         r = math.sqrt(power.pi1 * power.P) * f[:, :, None] * z[:, None, :] + v
         r[:, self.s_mask, :] = r[:, self.s_mask, :].conj()
@@ -195,6 +138,30 @@ class RelayChannel:
         whitener, _ = _whitener(gamma)
         return whitener @ gprime, np.einsum("bij,bj->bi", whitener, rvec(y))
 
+    def noise_bound(self, gm, power: PowerConfig) -> np.ndarray:
+        """Per trial, whether the trace/eigenvalue bound holds; (b,) bool.
+
+        alpha = T2*N_D + beta * relay_gain * sum |g|^2 with beta the largest
+        squared Frobenius norm among the relay matrices; both the trace and
+        the largest eigenvalue of the realified covariance stay below alpha.
+        """
+        self._check_relays(gm=gm)
+        gamma = _realify_cov(self.covariance(gm, power))
+        beta = np.max(np.sum(np.abs(self.relay_mats) ** 2, axis=(1, 2)))
+        g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))
+        limit = (self.T2 * gm.shape[2] + beta * power.relay_gain * g2) * (1 + 1e-12)
+        trace = np.trace(gamma, axis1=1, axis2=2)
+        return (trace <= limit) & (np.linalg.eigvalsh(gamma)[:, -1] <= limit)
+
+    def _check_relays(self, **gains) -> None:
+        """Reject gains f (b, N) or gm (b, N, N_D) whose relay axis is not N."""
+        for name, a in gains.items():
+            if a.ndim != (2 if name == "f" else 3) or a.shape[1] != self.N:
+                raise ValueError(
+                    f"{name} must have the code's {self.N} relays on axis 1, "
+                    f"got shape {a.shape}"
+                )
+
 
 def _realify_cov(gamma_c: np.ndarray) -> np.ndarray:
     re, im = 0.5 * gamma_c.real, 0.5 * gamma_c.imag
@@ -216,100 +183,3 @@ def _real_channel(weights: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
     m = np.moveaxis(ah, 3, 2).reshape(b, k, -1)
     gprime = math.sqrt(rho) * np.concatenate([m.real, m.imag], axis=2)
     return gprime.transpose(0, 2, 1)
-
-
-def effective_channel(code: DstbcCode, realization: ChannelRealization) -> np.ndarray:
-    """H = diag(fbar) Gmat, with f conjugated on the relays in S."""
-    if realization.N != code.N:
-        raise ValueError(f"realization has {realization.N} relays, code has {code.N}")
-    return RelayChannel(code).effective(realization.f[None], realization.Gmat[None])[0]
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Colored destination noise: complex covariance, realified covariance,
-    and the symmetric whitening matrix (inverse square root)."""
-
-    gamma_c: np.ndarray
-    gamma: np.ndarray
-    whitener: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
-
-
-def noise_covariance(
-    code: DstbcCode, realization: ChannelRealization, power: PowerConfig
-) -> NoiseModel:
-    """Exact covariance of the realified total noise rvec(U)."""
-    gamma_c = RelayChannel(code).covariance(realization.Gmat[None], power)
-    gamma = _realify_cov(gamma_c)
-    whitener, evals = _whitener(gamma)
-    mineig = float(evals[0, 0])
-    if mineig < -1e-10:
-        raise ArithmeticError(f"noise covariance not PSD (min eigenvalue {mineig:g})")
-    return NoiseModel(gamma_c[0], gamma[0], whitener[0])
-
-
-def simulate_transmission(
-    code: DstbcCode,
-    x: np.ndarray,
-    realization: ChannelRealization,
-    power: PowerConfig,
-    rng: np.random.Generator,
-    relay_noise: bool = True,
-    dest_noise: bool = True,
-) -> np.ndarray:
-    """Run the physical two-phase pipeline, returning the T2 x N_D matrix Y.
-
-    Noise draws always consume the same rng stream; the flags only zero the
-    injected noise, so noisy/noiseless runs stay draw-aligned.
-    """
-    channel = RelayChannel(code)
-    v = draw_cn(rng, (code.N, code.T1))
-    w = draw_cn(rng, (code.T2, realization.n_dest))
-    if not relay_noise:
-        v = np.zeros_like(v)
-    if not dest_noise:
-        w = np.zeros_like(w)
-    x = np.asarray(x, dtype=float)
-    return channel.transmit(
-        x[None], realization.f[None], realization.Gmat[None], v[None], w[None], power
-    )[0]
-
-
-def equivalent_real_channel(design: LinearDesign, h: np.ndarray, rho: float) -> np.ndarray:
-    """Real 2*N_D*T2 x K matrix with columns sqrt(rho) rvec(A_i H)."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape[0] != design.N:
-        raise ValueError(f"H must have {design.N} rows, got {h.shape}")
-    return _real_channel(design.weights, h[None], rho)[0]
-
-
-def whiten(noise: NoiseModel, gprime: np.ndarray, yprime: np.ndarray):
-    """Apply the inverse square root of the noise covariance to both."""
-    return noise.whitener @ gprime, noise.whitener @ yprime
-
-
-def noise_bound(code: DstbcCode, realization: ChannelRealization, power: PowerConfig) -> dict:
-    """Trace/eigenvalue bound on the realified covariance.
-
-    alpha = T2*N_D + beta * relay_gain * sum |g|^2 with beta the largest
-    squared Frobenius norm among the relay matrices; both the trace and the
-    largest eigenvalue of Gamma stay below alpha.
-    """
-    model = noise_covariance(code, realization, power)
-    form = code.relay_form
-    beta = max(float(np.linalg.norm(form.relay_matrix(j)) ** 2) for j in range(code.N))
-    alpha = code.T2 * realization.n_dest + beta * power.relay_gain * float(
-        np.sum(np.abs(realization.Gmat) ** 2)
-    )
-    trace = float(np.trace(model.gamma))
-    lam_max = float(np.linalg.eigvalsh(model.gamma)[-1])
-    return {
-        "trace": trace,
-        "lam_max": lam_max,
-        "alpha": alpha,
-        "passed": trace <= alpha * (1 + 1e-12) and lam_max <= alpha * (1 + 1e-12),
-    }

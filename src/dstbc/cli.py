@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .channel import PowerConfig, draw_realization, noise_bound, noise_covariance, rvec, simulate_transmission
+from .channel import PowerConfig, RelayChannel, _realify_cov, rvec
 from .construct import bits_per_channel_use, build, preset_names, rate_cspcu
 from .decode import DECODERS
 from .design import cod_alamouti, cod_trivial, evaluate, verify_cod
@@ -145,22 +145,23 @@ def _cmd_selftest(args) -> int:
     ok &= bool(np.abs(xa.conj().T @ xa - np.sum(x**2) * np.eye(2)).max() < 1e-10)
     results.append(("cod identities", ok))
 
+    def cn(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
     code = build(2, cod_alamouti(), 1, 1)
     power = PowerConfig.balanced(code, 10.0)
-    ok = True
-    for _ in range(100):
-        real = draw_realization(rng, code.N, 2)
-        ok &= noise_bound(code, real, power)["passed"]
-    results.append(("noise trace/eigenvalue bound", ok))
+    channel = RelayChannel(code)
+    ok = channel.noise_bound(cn(100, code.N, 2), power).all()
+    results.append(("noise trace/eigenvalue bound", bool(ok)))
 
-    real = draw_realization(rng, code.N, 2)
-    model = noise_covariance(code, real, power)
-    draws = np.stack([
-        rvec(simulate_transmission(code, np.zeros(code.K), real, power, rng))
-        for _ in range(20000)
-    ])
-    emp = draws.T @ draws / draws.shape[0]
-    rel = np.linalg.norm(emp - model.gamma) / np.linalg.norm(model.gamma)
+    n = 20000
+    f, gm = np.repeat(cn(1, code.N), n, axis=0), np.repeat(cn(1, code.N, 2), n, axis=0)
+    y = channel.transmit(np.zeros((n, code.K)), f, gm, cn(n, code.N, code.T1),
+                         cn(n, code.T2, 2), power)
+    draws = rvec(y)
+    gamma = _realify_cov(channel.covariance(gm[:1], power))[0]
+    emp = draws.T @ draws / n
+    rel = np.linalg.norm(emp - gamma) / np.linalg.norm(gamma)
     results.append(("noise covariance oracle (20k draws)", bool(rel < 0.05)))
 
     failed = [name for name, ok in results if not ok]

@@ -8,68 +8,25 @@ available when the group alphabets factor per coordinate. ML is exhaustive
 search over the full product alphabet.
 
 Decoding is batch-first: GroupDecoder decides a chunk of trials along a
-leading axis, and the single-problem functions below are batches of one
-over the same arithmetic. All decoders break metric ties toward the lowest
-candidate index, so equal inputs always produce equal outputs.
+leading axis, and a single problem is a batch of one. All decoders break
+metric ties toward the lowest candidate index, so equal inputs always
+produce equal outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constellation import SignalSet
 from .construct import GroupingScheme
 
-__all__ = [
-    "DECODERS",
-    "DecodeProblem",
-    "DecodeResult",
-    "GroupDecoder",
-    "group_symbols",
-    "projector_complement",
-    "pic_decode",
-    "pic_sic_decode",
-    "zf_decode",
-    "zf_sic_decode",
-    "ml_decode",
-    "ML_CANDIDATE_CAP",
-]
+__all__ = ["DECODERS", "GroupDecoder", "group_symbols", "ML_CANDIDATE_CAP"]
 
 DECODERS = ("ml", "pic", "pic-sic", "zf", "zf-sic")
 _RANK_TOL = 1e-10
 ML_CANDIDATE_CAP = 2**20
-
-
-@dataclass(frozen=True)
-class DecodeProblem:
-    G: np.ndarray
-    y: np.ndarray
-    grouping: GroupingScheme
-    group_sets: tuple
-
-    def __post_init__(self):
-        g = np.asarray(self.G, dtype=float)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if g.shape[1] != self.grouping.K:
-            raise ValueError("G must have one column per symbol")
-        if g.shape[0] != y.shape[0]:
-            raise ValueError("y length must match the rows of G")
-        object.__setattr__(self, "G", g)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "group_sets", self.grouping.check_sets(self.group_sets))
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    x_hat: np.ndarray
-    per_group_residuals: tuple
-    group_indices: tuple
-
-    def residual(self) -> float:
-        return float(sum(self.per_group_residuals))
 
 
 def group_symbols(groups, sets, idx: np.ndarray) -> np.ndarray:
@@ -80,14 +37,14 @@ def group_symbols(groups, sets, idx: np.ndarray) -> np.ndarray:
     return x
 
 
-def _range_basis(m: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
+def _range_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal column-space bases of a stack of matrices (b, d, c).
 
-    Numerical rank counts singular values above tol times the largest;
+    Numerical rank counts singular values above _RANK_TOL times the largest;
     basis vectors beyond it are zeroed, so an all-zero matrix has none.
     """
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    keep = s > tol * np.maximum(s[:, 0:1], 1e-300)
+    keep = s > _RANK_TOL * np.maximum(s[:, 0:1], 1e-300)
     return u if keep.all() else u * keep[:, None, :]
 
 
@@ -99,22 +56,6 @@ def _project_out(cols, y, gk):
     py = y - np.einsum("bdr,br->bd", q, np.einsum("bdr,bd->br", q, y))
     pg = gk - q @ np.einsum("bdr,bdc->brc", q, gk)
     return py, pg
-
-
-def projector_complement(m: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the complement of the column space of m.
-
-    Numerical rank counts singular values above tol times the largest; an
-    empty m projects onto everything (identity).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    eye = np.eye(m.shape[0])
-    if m.shape[1] == 0:
-        return eye
-    q = _range_basis(m[None], tol)[0]
-    return eye - q @ q.T
 
 
 def _separable_axes(s: SignalSet):
@@ -196,7 +137,9 @@ class GroupDecoder:
                  ml_cap: int = ML_CANDIDATE_CAP):
         if decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
+        sets = grouping.check_sets(sets)
         self.decoder = decoder
+        self.K = grouping.K
         self.label_map = None
         if decoder in ("zf", "zf-sic"):
             grouping, sets, self.label_map = _singleton_refinement(grouping, sets)
@@ -209,6 +152,10 @@ class GroupDecoder:
             self.interference = [list(nulled(k)) for k in range(grouping.g)]
 
     def decide(self, g: np.ndarray, y: np.ndarray):
+        if g.ndim != 3 or g.shape[2] != self.K:
+            raise ValueError(f"G must be (b, d, K) with K = {self.K} columns, got {g.shape}")
+        if y.shape != g.shape[:2]:
+            raise ValueError(f"y must be (b, d) matching the rows of G {g.shape}, got {y.shape}")
         if self.decoder == "ml":
             return self._ml(g, y)
         b = g.shape[0]
@@ -246,34 +193,3 @@ class GroupDecoder:
             return dec_idx
         strides, offsets, table = self.label_map
         return table[dec_idx @ strides + offsets]
-
-
-def _decode(p: DecodeProblem, decoder: str, ml_cap: int = ML_CANDIDATE_CAP) -> DecodeResult:
-    dec = GroupDecoder(decoder, p.grouping, p.group_sets, ml_cap)
-    idx, metric = dec.decide(p.G[None], p.y[None])
-    x_hat = group_symbols(dec.groups, dec.sets, idx)[0]
-    return DecodeResult(x_hat, tuple(float(v) for v in metric[0]),
-                        tuple(int(i) for i in idx[0]))
-
-
-def pic_decode(p: DecodeProblem) -> DecodeResult:
-    """Decode every group independently behind its interference-nulling projector."""
-    return _decode(p, "pic")
-
-
-def pic_sic_decode(p: DecodeProblem) -> DecodeResult:
-    """Groups in index order; each decision is subtracted before the next."""
-    return _decode(p, "pic-sic")
-
-
-def zf_decode(p: DecodeProblem) -> DecodeResult:
-    return _decode(p, "zf")
-
-
-def zf_sic_decode(p: DecodeProblem) -> DecodeResult:
-    return _decode(p, "zf-sic")
-
-
-def ml_decode(p: DecodeProblem, cap: int = ML_CANDIDATE_CAP) -> DecodeResult:
-    """Exhaustive minimization of ||y - G x||^2 over the product alphabet."""
-    return _decode(p, "ml", cap)

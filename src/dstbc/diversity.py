@@ -114,6 +114,22 @@ def _group_differences(code: DstbcCode, k: int, rng: np.random.Generator):
     return diffs, diffs.shape[0]
 
 
+def _scan(chunks):
+    """Rank-test chunks of (T2, N) matrices in order, stopping at the first
+    deficient matrix. chunks yields (mats, witness_of), where witness_of(i)
+    builds the Witness of matrix i; returns (tested, min_ratio, witness).
+    The rank kernel of every criterion check."""
+    tested, min_ratio = 0, np.inf
+    for mats, witness_of in chunks:
+        ratios = _relative_sv(mats)
+        tested += mats.shape[0]
+        min_ratio = min(min_ratio, float(ratios.min()))
+        bad = np.nonzero(ratios <= REL_SV_THRESHOLD)[0]
+        if bad.size:
+            return tested, min_ratio, witness_of(int(bad[0]))
+    return tested, min_ratio, None
+
+
 def _scan_groups(code, criterion, interference_of, trials, rng):
     """Shared kernel of the PIC and PIC-SIC checks.
 
@@ -122,45 +138,29 @@ def _scan_groups(code, criterion, interference_of, trials, rng):
     rank-deficient combination.
     """
     w = code.design.weights
-    tested = 0
-    min_ratio = np.inf
-    covered, total_diffs = 0, 0
-    for k, grp in enumerate(code.grouping.groups):
-        diffs, n_all = _group_differences(code, k, rng)
-        covered += diffs.shape[0]
-        total_diffs += n_all
-        fixed = np.einsum("dg,gtn->dtn", diffs, w[list(grp)])
-        interf_idx = list(interference_of(k))
-        if interf_idx:
-            u_draws = np.concatenate(
-                [np.zeros((1, len(interf_idx))),
-                 rng.standard_normal((trials, len(interf_idx)))]
-            )
-        else:
-            u_draws = np.zeros((1, 0))
-        w_int = w[interf_idx]
-        for lo in range(0, u_draws.shape[0], _U_CHUNK):
-            u_chunk = u_draws[lo:lo + _U_CHUNK]
+    covered = total_diffs = 0
+
+    def chunks():
+        nonlocal covered, total_diffs
+        for k, grp in enumerate(code.grouping.groups):
+            diffs, n_all = _group_differences(code, k, rng)
+            covered += diffs.shape[0]
+            total_diffs += n_all
+            fixed = np.einsum("dg,gtn->dtn", diffs, w[list(grp)])
+            interf_idx = list(interference_of(k))
+            u_draws = np.zeros((1, len(interf_idx)))
             if interf_idx:
-                interf = np.einsum("uc,ctn->utn", u_chunk, w_int)
-            else:
-                interf = np.zeros((1, code.T2, code.N), dtype=complex)
-            mats = (fixed[:, None] + interf[None, :]).reshape(-1, code.T2, code.N)
-            ratios = _relative_sv(mats)
-            tested += mats.shape[0]
-            min_ratio = min(min_ratio, float(ratios.min()))
-            bad = np.nonzero(ratios <= REL_SV_THRESHOLD)[0]
-            if bad.size:
-                d_i, u_i = divmod(int(bad[0]), u_chunk.shape[0])
-                return CriterionReport(
-                    criterion, False, tested, min_ratio,
-                    Witness(k, diffs[d_i], u_chunk[u_i]),
-                    coverage=covered / max(total_diffs, 1),
-                )
-    return CriterionReport(
-        criterion, True, tested, min_ratio, None,
-        coverage=covered / max(total_diffs, 1),
-    )
+                u_draws = np.concatenate([u_draws, rng.standard_normal((trials, len(interf_idx)))])
+            for lo in range(0, u_draws.shape[0], _U_CHUNK):
+                u_chunk = u_draws[lo:lo + _U_CHUNK]
+                interf = np.einsum("uc,ctn->utn", u_chunk, w[interf_idx])
+                mats = (fixed[:, None] + interf[None, :]).reshape(-1, code.T2, code.N)
+                yield mats, lambda i: Witness(k, diffs[i // len(u_chunk)],
+                                              u_chunk[i % len(u_chunk)])
+
+    tested, min_ratio, witness = _scan(chunks())
+    return CriterionReport(criterion, witness is None, tested, min_ratio, witness,
+                           coverage=covered / max(total_diffs, 1))
 
 
 def check_pic(code: DstbcCode, trials: int = 1000,
@@ -196,22 +196,15 @@ def check_zf(code: DstbcCode, trials: int = 1000,
     """
     rng = rng or np.random.default_rng(0)
     w = code.design.weights
-    k = code.K
-    units = np.concatenate([np.eye(k), -np.eye(k)])
-    u_draws = np.concatenate([units, rng.standard_normal((trials, k))])
-    tested = 0
-    min_ratio = np.inf
-    witness = None
-    for lo in range(0, u_draws.shape[0], _U_CHUNK):
-        u_chunk = u_draws[lo:lo + _U_CHUNK]
-        mats = np.einsum("uk,ktn->utn", u_chunk, w)
-        ratios = _relative_sv(mats)
-        tested += mats.shape[0]
-        min_ratio = min(min_ratio, float(ratios.min()))
-        bad = np.nonzero(ratios <= REL_SV_THRESHOLD)[0]
-        if bad.size:
-            witness = Witness(None, None, u_chunk[int(bad[0])])
-            break
+    units = np.concatenate([np.eye(code.K), -np.eye(code.K)])
+    u_draws = np.concatenate([units, rng.standard_normal((trials, code.K))])
+
+    def chunks():
+        for lo in range(0, u_draws.shape[0], _U_CHUNK):
+            u_chunk = u_draws[lo:lo + _U_CHUNK]
+            yield np.einsum("uk,ktn->utn", u_chunk, w), lambda i: Witness(None, None, u_chunk[i])
+
+    tested, min_ratio, witness = _scan(chunks())
     cert = None
     if code.params is not None and code.params.lam == 1:
         cert = cod_certificate(code)

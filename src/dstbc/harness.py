@@ -188,7 +188,7 @@ class _Engine:
     def _draw_chunk(self, seeds):
         b = len(seeds)
         n, nd, t1, t2 = self.N, self.nd, self.T1, self.T2
-        tx_idx = np.empty((b, len(self.groups)), dtype=np.int64)
+        bits = np.empty((b, self.bits_per_cw), dtype=np.int64)
         f = np.empty((b, n), dtype=complex)
         gm = np.empty((b, n, nd), dtype=complex)
         v = np.empty((b, n, t1), dtype=complex)
@@ -196,18 +196,17 @@ class _Engine:
         root = 1.0 / np.sqrt(2.0)
         for i, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            bits = rng.integers(0, 2, self.bits_per_cw)
-            pos = 0
-            for k, (nb, s) in enumerate(zip(self.bits_per_group, self.sets)):
-                label = 0
-                for bit in bits[pos:pos + nb]:
-                    label = (label << 1) | int(bit)
-                tx_idx[i, k] = s.index_of_label[label]
-                pos += nb
+            bits[i] = rng.integers(0, 2, self.bits_per_cw)
             f[i] = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * root
             gm[i] = (rng.standard_normal((n, nd)) + 1j * rng.standard_normal((n, nd))) * root
             v[i] = (rng.standard_normal((n, t1)) + 1j * rng.standard_normal((n, t1))) * root
             w[i] = (rng.standard_normal((t2, nd)) + 1j * rng.standard_normal((t2, nd))) * root
+        # Gray labels: each group's bits, most significant first
+        tx_idx = np.empty((b, len(self.groups)), dtype=np.int64)
+        pos = 0
+        for k, (nb, s) in enumerate(zip(self.bits_per_group, self.sets)):
+            tx_idx[:, k] = s.index_of_label[bits[:, pos:pos + nb] @ (1 << np.arange(nb)[::-1])]
+            pos += nb
         return tx_idx, f, gm, v, w
 
     # -- physical channel + whitened model ---------------------------------

@@ -12,14 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dstbc.channel import (
-    PowerConfig,
-    draw_realization,
-    noise_bound,
-    noise_covariance,
-    rvec,
-    simulate_transmission,
-)
+from dstbc.channel import PowerConfig, RelayChannel, _realify_cov, _whitener, rvec
 from dstbc.constellation import make_pam, make_rotated_qam, rotation_2d
 from dstbc.construct import (
     bits_per_channel_use,
@@ -28,11 +21,10 @@ from dstbc.construct import (
     GroupingScheme,
     rate_cspcu,
 )
-from dstbc.decode import ml_decode, pic_decode, pic_sic_decode, zf_decode, zf_sic_decode
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate, verify_cod
 from dstbc.diversity import REL_SV_THRESHOLD, _relative_sv, check_pic_sic
 from dstbc.harness import ExperimentConfig, estimate_diversity_slope, run_ber
-from tests.test_decode import observed_problem
+from tests.test_decode import cn, observed_problem, x_hat
 
 
 @contextmanager
@@ -112,24 +104,24 @@ def test_criterion_04_noise_model():
         rng = np.random.default_rng(104)
         code = build(2, cod_alamouti(), 1, 1)
         power = PowerConfig.balanced(code, 10.0)
+        channel = RelayChannel(code)
+        n = 100_000
         for _ in range(3):
-            real = draw_realization(rng, 2, 2)
-            model = noise_covariance(code, real, power)
-            draws = np.stack([
-                rvec(simulate_transmission(code, np.zeros(code.K), real, power, rng))
-                for _ in range(100_000)
-            ])
+            f, gm = cn(rng, 1, 2), cn(rng, 1, 2, 2)
+            gammas = _realify_cov(channel.covariance(gm, power))
+            gamma, whitener, dim = gammas[0], _whitener(gammas)[0][0], gammas.shape[1]
+            y = channel.transmit(np.zeros((n, code.K)), f.repeat(n, axis=0), gm.repeat(n, axis=0),
+                                 cn(rng, n, 2, code.T1), cn(rng, n, code.T2, 2), power)
+            draws = rvec(y)
             emp = draws.T @ draws / draws.shape[0]
-            rel = np.linalg.norm(emp - model.gamma) / np.linalg.norm(model.gamma)
+            rel = np.linalg.norm(emp - gamma) / np.linalg.norm(gamma)
             assert rel < 0.03, f"covariance mismatch {rel:.4f}"
-            white = draws @ model.whitener.T
+            white = draws @ whitener.T
             emp_w = white.T @ white / white.shape[0]
-            rel_w = (np.linalg.norm(emp_w - np.eye(model.dim))
-                     / np.linalg.norm(np.eye(model.dim)))
+            rel_w = (np.linalg.norm(emp_w - np.eye(dim))
+                     / np.linalg.norm(np.eye(dim)))
             assert rel_w < 0.03, f"whitened covariance mismatch {rel_w:.4f}"
-        for _ in range(100):
-            real = draw_realization(rng, 2, 2)
-            assert noise_bound(code, real, power)["passed"]
+        assert channel.noise_bound(cn(rng, 100, 2, 2), power).all()
 
 
 def test_criterion_05_decoder_equivalences():
@@ -138,23 +130,20 @@ def test_criterion_05_decoder_equivalences():
         single = from_design(
             cod_trivial().design, GroupingScheme(((0, 1),))
         ).with_sets(make_rotated_qam(4, rotation_2d()))
-        for _ in range(100):
-            p, _ = observed_problem(single, 2, 3.0, rng)
-            np.testing.assert_array_equal(pic_decode(p).x_hat, ml_decode(p).x_hat)
+        g, y, _ = observed_problem(single, 2, 3.0, rng, trials=100)
+        np.testing.assert_array_equal(x_hat("pic", single, g, y), x_hat("ml", single, g, y))
 
         lam1 = build(4, cod_alamouti(), 1, 2, make_pam(4))
-        for _ in range(100):
-            p, _ = observed_problem(lam1, 2, 8.0, rng)
-            np.testing.assert_array_equal(zf_decode(p).x_hat, pic_decode(p).x_hat)
-            np.testing.assert_array_equal(
-                zf_sic_decode(p).x_hat, pic_sic_decode(p).x_hat
-            )
+        g, y, _ = observed_problem(lam1, 2, 8.0, rng, trials=100)
+        np.testing.assert_array_equal(x_hat("zf", lam1, g, y), x_hat("pic", lam1, g, y))
+        np.testing.assert_array_equal(
+            x_hat("zf-sic", lam1, g, y), x_hat("pic-sic", lam1, g, y)
+        )
 
         rotated = build(6, cod_alamouti(), 2, 2, make_rotated_qam(16, rotation_2d()))
-        for _ in range(100):
-            p, x0 = observed_problem(rotated, 2, 50.0, rng, noiseless=True)
-            np.testing.assert_allclose(pic_decode(p).x_hat, x0)
-            np.testing.assert_allclose(pic_sic_decode(p).x_hat, x0)
+        g, y, x0 = observed_problem(rotated, 2, 50.0, rng, trials=100, noiseless=True)
+        np.testing.assert_allclose(x_hat("pic", rotated, g, y), x0)
+        np.testing.assert_allclose(x_hat("pic-sic", rotated, g, y), x0)
 
 
 def _sweep_codes():

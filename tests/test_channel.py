@@ -1,25 +1,30 @@
 import numpy as np
 import pytest
 
-from dstbc.channel import (
-    ChannelRealization,
-    PowerConfig,
-    draw_cn,
-    draw_realization,
-    effective_channel,
-    equivalent_real_channel,
-    noise_bound,
-    noise_covariance,
-    rvec,
-    simulate_transmission,
-    whiten,
-)
+from dstbc.channel import PowerConfig, RelayChannel, _real_channel, _realify_cov, _whitener, rvec
 from dstbc.construct import build
 from dstbc.design import cod_alamouti, cod_trivial, evaluate
+from tests.test_decode import cn
 
 
 def _alamouti_code():
     return build(2, cod_alamouti(), 1, 1)
+
+
+def _fixed_gains(rng, code, nd, trials):
+    """One realization (f, gm), repeated along the trial axis."""
+    f, gm = cn(rng, 1, code.N), cn(rng, 1, code.N, nd)
+    return np.repeat(f, trials, axis=0), np.repeat(gm, trials, axis=0)
+
+
+def _noise_only(code, rng, nd, trials, power):
+    """rvec of the destination observations of a zero input, (trials, d),
+    and the realified covariance of their single realization."""
+    channel = RelayChannel(code)
+    f, gm = _fixed_gains(rng, code, nd, trials)
+    y = channel.transmit(np.zeros((trials, code.K)), f, gm, cn(rng, trials, code.N, code.T1),
+                         cn(rng, trials, code.T2, nd), power)
+    return rvec(y), _realify_cov(channel.covariance(gm[:1], power))[0]
 
 
 class TestPowerConfig:
@@ -49,82 +54,82 @@ class TestPowerConfig:
 class TestEffectiveChannel:
     def test_single_relay_no_conjugation(self):
         code = build(1, cod_trivial(), 1, 1)
-        real = ChannelRealization(np.array([2 + 1j]), np.array([[3 - 1j]]))
-        h = effective_channel(code, real)
+        h = RelayChannel(code).effective(np.array([[2 + 1j]]), np.array([[[3 - 1j]]]))[0]
         assert h.shape == (1, 1)
         assert h[0, 0] == (2 + 1j) * (3 - 1j)
 
     def test_conjugating_relay(self):
         code = _alamouti_code()  # S = {1}
-        real = ChannelRealization(np.array([1.0, 1j]), np.ones((2, 1), dtype=complex))
-        h = effective_channel(code, real)
+        h = RelayChannel(code).effective(np.array([[1.0, 1j]]), np.ones((1, 2, 1), dtype=complex))[0]
         assert h[0, 0] == 1.0
         assert h[1, 0] == -1j  # conjugated gain
 
     def test_elementwise_definition(self):
         rng = np.random.default_rng(3)
         code = build(4, cod_alamouti(), 1, 2)
-        real = draw_realization(rng, 4, 3)
-        h = effective_channel(code, real)
-        for j in range(4):
-            fj = real.f[j].conj() if j in code.relay_form.S else real.f[j]
-            np.testing.assert_allclose(h[j], fj * real.Gmat[j])
+        f, gm = cn(rng, 5, 4), cn(rng, 5, 4, 3)
+        h = RelayChannel(code).effective(f, gm)
+        for b in range(5):
+            for j in range(4):
+                fj = f[b, j].conj() if j in code.relay_form.S else f[b, j]
+                np.testing.assert_allclose(h[b, j], fj * gm[b, j])
 
     def test_relay_count_mismatch_rejected(self):
         code = build(4, cod_alamouti(), 1, 2)
-        real = draw_realization(np.random.default_rng(0), 2, 1)
-        with pytest.raises(ValueError):
-            effective_channel(code, real)
+        channel = RelayChannel(code)
+        power = PowerConfig.balanced(code, 10.0)
+        x, v, w = np.zeros((1, code.K)), np.zeros((1, 4, code.T1)), np.zeros((1, code.T2, 1))
+        f4, gm4 = np.ones((1, 4), dtype=complex), np.ones((1, 4, 1), dtype=complex)
+        f2, gm2 = np.ones((1, 2), dtype=complex), np.ones((1, 2, 1), dtype=complex)
+        for call in (channel.transmit, channel.observe):
+            with pytest.raises(ValueError, match="^f must have the code's 4 relays"):
+                call(x, f2, gm4, v, w, power)
+            with pytest.raises(ValueError, match="^gm must have the code's 4 relays"):
+                call(x, f4, gm2, v, w, power)
+            with pytest.raises(ValueError, match="^f must"):
+                call(x, f4[0], gm4, v, w, power)  # no trial axis
+        with pytest.raises(ValueError, match="^gm must"):
+            channel.noise_bound(gm2, power)
 
 
 class TestNoiseCovariance:
     def test_single_relay_identity_b(self):
         code = build(1, cod_trivial(), 1, 1)  # B_1 = [[1]]
-        real = ChannelRealization(np.array([1.0 + 0j]), np.array([[2.0 + 0j]]))
         power = PowerConfig.balanced(code, 5.0)
-        model = noise_covariance(code, real, power)
+        gamma_c = RelayChannel(code).covariance(np.array([[[2.0 + 0j]]]), power)
         expect = power.relay_gain * 4.0 + 1.0
-        np.testing.assert_allclose(model.gamma_c, [[expect]])
+        np.testing.assert_allclose(gamma_c, [[[expect]]])
 
     def test_vanishing_power_leaves_destination_noise(self):
         code = _alamouti_code()
         rng = np.random.default_rng(4)
-        real = draw_realization(rng, 2, 2)
-        model = noise_covariance(code, real, PowerConfig(1e-12, 1.0, 2.0))
-        np.testing.assert_allclose(model.gamma_c, np.eye(4), atol=1e-10)
+        gamma_c = RelayChannel(code).covariance(cn(rng, 1, 2, 2), PowerConfig(1e-12, 1.0, 2.0))
+        np.testing.assert_allclose(gamma_c[0], np.eye(4), atol=1e-10)
 
     def test_empirical_covariance_oracle(self):
         rng = np.random.default_rng(5)
         code = _alamouti_code()
-        power = PowerConfig.balanced(code, 10.0)
-        real = draw_realization(rng, 2, 2)
-        model = noise_covariance(code, real, power)
-        draws = np.stack([
-            rvec(simulate_transmission(code, np.zeros(code.K), real, power, rng))
-            for _ in range(30000)
-        ])
+        draws, gamma = _noise_only(code, rng, 2, 30000, PowerConfig.balanced(code, 10.0))
         emp = draws.T @ draws / draws.shape[0]
-        rel = np.linalg.norm(emp - model.gamma) / np.linalg.norm(model.gamma)
+        rel = np.linalg.norm(emp - gamma) / np.linalg.norm(gamma)
         assert rel < 0.05
 
     def test_psd_and_whitener(self):
         rng = np.random.default_rng(6)
         code = build(4, cod_trivial(), 2, 2)
         power = PowerConfig.balanced(code, 20.0)
-        for _ in range(100):
-            real = draw_realization(rng, 4, 2)
-            model = noise_covariance(code, real, power)
-            assert np.linalg.eigvalsh(model.gamma)[0] >= -1e-10
-            eye = model.whitener @ model.gamma @ model.whitener
-            assert np.abs(eye - np.eye(model.dim)).max() < 1e-8
+        gamma = _realify_cov(RelayChannel(code).covariance(cn(rng, 100, 4, 2), power))
+        whitener, evals = _whitener(gamma)
+        assert evals.min() >= -1e-10
+        eye = whitener @ gamma @ whitener
+        assert np.abs(eye - np.eye(gamma.shape[1])).max() < 1e-8
 
     def test_trace_and_eigenvalue_bound(self):
         rng = np.random.default_rng(7)
         code = build(4, cod_alamouti(), 1, 2)
         power = PowerConfig.balanced(code, 15.0)
-        for _ in range(100):
-            real = draw_realization(rng, 4, 2)
-            assert noise_bound(code, real, power)["passed"]
+        ok = RelayChannel(code).noise_bound(cn(rng, 100, 4, 2), power)
+        assert ok.shape == (100,) and ok.all()
 
 
 class TestSimulate:
@@ -132,39 +137,38 @@ class TestSimulate:
         rng = np.random.default_rng(8)
         code = build(6, cod_alamouti(), 2, 2)
         power = PowerConfig.balanced(code, 7.0)
-        for _ in range(100):
-            real = draw_realization(rng, 6, 2)
-            x = rng.standard_normal(code.K)
-            y = simulate_transmission(code, x, real, power, rng,
-                                      relay_noise=False, dest_noise=False)
-            ref = np.sqrt(power.rho) * evaluate(code.design, x) @ effective_channel(code, real)
-            assert np.abs(y - ref).max() < 1e-9
+        channel = RelayChannel(code)
+        f, gm = cn(rng, 100, 6), cn(rng, 100, 6, 2)
+        x = rng.standard_normal((100, code.K))
+        y = channel.transmit(x, f, gm, np.zeros((100, 6, code.T1)),
+                             np.zeros((100, code.T2, 2)), power)
+        h = channel.effective(f, gm)
+        for b in range(100):
+            ref = np.sqrt(power.rho) * evaluate(code.design, x[b]) @ h[b]
+            assert np.abs(y[b] - ref).max() < 1e-9
 
     def test_zero_input_zero_relay_noise_is_destination_noise(self):
         code = _alamouti_code()
         power = PowerConfig.balanced(code, 10.0)
-        real = draw_realization(np.random.default_rng(0), 2, 1)
-        y = simulate_transmission(code, np.zeros(4), real, power,
-                                  np.random.default_rng(123), relay_noise=False)
-        # replicate the draw order: relay noise first, then destination noise
-        rng = np.random.default_rng(123)
-        _ = draw_cn(rng, (2, code.T1))
-        w = draw_cn(rng, (code.T2, 1))
+        rng = np.random.default_rng(0)
+        f, gm, w = cn(rng, 3, 2), cn(rng, 3, 2, 1), cn(rng, 3, code.T2, 1)
+        y = RelayChannel(code).transmit(np.zeros((3, 4)), f, gm,
+                                        np.zeros((3, 2, code.T1)), w, power)
         np.testing.assert_allclose(y, w)
 
     def test_sample_mean_matches_signal(self):
         rng = np.random.default_rng(9)
         code = _alamouti_code()
         power = PowerConfig.balanced(code, 4.0)
-        real = draw_realization(rng, 2, 1)
-        x = np.ones(4) * 0.5
-        ys = np.stack([
-            simulate_transmission(code, x, real, power, rng) for _ in range(10000)
-        ])
+        channel = RelayChannel(code)
+        f, gm = _fixed_gains(rng, code, 1, 10000)
+        x = np.full((10000, 4), 0.5)
+        ys = channel.transmit(x, f, gm, cn(rng, 10000, 2, code.T1),
+                              cn(rng, 10000, code.T2, 1), power)
         mean = ys.mean(axis=0)
-        ref = np.sqrt(power.rho) * evaluate(code.design, x) @ effective_channel(code, real)
+        ref = np.sqrt(power.rho) * evaluate(code.design, x[0]) @ channel.effective(f[:1], gm[:1])[0]
         # per-entry noise std after averaging ~ sigma/100; allow 5 sigma
-        sigma = np.sqrt(float(np.max(np.diag(noise_covariance(code, real, power).gamma_c.real))))
+        sigma = np.sqrt(float(np.max(np.diag(channel.covariance(gm[:1], power)[0].real))))
         assert np.abs(mean - ref).max() < 5 * sigma / np.sqrt(10000)
 
     def test_requires_relay_form(self):
@@ -173,67 +177,50 @@ class TestSimulate:
 
         w = cod_alamouti().design.weights[[0, 2, 1, 3]]
         code = from_design(LinearDesign.from_weights(w))
-        with pytest.raises(ValueError):
-            simulate_transmission(code, np.zeros(4),
-                                  draw_realization(np.random.default_rng(0), 2, 1),
-                                  PowerConfig(1.0, 1.0, 1.0),
-                                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match="relay form"):
+            RelayChannel(code)
 
 
 class TestEquivalentRealChannel:
     def test_scalar_example(self):
         d = cod_trivial().design
-        g = equivalent_real_channel(d, np.array([[1.0 + 0j]]), 4.0)
+        g = _real_channel(d.weights, np.array([[[1.0 + 0j]]]), 4.0)[0]
         np.testing.assert_allclose(g, [[2.0, 0.0], [0.0, 2.0]])
 
     def test_zero_channel(self):
         d = cod_alamouti().design
-        assert np.all(equivalent_real_channel(d, np.zeros((2, 3), dtype=complex), 9.0) == 0)
+        assert np.all(_real_channel(d.weights, np.zeros((1, 2, 3), dtype=complex), 9.0) == 0)
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(10)
         code = build(4, cod_trivial(), 2, 2)
-        for _ in range(50):
-            h = draw_cn(rng, (4, 2))
-            gp = equivalent_real_channel(code.design, h, 2.5)
-            x = rng.standard_normal(code.K)
-            ref = np.sqrt(2.5) * rvec(evaluate(code.design, x) @ h)
-            assert np.abs(gp @ x - ref).max() < 1e-12
+        h = cn(rng, 50, 4, 2)
+        gp = _real_channel(code.design.weights, h, 2.5)
+        x = rng.standard_normal((50, code.K))
+        ref = np.sqrt(2.5) * rvec(np.stack([evaluate(code.design, x[b]) @ h[b] for b in range(50)]))
+        assert np.abs(np.einsum("bdk,bk->bd", gp, x) - ref).max() < 1e-12
 
 
 class TestWhiten:
     def test_identity_covariance_is_noop(self):
-        from dstbc.channel import NoiseModel
-
-        eye = np.eye(4)
-        model = NoiseModel(np.eye(2, dtype=complex), eye, eye)
-        g = np.arange(8.0).reshape(4, 2)
-        y = np.arange(4.0)
-        gw, yw = whiten(model, g, y)
-        np.testing.assert_array_equal(gw, g)
-        np.testing.assert_array_equal(yw, y)
+        whitener, evals = _whitener(np.eye(4)[None])
+        np.testing.assert_array_equal(evals, np.ones((1, 4)))
+        np.testing.assert_allclose(whitener[0], np.eye(4), atol=1e-15)
 
     def test_scaled_covariance_halves(self):
-        from dstbc.channel import NoiseModel
-
-        model = NoiseModel(2 * np.eye(2, dtype=complex), 4 * np.eye(4), 0.5 * np.eye(4))
-        g = np.ones((4, 2))
-        gw, yw = whiten(model, g, np.ones(4))
-        np.testing.assert_allclose(gw, 0.5 * g)
-        np.testing.assert_allclose(yw, 0.5)
+        whitener, _ = _whitener(4 * np.eye(4)[None])
+        np.testing.assert_allclose(whitener[0], 0.5 * np.eye(4), atol=1e-15)
 
     def test_whitened_noise_is_white(self):
+        # the whitener that observe applies, on zero-input observations
         rng = np.random.default_rng(11)
         code = _alamouti_code()
         power = PowerConfig.balanced(code, 10.0)
-        real = draw_realization(rng, 2, 2)
-        model = noise_covariance(code, real, power)
-        draws = np.stack([
-            model.whitener @ rvec(
-                simulate_transmission(code, np.zeros(4), real, power, rng)
-            )
-            for _ in range(30000)
-        ])
+        f, gm = _fixed_gains(rng, code, 2, 30000)
+        _, draws = RelayChannel(code).observe(
+            np.zeros((30000, 4)), f, gm, cn(rng, 30000, 2, code.T1), cn(rng, 30000, code.T2, 2), power
+        )
+        dim = draws.shape[1]
         emp = draws.T @ draws / draws.shape[0]
-        rel = np.linalg.norm(emp - np.eye(model.dim)) / np.linalg.norm(np.eye(model.dim))
+        rel = np.linalg.norm(emp - np.eye(dim)) / np.linalg.norm(np.eye(dim))
         assert rel < 0.05

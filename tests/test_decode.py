@@ -1,67 +1,66 @@
 import numpy as np
 import pytest
 
-from dstbc.channel import (
-    PowerConfig,
-    draw_realization,
-    effective_channel,
-    equivalent_real_channel,
-    noise_covariance,
-    rvec,
-    simulate_transmission,
-    whiten,
-)
+from dstbc.channel import PowerConfig, RelayChannel
 from dstbc.constellation import make_pam, make_rotated_qam, rotation_2d
 from dstbc.construct import GroupingScheme, build, from_design
-from dstbc.decode import (
-    DecodeProblem,
-    ml_decode,
-    pic_decode,
-    pic_sic_decode,
-    projector_complement,
-    zf_decode,
-    zf_sic_decode,
-)
+from dstbc.decode import GroupDecoder, _project_out, group_symbols
 from dstbc.design import cod_alamouti, cod_trivial
 
 
-def observed_problem(code, nd, P, rng, noiseless=False, x=None):
-    """Full pipeline to a whitened DecodeProblem; returns (problem, x0)."""
+def cn(rng, *shape):
+    """Unit-variance circularly symmetric complex Gaussian draws."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def observed_problem(code, nd, P, rng, trials=1, noiseless=False):
+    """A batch of whitened relay observations; returns (G (b, d, K),
+    y (b, d), x0 (b, K)) with x0 drawn uniformly from the group alphabets."""
     power = PowerConfig.balanced(code, P)
-    real = draw_realization(rng, code.N, nd)
-    if x is None:
-        x = np.empty(code.K)
-        for k, (grp, s) in enumerate(zip(code.grouping.groups, code.group_sets)):
-            x[list(grp)] = s.points[rng.integers(s.size)]
-    y = simulate_transmission(code, x, real, power, rng,
-                              relay_noise=not noiseless, dest_noise=not noiseless)
-    model = noise_covariance(code, real, power)
-    h = effective_channel(code, real)
-    gp = equivalent_real_channel(code.design, h, power.rho)
-    g, yw = whiten(model, gp, rvec(y))
-    return DecodeProblem(g, yw, code.grouping, code.group_sets), x
+    f, gm = cn(rng, trials, code.N), cn(rng, trials, code.N, nd)
+    idx = np.stack([rng.integers(s.size, size=trials) for s in code.group_sets], axis=1)
+    x = group_symbols(code.grouping.groups, code.group_sets, idx)
+    v, w = cn(rng, trials, code.N, code.T1), cn(rng, trials, code.T2, nd)
+    if noiseless:
+        v, w = 0 * v, 0 * w
+    g, y = RelayChannel(code).observe(x, f, gm, v, w, power)
+    return g, y, x
+
+
+def x_hat(decoder, code, g, y, **kw):
+    """One decoder's decisions on a batch, as symbol vectors (b, K)."""
+    dec = GroupDecoder(decoder, code.grouping, code.group_sets, **kw)
+    return group_symbols(dec.groups, dec.sets, dec.decide(g, y)[0])
+
+
+def projector(cols):
+    """The rank-cut projector of _project_out, read off by projecting the
+    identity: the complement of the column space of each cols (b, d, c)."""
+    b, d, _ = cols.shape
+    return _project_out(cols, np.zeros((b, d)), np.broadcast_to(np.eye(d), (b, d, d)))[1]
 
 
 class TestProjector:
     def test_empty_is_identity(self):
-        np.testing.assert_array_equal(projector_complement(np.empty((3, 0))), np.eye(3))
+        np.testing.assert_array_equal(projector(np.empty((1, 3, 0)))[0], np.eye(3))
 
     def test_e1_complement(self):
-        p = projector_complement(np.array([1.0, 0.0]))
+        p = projector(np.array([[[1.0], [0.0]]]))[0]
         np.testing.assert_allclose(p, np.diag([0.0, 1.0]))
 
     def test_annihilates_columns(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            m = rng.standard_normal((8, 3))
-            p = projector_complement(m)
-            assert np.abs(p @ m).max() < 1e-10
-            assert np.abs(p @ p - p).max() < 1e-10
-            assert np.abs(p - p.T).max() < 1e-10
+        m = rng.standard_normal((20, 8, 3))
+        y = rng.standard_normal((20, 8))
+        p = projector(m)
+        py, _ = _project_out(m, y, m)
+        assert np.abs(p @ m).max() < 1e-10
+        assert np.abs(p @ p - p).max() < 1e-10
+        assert np.abs(p - p.transpose(0, 2, 1)).max() < 1e-10
+        assert np.abs(py - np.einsum("bij,bj->bi", p, y)).max() < 1e-10
 
     def test_rank_deficient_input(self):
-        m = np.ones((4, 3))  # rank 1
-        p = projector_complement(m)
+        p = projector(np.ones((1, 4, 3)))[0]  # rank 1
         assert abs(np.trace(p) - 3.0) < 1e-10
 
 
@@ -71,19 +70,17 @@ class TestPic:
         code = from_design(
             cod_trivial().design, GroupingScheme(((0, 1),))
         ).with_sets(make_rotated_qam(4, rotation_2d()))
-        for _ in range(100):
-            p, _ = observed_problem(code, 2, 3.0, rng)
-            a, b = pic_decode(p), ml_decode(p)
-            np.testing.assert_array_equal(a.x_hat, b.x_hat)
+        g, y, _ = observed_problem(code, 2, 3.0, rng, trials=100)
+        np.testing.assert_array_equal(x_hat("pic", code, g, y), x_hat("ml", code, g, y))
 
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(2)
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(16, rotation_2d()))
-        for _ in range(100):
-            p, x0 = observed_problem(code, 2, 50.0, rng, noiseless=True)
-            res = pic_decode(p)
-            np.testing.assert_allclose(res.x_hat, x0)
-            assert max(res.per_group_residuals) < 1e-12
+        g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=100, noiseless=True)
+        dec = GroupDecoder("pic", code.grouping, code.group_sets)
+        idx, metric = dec.decide(g, y)
+        np.testing.assert_allclose(group_symbols(dec.groups, dec.sets, idx), x0)
+        assert metric.max() < 1e-12
 
     def test_matched_filter_on_orthogonal_columns(self):
         # orthogonal G with singleton groups: PIC must equal per-symbol
@@ -91,30 +88,30 @@ class TestPic:
         rng = np.random.default_rng(3)
         s = make_pam(4)
         grouping = GroupingScheme(tuple((i,) for i in range(4)))
-        for _ in range(50):
-            q = np.linalg.qr(rng.standard_normal((8, 4)))[0] * rng.uniform(0.5, 2.0)
-            x0 = s.points[rng.integers(4, size=4), 0]
-            y = q @ x0 + 0.05 * rng.standard_normal(8)
-            p = DecodeProblem(q, y, grouping, (s,) * 4)
-            res = pic_decode(p)
-            # scalar oracle: project y onto each column, pick nearest level
-            scale = float(q[:, 0] @ q[:, 0])
+        q = np.stack([np.linalg.qr(rng.standard_normal((8, 4)))[0] * rng.uniform(0.5, 2.0)
+                      for _ in range(50)])
+        x0 = s.points[rng.integers(4, size=(50, 4)), 0]
+        y = np.einsum("bdk,bk->bd", q, x0) + 0.05 * rng.standard_normal((50, 8))
+        dec = GroupDecoder("pic", grouping, (s,) * 4)
+        xh = group_symbols(dec.groups, dec.sets, dec.decide(q, y)[0])
+        # scalar oracle: project y onto each column, pick nearest level
+        for t in range(50):
+            scale = float(q[t, :, 0] @ q[t, :, 0])
             for i in range(4):
-                est = float(q[:, i] @ y) / scale
+                est = float(q[t, :, i] @ y[t]) / scale
                 nearest = s.points[np.argmin(np.abs(s.points[:, 0] - est)), 0]
-                assert res.x_hat[i] == nearest
+                assert xh[t, i] == nearest
 
     def test_projector_identities(self):
         rng = np.random.default_rng(4)
         code = build(6, cod_alamouti(), 2, 2, make_rotated_qam(4, rotation_2d()))
-        p, _ = observed_problem(code, 2, 10.0, rng)
+        g, _, _ = observed_problem(code, 2, 10.0, rng)
         for k in range(code.g):
-            comp = code.grouping.complement(k)
-            proj = projector_complement(p.G[:, comp])
+            proj = projector(g[:, :, list(code.grouping.complement(k))])[0]
             for ell in range(code.g):
                 if ell == k:
                     continue
-                assert np.abs(proj @ p.G[:, code.grouping.groups[ell]]).max() < 1e-10
+                assert np.abs(proj @ g[0][:, code.grouping.groups[ell]]).max() < 1e-10
 
 
 class TestPicSic:
@@ -123,45 +120,40 @@ class TestPicSic:
         code = from_design(
             cod_trivial().design, GroupingScheme(((0, 1),))
         ).with_sets(make_rotated_qam(4, rotation_2d()))
-        for _ in range(50):
-            p, _ = observed_problem(code, 2, 3.0, rng)
-            np.testing.assert_array_equal(pic_decode(p).x_hat, pic_sic_decode(p).x_hat)
+        g, y, _ = observed_problem(code, 2, 3.0, rng, trials=50)
+        np.testing.assert_array_equal(x_hat("pic", code, g, y), x_hat("pic-sic", code, g, y))
 
     def test_noiseless_recovery_with_zero_stage_residuals(self):
         rng = np.random.default_rng(6)
         code = build(6, cod_alamouti(), 2, 2, make_rotated_qam(16, rotation_2d()))
-        for _ in range(100):
-            p, x0 = observed_problem(code, 2, 50.0, rng, noiseless=True)
-            res = pic_sic_decode(p)
-            np.testing.assert_allclose(res.x_hat, x0)
-            assert max(res.per_group_residuals) < 1e-10
+        g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=100, noiseless=True)
+        dec = GroupDecoder("pic-sic", code.grouping, code.group_sets)
+        idx, metric = dec.decide(g, y)
+        np.testing.assert_allclose(group_symbols(dec.groups, dec.sets, idx), x0)
+        assert metric.max() < 1e-10
 
     def test_tail_projector_identities(self):
         rng = np.random.default_rng(7)
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
-        p, _ = observed_problem(code, 2, 10.0, rng)
+        g, _, _ = observed_problem(code, 2, 10.0, rng)
         for k in range(code.g):
-            tail = code.grouping.tail(k)
-            proj = projector_complement(p.G[:, tail])
+            proj = projector(g[:, :, list(code.grouping.tail(k))])[0]
             for ell in range(k + 1, code.g):
-                assert np.abs(proj @ p.G[:, code.grouping.groups[ell]]).max() < 1e-10
+                assert np.abs(proj @ g[0][:, code.grouping.groups[ell]]).max() < 1e-10
 
 
 class TestZf:
     def test_lam1_zf_equals_pic_bit_for_bit(self):
         rng = np.random.default_rng(8)
         code = build(8, cod_alamouti(), 1, 3, make_pam(8))
-        for _ in range(30):
-            p, _ = observed_problem(code, 1, 15.0, rng)
-            np.testing.assert_array_equal(zf_decode(p).x_hat, pic_decode(p).x_hat)
-            np.testing.assert_array_equal(zf_sic_decode(p).x_hat, pic_sic_decode(p).x_hat)
+        g, y, _ = observed_problem(code, 1, 15.0, rng, trials=30)
+        np.testing.assert_array_equal(x_hat("zf", code, g, y), x_hat("pic", code, g, y))
+        np.testing.assert_array_equal(x_hat("zf-sic", code, g, y), x_hat("pic-sic", code, g, y))
 
     def test_rotated_group_refused(self):
-        rng = np.random.default_rng(9)
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(16, rotation_2d()))
-        p, _ = observed_problem(code, 2, 10.0, rng)
-        with pytest.raises(ValueError):
-            zf_decode(p)
+        with pytest.raises(ValueError, match="coordinate-separable"):
+            GroupDecoder("zf", code.grouping, code.group_sets)
 
     def test_unrotated_product_set_splits(self):
         # identity-rotation QPSK factors per coordinate, so ZF may refine it
@@ -169,64 +161,89 @@ class TestZf:
         from dstbc.constellation import identity_rotation
 
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(4, identity_rotation(2)))
-        p, _ = observed_problem(code, 2, 10.0, rng)
-        res = zf_decode(p)
-        assert res.x_hat.shape == (code.K,)
+        g, y, _ = observed_problem(code, 2, 10.0, rng)
+        assert x_hat("zf", code, g, y).shape == (1, code.K)
 
     def test_k1_all_decoders_agree(self):
         rng = np.random.default_rng(11)
         s = make_pam(2)
         grouping = GroupingScheme(((0,),))
-        for _ in range(20):
-            g = rng.standard_normal((4, 1))
-            y = g[:, 0] * s.points[rng.integers(2), 0] + 0.3 * rng.standard_normal(4)
-            p = DecodeProblem(g, y, grouping, (s,))
-            a = zf_decode(p).x_hat
-            b = zf_sic_decode(p).x_hat
-            c = ml_decode(p).x_hat
-            assert a == b == c
+        g = rng.standard_normal((20, 4, 1))
+        y = g[:, :, 0] * s.points[rng.integers(2, size=(20, 1)), 0] + 0.3 * rng.standard_normal((20, 4))
+        a, b, c = (GroupDecoder(d, grouping, (s,)).decide(g, y)[0]
+                   for d in ("zf", "zf-sic", "ml"))
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(b, c)
 
 
 class TestMl:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(12)
         code = build(2, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
-        for _ in range(50):
-            p, x0 = observed_problem(code, 2, 50.0, rng, noiseless=True)
-            np.testing.assert_allclose(ml_decode(p).x_hat, x0)
+        g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=50, noiseless=True)
+        np.testing.assert_allclose(x_hat("ml", code, g, y), x0)
 
     def test_candidate_cap(self):
-        rng = np.random.default_rng(13)
         code = build(2, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
-        p, _ = observed_problem(code, 2, 10.0, rng)
-        with pytest.raises(ValueError):
-            ml_decode(p, cap=3)
+        with pytest.raises(ValueError, match="cap"):
+            GroupDecoder("ml", code.grouping, code.group_sets, ml_cap=3)
 
     def test_global_optimality_over_sic(self):
         rng = np.random.default_rng(14)
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
-        for _ in range(50):
-            p, _ = observed_problem(code, 2, 2.0, rng)
-            xm = ml_decode(p).x_hat
-            xs = pic_sic_decode(p).x_hat
-            assert (np.linalg.norm(p.y - p.G @ xm)
-                    <= np.linalg.norm(p.y - p.G @ xs) + 1e-12)
+        g, y, _ = observed_problem(code, 2, 2.0, rng, trials=50)
+        xm, xs = x_hat("ml", code, g, y), x_hat("pic-sic", code, g, y)
+        rm = np.linalg.norm(y - np.einsum("bdk,bk->bd", g, xm), axis=1)
+        rs = np.linalg.norm(y - np.einsum("bdk,bk->bd", g, xs), axis=1)
+        assert np.all(rm <= rs + 1e-12)
 
 
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
         rng = np.random.default_rng(15)
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
-        p, _ = observed_problem(code, 2, 5.0, rng)
-        a = pic_sic_decode(p)
-        b = pic_sic_decode(p)
-        np.testing.assert_array_equal(a.x_hat, b.x_hat)
-        assert a.per_group_residuals == b.per_group_residuals
+        g, y, _ = observed_problem(code, 2, 5.0, rng)
+        dec = GroupDecoder("pic-sic", code.grouping, code.group_sets)
+        a, b = dec.decide(g, y), dec.decide(g, y)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_tie_breaks_to_lowest_index(self):
         # y = 0 makes every symmetric candidate pair tie; index 0 must win
         s = make_pam(2)
         grouping = GroupingScheme(((0,),))
-        p = DecodeProblem(np.ones((2, 1)), np.zeros(2), grouping, (s,))
-        assert pic_decode(p).group_indices == (0,)
-        assert ml_decode(p).group_indices == (0,)
+        g, y = np.ones((1, 2, 1)), np.zeros((1, 2))
+        for decoder in ("pic", "ml"):
+            assert GroupDecoder(decoder, grouping, (s,)).decide(g, y)[0].tolist() == [[0]]
+
+
+class TestBoundaryChecks:
+    def _pam2_decoder(self, decoder="pic"):
+        code = build(2, cod_trivial(), 1, 2, make_pam(2))
+        return code, GroupDecoder(decoder, code.grouping, code.group_sets)
+
+    def test_extra_signal_set_rejected(self):
+        code, _ = self._pam2_decoder()
+        sets = code.group_sets + (make_pam(2),)
+        with pytest.raises(ValueError, match="one signal set per group"):
+            GroupDecoder("pic", code.grouping, sets)
+
+    def test_wrong_dimension_set_rejected(self):
+        code, _ = self._pam2_decoder()
+        sets = (make_rotated_qam(4, rotation_2d()),) + code.group_sets[1:]
+        with pytest.raises(ValueError, match="dimension"):
+            GroupDecoder("ml", code.grouping, sets)
+
+    @pytest.mark.parametrize("decoder", ["pic", "zf-sic", "ml"])
+    def test_g_column_count_rejected(self, decoder):
+        code, dec = self._pam2_decoder(decoder)
+        with pytest.raises(ValueError, match="^G must be"):
+            dec.decide(np.ones((3, 8, code.K - 1)), np.ones((3, 8)))
+        with pytest.raises(ValueError, match="^G must be"):
+            dec.decide(np.ones((8, code.K)), np.ones(8))  # no trial axis
+
+    @pytest.mark.parametrize("decoder", ["pic", "zf-sic", "ml"])
+    def test_y_length_rejected(self, decoder):
+        code, dec = self._pam2_decoder(decoder)
+        with pytest.raises(ValueError, match="^y must be"):
+            dec.decide(np.ones((3, 8, code.K)), np.ones((3, 9)))

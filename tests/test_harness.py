@@ -3,27 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dstbc.channel import (
-    PowerConfig,
-    draw_cn,
-    ChannelRealization,
-    effective_channel,
-    equivalent_real_channel,
-    noise_covariance,
-    rvec,
-    simulate_transmission,
-    whiten,
-)
+from dstbc.channel import PowerConfig, RelayChannel
 from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
 from dstbc.construct import build, code_to_dict, from_design, GroupingScheme
-from dstbc.decode import (
-    DecodeProblem,
-    ml_decode,
-    pic_decode,
-    pic_sic_decode,
-    zf_decode,
-    zf_sic_decode,
-)
+from dstbc.decode import DECODERS, GroupDecoder, group_symbols
 from dstbc.design import cod_trivial
 from dstbc.harness import (
     BerCurve,
@@ -36,6 +19,7 @@ from dstbc.harness import (
     snr_db_to_power,
     worker_count,
 )
+from tests.test_decode import cn
 
 
 def small_config(**kw):
@@ -97,12 +81,6 @@ class TestSeedMixing:
         assert len(seeds) == 40000
 
 
-SINGLE_TRIAL_DECODERS = {
-    "pic": pic_decode, "pic-sic": pic_sic_decode, "zf": zf_decode,
-    "zf-sic": zf_sic_decode, "ml": ml_decode,
-}
-
-
 def _pam2_code():
     return build(2, cod_trivial(), 1, 2, make_pam(2))
 
@@ -115,7 +93,7 @@ def _unrotated_qam4_code():
 
 class TestEngineCrossCheck:
     @pytest.mark.parametrize("decoder,make_code", [
-        pytest.param(d, _pam2_code, id=d) for d in SINGLE_TRIAL_DECODERS
+        pytest.param(d, _pam2_code, id=d) for d in DECODERS
     ] + [pytest.param("zf-sic", _unrotated_qam4_code, id="zf-sic-unrotated-qam4")])
     def test_batched_equals_single_trial_pipeline(self, decoder, make_code):
         code = make_code()
@@ -124,6 +102,9 @@ class TestEngineCrossCheck:
         seeds = [mix_seed(3, 0, i) for i in range(150)]
         batched = engine.chunk_bit_errors(power, seeds)
 
+        # each trial alone, as a batch of one, with its own label mapping
+        channel = RelayChannel(code)
+        dec = GroupDecoder(decoder, code.grouping, code.group_sets)
         singles = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
@@ -139,14 +120,10 @@ class TestEngineCrossCheck:
                 tx.append(idx)
                 x[list(grp)] = s.points[idx]
                 pos += s.bits_per_point
-            real = ChannelRealization(draw_cn(rng, code.N), draw_cn(rng, (code.N, 2)))
-            y = simulate_transmission(code, x, real, power, rng)
-            model = noise_covariance(code, real, power)
-            h = effective_channel(code, real)
-            gp = equivalent_real_channel(code.design, h, power.rho)
-            g, yw = whiten(model, gp, rvec(y))
-            problem = DecodeProblem(g, yw, code.grouping, code.group_sets)
-            x_hat = SINGLE_TRIAL_DECODERS[decoder](problem).x_hat
+            f, gm = cn(rng, 1, code.N), cn(rng, 1, code.N, 2)
+            v, w = cn(rng, 1, code.N, code.T1), cn(rng, 1, code.T2, 2)
+            g, yw = channel.observe(x[None], f, gm, v, w, power)
+            x_hat = group_symbols(dec.groups, dec.sets, dec.decide(g, yw)[0])[0]
             errs = 0
             for k, (grp, s) in enumerate(zip(code.grouping.groups, code.group_sets)):
                 # nearest point: ZF decisions carry per-coordinate levels
