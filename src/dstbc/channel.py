@@ -98,11 +98,11 @@ class RelayChannel:
         self.bbh = np.einsum("jts,jus->jtu", self.relay_mats, self.relay_mats.conj())
         self.s_mask = np.array([j in form.S for j in range(code.N)])
         self.weights = code.design.weights
-        self.N, self.T2 = code.N, code.T2
+        self.N, self.K, self.T1, self.T2 = code.N, code.K, code.T1, code.T2
 
     def transmit(self, x, f, gm, v, w, power: PowerConfig) -> np.ndarray:
         """Destination observations Y, (b, T2, N_D)."""
-        self._check_relays(f=f, gm=gm)
+        self._check_shapes(f=f, gm=gm, x=x, v=v, w=w)
         z = x @ self.V.T
         r = math.sqrt(power.pi1 * power.P) * f[:, :, None] * z[:, None, :] + v
         r[:, self.s_mask, :] = r[:, self.s_mask, :].conj()
@@ -120,6 +120,10 @@ class RelayChannel:
         Block (l1, l2) is
         relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H + 1{l1=l2} I.
         """
+        self._check_shapes(gm=gm)
+        return self._covariance(gm, power)
+
+    def _covariance(self, gm, power: PowerConfig) -> np.ndarray:
         b, _, nd = gm.shape
         dim = nd * self.T2
         coef = power.relay_gain * (gm[:, :, :, None] * gm.conj()[:, :, None, :])
@@ -133,7 +137,7 @@ class RelayChannel:
         gprime = _real_channel(self.weights, self.effective(f, gm), power.rho)
         # the covariances stay bound until return: releasing them mid-chunk
         # left about 20 MiB more resident after multi-worker ML runs
-        gamma_c = self.covariance(gm, power)
+        gamma_c = self._covariance(gm, power)
         gamma = _realify_cov(gamma_c)
         whitener, _ = _whitener(gamma)
         return whitener @ gprime, np.einsum("bij,bj->bi", whitener, rvec(y))
@@ -145,7 +149,6 @@ class RelayChannel:
         squared Frobenius norm among the relay matrices; both the trace and
         the largest eigenvalue of the realified covariance stay below alpha.
         """
-        self._check_relays(gm=gm)
         gamma = _realify_cov(self.covariance(gm, power))
         beta = np.max(np.sum(np.abs(self.relay_mats) ** 2, axis=(1, 2)))
         g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))
@@ -153,14 +156,18 @@ class RelayChannel:
         trace = np.trace(gamma, axis1=1, axis2=2)
         return (trace <= limit) & (np.linalg.eigvalsh(gamma)[:, -1] <= limit)
 
-    def _check_relays(self, **gains) -> None:
-        """Reject gains f (b, N) or gm (b, N, N_D) whose relay axis is not N."""
-        for name, a in gains.items():
-            if a.ndim != (2 if name == "f" else 3) or a.shape[1] != self.N:
-                raise ValueError(
-                    f"{name} must have the code's {self.N} relays on axis 1, "
-                    f"got shape {a.shape}"
-                )
+    def _check_shapes(self, **arrays) -> None:
+        """Reject arrays that do not fit the code: f (b, N), gm (b, N, N_D),
+        x (b, K), v (b, N, T1) and w (b, T2, N_D), with N_D taken from gm."""
+        nd = arrays["gm"].shape[-1] if "gm" in arrays else None
+        dims = {"f": (self.N,), "gm": (self.N, nd), "x": (self.K,),
+                "v": (self.N, self.T1), "w": (self.T2, nd)}
+        for name, a in arrays.items():
+            want = dims[name]
+            if a.ndim != len(want) + 1 or a.shape[1:] != want:
+                what = (f"the code's {self.N} relays on axis 1" if name in ("f", "gm")
+                        else f"shape (b, {', '.join(map(str, want))})")
+                raise ValueError(f"{name} must have {what}, got shape {a.shape}")
 
 
 def _realify_cov(gamma_c: np.ndarray) -> np.ndarray:
@@ -168,11 +175,11 @@ def _realify_cov(gamma_c: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def _whitener(gamma: np.ndarray, clamp: float = _EIG_CLAMP):
+def _whitener(gamma: np.ndarray):
     """Symmetric inverse square roots of a stack of covariances, and their
-    eigenvalues (ascending); eigenvalues below clamp are raised to it."""
+    eigenvalues (ascending); eigenvalues below _EIG_CLAMP are raised to it."""
     evals, evecs = np.linalg.eigh(gamma)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(evals, clamp))
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(evals, _EIG_CLAMP))
     return np.einsum("bij,bj,bkj->bik", evecs, inv_sqrt, evecs), evals
 
 

@@ -84,10 +84,6 @@ class GroupingScheme:
     def K(self) -> int:
         return sum(len(g) for g in self.groups)
 
-    @property
-    def lam_max(self) -> int:
-        return max(len(g) for g in self.groups)
-
     def check_sets(self, sets) -> tuple:
         """sets as a tuple, after checking there is one per group, of its size."""
         sets = tuple(sets)
@@ -121,17 +117,19 @@ def contiguous_grouping(lam: int, kp: int, n: int) -> GroupingScheme:
 class ConjugateLinearForm:
     """Source/relay factorization of a design.
 
-    z = V x is the length-T1 complex vector the source broadcasts; column j
+    z = V x is the length-T1 complex vector the source broadcasts, one
+    super-symbol per (p, q) pair of the pairing it was scanned with; column j
     of the design equals B[j] @ z for j not in S and B[j].conj() @ z.conj()
     for j in S.
     """
 
-    T1: int
+    pairing: tuple
     V: np.ndarray
     B: tuple
     S: frozenset
 
     def __post_init__(self):
+        object.__setattr__(self, "pairing", tuple((int(p), int(q)) for p, q in self.pairing))
         v = np.asarray(self.V, dtype=complex)
         v.setflags(write=False)
         object.__setattr__(self, "V", v)
@@ -140,6 +138,10 @@ class ConjugateLinearForm:
             b.setflags(write=False)
         object.__setattr__(self, "B", bs)
         object.__setattr__(self, "S", frozenset(int(j) for j in self.S))
+
+    @property
+    def T1(self) -> int:
+        return len(self.pairing)
 
     def relay_matrix(self, j: int) -> np.ndarray:
         """The matrix the relay actually applies: B_j, conjugated for j in S."""
@@ -248,25 +250,19 @@ def extract_relay_form(design: LinearDesign, pairing=None) -> ConjugateLinearFor
         if design.K % 2:
             raise NotConjugateLinear("odd symbol count admits no pairing")
         pairing = [(2 * t, 2 * t + 1) for t in range(design.K // 2)]
-    pairing = [(int(p), int(q)) for p, q in pairing]
+    pairing = tuple((int(p), int(q)) for p, q in pairing)
     if sorted([i for pq in pairing for i in pq]) != list(range(design.K)):
         raise ValueError("pairing must cover each symbol exactly once")
 
     w = design.weights
-    t1 = len(pairing)
-    scale = max(np.abs(w).max(), 1.0)
-    tol = _SCAN_TOL * scale
-
-    # per (column, super-symbol): coefficient rows of w_t and of conj(w_t)
-    coef_w = np.empty((design.N, t1, design.T), dtype=complex)
-    coef_ws = np.empty((design.N, t1, design.T), dtype=complex)
-    for t, (p, q) in enumerate(pairing):
-        cp = w[p].T  # (N, T): rows indexed by column j
-        cq = w[q].T
-        coef_w[:, t, :] = 0.5 * (cp - 1j * cq)
-        coef_ws[:, t, :] = 0.5 * (cp + 1j * cq)
-    sees_w = np.abs(coef_w).max(axis=2) > tol   # (N, t1)
-    sees_ws = np.abs(coef_ws).max(axis=2) > tol
+    n, t1 = design.N, len(pairing)
+    ps, qs = [p for p, _ in pairing], [q for _, q in pairing]
+    tol = _SCAN_TOL * max(np.abs(w).max(), 1.0)
+    # per (column, time, super-symbol): coefficients of z_t and of conj(z_t)
+    coef_w = (0.5 * (w[ps] - 1j * w[qs])).transpose(2, 1, 0)
+    coef_ws = (0.5 * (w[ps] + 1j * w[qs])).transpose(2, 1, 0)
+    sees_w = np.abs(coef_w).max(axis=1) > tol   # (N, t1)
+    sees_ws = np.abs(coef_ws).max(axis=1) > tol
     mixed = sees_w & sees_ws
     if mixed.any():
         j, t = np.argwhere(mixed)[0]
@@ -274,73 +270,44 @@ def extract_relay_form(design: LinearDesign, pairing=None) -> ConjugateLinearFor
             f"column {j} mixes super-symbol {t} with its conjugate"
         )
 
-    # 2-coloring: nodes are columns (0..N-1) and super-symbols (N..N+t1-1);
-    # an unconjugated appearance ties the two labels equal, a conjugated one
-    # ties them opposite.
-    n_nodes = design.N + t1
-    parent = list(range(n_nodes))
-    par = [0] * n_nodes  # parity relative to parent
-
-    def find(a):
-        path = []
-        node = a
-        while parent[node] != node:
-            path.append(node)
-            node = parent[node]
-        root, p = node, 0
-        for nd in reversed(path):
-            p ^= par[nd]
-            parent[nd] = root
-            par[nd] = p
-        return root, p
-
-    def union(a, b, rel):
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            if pa ^ pb != rel:
-                raise NotConjugateLinear("inconsistent conjugation pattern")
-            return
-        parent[ra] = rb
-        par[ra] = pa ^ pb ^ rel
-
-    for j in range(design.N):
-        for t in range(t1):
-            if sees_w[j, t]:
-                union(j, design.N + t, 0)
-            elif sees_ws[j, t]:
-                union(j, design.N + t, 1)
-
-    # anchor each component at its lowest column, labeled unconjugated
-    anchor = {}
-    for j in range(design.N):
-        root, p = find(j)
-        anchor.setdefault(root, p)
-    col_conj = np.zeros(design.N, dtype=bool)
-    sym_conj = np.zeros(t1, dtype=bool)
-    for j in range(design.N):
-        root, p = find(j)
-        col_conj[j] = bool(p ^ anchor.get(root, 0))
-    for t in range(t1):
-        root, p = find(design.N + t)
-        sym_conj[t] = bool(p ^ anchor.get(root, 0))
+    # 2-colour the bipartite graph of columns (0..N-1) and super-symbols
+    # (N..N+t1-1): seeing z_t ties the two labels equal (flip 0), seeing
+    # conj(z_t) ties them opposite (flip 1). Each component is searched from
+    # its lowest column, labelled unconjugated; unseen super-symbols stay so.
+    adj = [[] for _ in range(n + t1)]
+    for j, t in np.argwhere(sees_w | sees_ws).tolist():
+        flip = int(sees_ws[j, t])
+        adj[j].append((n + t, flip))
+        adj[n + t].append((j, flip))
+    label = [-1] * (n + t1)
+    for root in range(n):
+        if label[root] >= 0:
+            continue
+        label[root], stack = 0, [root]
+        while stack:
+            node = stack.pop()
+            for other, flip in adj[node]:
+                if label[other] < 0:
+                    label[other] = label[node] ^ flip
+                    stack.append(other)
+                elif label[other] != label[node] ^ flip:
+                    raise NotConjugateLinear("inconsistent conjugation pattern")
+    conj = np.array(label) == 1
+    col_conj, sym_conj = conj[:n], conj[n:]
 
     v = np.zeros((t1, design.K), dtype=complex)
-    for t, (p, q) in enumerate(pairing):
-        v[t, p] = 1.0
-        v[t, q] = -1j if sym_conj[t] else 1j
-    b_mats = []
-    for j in range(design.N):
-        cols = np.empty((design.T, t1), dtype=complex)
-        for t in range(t1):
-            if col_conj[j]:
-                c = coef_w[j, t] if sym_conj[t] else coef_ws[j, t]
-                cols[:, t] = c.conj()
-            else:
-                cols[:, t] = coef_ws[j, t] if sym_conj[t] else coef_w[j, t]
-        b_mats.append(cols)
-    s = frozenset(int(j) for j in np.nonzero(col_conj)[0])
-    return ConjugateLinearForm(t1, v, tuple(b_mats), s)
+    v[np.arange(t1), ps] = 1.0
+    v[np.arange(t1), qs] = np.where(sym_conj, -1j, 1j)
+    bs = np.where((col_conj[:, None] ^ sym_conj)[:, None, :], coef_ws, coef_w)
+    bs = np.where(col_conj[:, None, None], bs.conj(), bs)
+    return ConjugateLinearForm(pairing, v, tuple(bs), np.nonzero(col_conj)[0])
+
+
+def _relay_form_or_none(design: LinearDesign, pairing=None):
+    try:
+        return extract_relay_form(design, pairing)
+    except NotConjugateLinear:
+        return None
 
 
 def build(
@@ -381,12 +348,7 @@ def build(
     params = BuildParams(N, npp, tp, L, lam, n, kp, cod)
     grouping = contiguous_grouping(lam, kp, n)
     pairs = _consecutive_pairs(params)
-    form = None
-    if pairs:
-        try:
-            form = extract_relay_form(design, pairs)
-        except NotConjugateLinear:
-            form = None
+    form = _relay_form_or_none(design, pairs) if pairs else None
     if group_set is None:
         group_set = default_group_set(lam)
     sets = (group_set,) * grouping.g if group_set is not None else None
@@ -422,7 +384,7 @@ def drop_relays(code: DstbcCode, indices) -> DstbcCode:
     if code.relay_form is not None:
         old = code.relay_form
         form = ConjugateLinearForm(
-            old.T1,
+            old.pairing,
             old.V,
             tuple(old.B[j] for j in keep),
             frozenset(pos for pos, j in enumerate(keep) if j in old.S),
@@ -443,11 +405,7 @@ def from_design(
     """
     if grouping is None:
         grouping = GroupingScheme(tuple((i,) for i in range(design.K)))
-    try:
-        form = extract_relay_form(design)
-    except NotConjugateLinear:
-        form = None
-    code = DstbcCode(design, grouping, None, form, None)
+    code = DstbcCode(design, grouping, None, _relay_form_or_none(design), None)
     if group_sets is None:
         sets = tuple(default_group_set(len(g)) for g in grouping.groups)
         if all(s is not None for s in sets):
@@ -522,25 +480,14 @@ def preset(
     return _PRESETS[key](N, lam, n, group_set)
 
 
-def _pairing_of(form: ConjugateLinearForm) -> list:
-    """Recover the (p, q) symbol pairs from the rows of V."""
-    pairs = []
-    for row in form.V:
-        nz = np.nonzero(row)[0]
-        p = int(nz[np.argmin(np.abs(row[nz] - 1.0))])
-        q = int(nz[0] if nz[1] == p else nz[1])
-        pairs.append((p, q))
-    return pairs
-
-
 def code_to_dict(code: DstbcCode) -> dict:
     doc = design_to_dict(code.design)
     doc["grouping"] = [list(g) for g in code.grouping.groups]
     if code.relay_form is not None:
         doc["S"] = sorted(code.relay_form.S)
         doc["T1"] = code.relay_form.T1
-        pairing = _pairing_of(code.relay_form)
-        if pairing != [(2 * t, 2 * t + 1) for t in range(len(pairing))]:
+        pairing = code.relay_form.pairing
+        if pairing != tuple((2 * t, 2 * t + 1) for t in range(len(pairing))):
             doc["pairing"] = [list(pq) for pq in pairing]
     return doc
 
@@ -552,11 +499,7 @@ def code_from_dict(doc: dict) -> DstbcCode:
         grouping = GroupingScheme(tuple(tuple(g) for g in doc["grouping"]))
     code = from_design(design, grouping)
     if "pairing" in doc and code.relay_form is None:
-        try:
-            form = extract_relay_form(design, [tuple(pq) for pq in doc["pairing"]])
-        except NotConjugateLinear:
-            form = None
-        code = replace(code, relay_form=form)
+        code = replace(code, relay_form=_relay_form_or_none(design, doc["pairing"]))
     if code.relay_form is not None:
         if "S" in doc and frozenset(doc["S"]) != code.relay_form.S:
             raise ValueError("stored S disagrees with the conjugation scan")

@@ -158,11 +158,11 @@ def design_to_dict(d: LinearDesign) -> dict:
     }
 
 
-def design_from_dict(doc: dict, require_independent: bool = True) -> LinearDesign:
+def design_from_dict(doc: dict) -> LinearDesign:
     w = np.array(
         [[[complex(re, im) for re, im in row] for row in mat] for mat in doc["weights"]]
     )
     d = LinearDesign(int(doc["T"]), int(doc["N"]), int(doc["K"]), w)
-    if require_independent and not independent_weights(d):
+    if not independent_weights(d):
         raise ValueError("design weights are linearly dependent over R")
     return d

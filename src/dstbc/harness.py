@@ -45,12 +45,6 @@ __all__ = [
 _CHUNK = 256
 _MASK64 = (1 << 64) - 1
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    return _POPCOUNT16[a & 0xFFFF] + _POPCOUNT16[(a >> 16) & 0xFFFF]
-
 
 def mix_seed(*vals: int) -> int:
     """64-bit splitmix-style hash of the given integers."""
@@ -228,7 +222,9 @@ class _Engine:
         rx_idx = self._rx_group_indices(self._decide(g, yw))
         errors = np.zeros(len(seeds), dtype=np.int64)
         for k, s in enumerate(self.sets):
-            errors += _popcount(s.labels[tx_idx[:, k]] ^ s.labels[rx_idx[:, k]])
+            d = s.labels[tx_idx[:, k]] ^ s.labels[rx_idx[:, k]]
+            for bit in range(s.bits_per_point):
+                errors += (d >> bit) & 1
         return errors
 
 

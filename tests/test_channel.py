@@ -92,6 +92,42 @@ class TestEffectiveChannel:
             channel.noise_bound(gm2, power)
 
 
+class TestBoundaryChecks:
+    """transmit and observe refuse x, v and w that do not fit the code (N=4,
+    K=8, T1=4, T2=6) or gm; covariance refuses a gm without N relays."""
+
+    def _setup(self):
+        code = build(4, cod_alamouti(), 1, 2)
+        rng = np.random.default_rng(0)
+        args = dict(x=np.zeros((2, code.K)), f=cn(rng, 2, 4), gm=cn(rng, 2, 4, 3),
+                    v=cn(rng, 2, 4, code.T1), w=cn(rng, 2, code.T2, 3))
+        return RelayChannel(code), args, PowerConfig.balanced(code, 10.0)
+
+    def _assert_refused(self, name, bad, match):
+        channel, args, power = self._setup()
+        args[name] = bad
+        for call in (channel.transmit, channel.observe):
+            with pytest.raises(ValueError, match=match):
+                call(power=power, **args)
+
+    def test_x_symbol_count_rejected(self):
+        self._assert_refused("x", np.zeros((2, 7)), r"^x must have shape \(b, 8\), got shape \(2, 7\)")
+        self._assert_refused("x", np.zeros(8), r"^x must have shape \(b, 8\)")
+
+    def test_v_length_rejected(self):
+        self._assert_refused("v", np.zeros((2, 4, 3), dtype=complex), r"^v must have shape \(b, 4, 4\)")
+
+    def test_w_receive_antennas_follow_gm(self):
+        # gm has N_D = 3 receive antennas; w with 2 does not fit it
+        self._assert_refused("w", np.zeros((2, 6, 2), dtype=complex), r"^w must have shape \(b, 6, 3\)")
+
+    def test_covariance_checks_gm(self):
+        channel, args, power = self._setup()
+        with pytest.raises(ValueError, match="^gm must have the code's 4 relays"):
+            channel.covariance(args["gm"][:, :3], power)
+        assert channel.covariance(args["gm"], power).shape == (2, 18, 18)
+
+
 class TestNoiseCovariance:
     def test_single_relay_identity_b(self):
         code = build(1, cod_trivial(), 1, 1)  # B_1 = [[1]]

@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstbc.constellation import make_pam, make_rotated_qam, rotation_2d
 from dstbc.construct import (
@@ -157,6 +160,20 @@ class TestRelayForm:
         assert form.S == frozenset({1})
         assert relay_form_consistent(swapped, form, trials=50)
 
+    def test_inconsistent_conjugation_rejected(self):
+        # columns [z0, z1] and [conj(z1), z0]: neither mixes a super-symbol
+        # with its conjugate, but column 1 would have to be both conjugated
+        # (for z1) and not (for z0)
+        w = np.zeros((4, 2, 2), dtype=complex)
+        w[0, 0, 0] = w[0, 1, 1] = 1.0   # x0 in z0
+        w[1, 0, 0] = w[1, 1, 1] = 1j    # x1 in z0
+        w[2, 1, 0] = w[2, 0, 1] = 1.0   # x2 in z1, conj(z1)
+        w[3, 1, 0], w[3, 0, 1] = 1j, -1j  # x3 in z1, conj(z1)
+        design = LinearDesign.from_weights(w)
+        with pytest.raises(NotConjugateLinear, match="^inconsistent conjugation pattern$"):
+            extract_relay_form(design)
+        assert from_design(design).relay_form is None
+
     def test_zero_column_is_tolerated(self):
         w = np.zeros((2, 1, 2), dtype=complex)
         w[0, 0, 0] = 1.0
@@ -241,6 +258,21 @@ class TestPresets:
         b = preset("alamouti", N=8, lam=1, n=3)
         np.testing.assert_array_equal(a.design.weights, b.design.weights)
 
+    @pytest.mark.parametrize(
+        "name,N,lam,match",
+        [
+            ("toeplitz", 4, 2, "fixes lam = 1"),
+            ("scalar-full", 3, 2, "fixes lam = N"),
+            ("scalar-full", 3, 4, "fixes lam = N"),
+            ("single-complex", 4, 1, "fixes lam = 2"),
+            ("single-complex", 2, 3, "fixes lam = 2"),
+            ("single-complex", 3, None, "N = 2 or 4"),
+        ],
+    )
+    def test_lam_refusals(self, name, N, lam, match):
+        with pytest.raises(ValueError, match=match):
+            preset(name, N, lam)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("nope", N=2)
@@ -298,3 +330,36 @@ def test_from_design_without_conjugate_linearity():
     w = cod_alamouti().design.weights[[0, 2, 1, 3]]
     code = from_design(LinearDesign.from_weights(w))
     assert code.relay_form is None
+
+
+@st.composite
+def preset_codes(draw):
+    """A valid (preset, N, lam, n) and the code it builds."""
+    name = draw(st.sampled_from(
+        ["alamouti", "scalar", "toeplitz", "scalar-full", "single-complex"]))
+    lam = None
+    if name == "alamouti":
+        N = 2 * draw(st.integers(1, 4))
+        lam = draw(st.integers(1, N // 2))
+    elif name == "scalar":
+        N = draw(st.integers(1, 8))
+        lam = draw(st.integers(1, min(N, 4)))
+    elif name == "single-complex":
+        N = draw(st.sampled_from([2, 4]))
+    else:
+        N = draw(st.integers(1, 4 if name == "scalar-full" else 8))
+    n = draw(st.integers(1, 3))
+    return preset(name, N, lam, n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(preset_codes())
+def test_preset_relay_form_and_json_round_trip(code):
+    form = code.relay_form
+    assert relay_form_consistent(code.design, form, trials=5)
+    back = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
+    np.testing.assert_array_equal(back.design.weights, code.design.weights)
+    assert back.grouping == code.grouping
+    assert back.relay_form.S == form.S and back.T1 == code.T1
+    np.testing.assert_array_equal(back.relay_form.V, form.V)
+    assert back.relay_form.pairing == form.pairing
