@@ -24,7 +24,6 @@ from .design import (
     cod_alamouti,
     cod_trivial,
     evaluate,
-    reindex,
     verify_cod,
 )
 from .construct import (
@@ -41,7 +40,7 @@ from .construct import (
     preset,
     rate_cspcu,
 )
-from .channel import PowerConfig, RelayChannel, rvec
+from .channel import PowerConfig, RelayChannel
 from .decode import DECODERS, GroupDecoder, group_symbols
 from .diversity import (
     CriterionReport,

@@ -13,9 +13,13 @@ whitening transform, and the real-valued equivalent model y' = G' x + u'.
 The pipeline is batch-first: RelayChannel runs a chunk of trials along a
 leading axis, and a single trial is a batch of one.
 
-Realification convention: rvec(A) stacks vec(Re A) over vec(Im A) with
-column-major vec, matching the block form Gamma = 1/2 [[Re, -Im], [Im, Re]]
-of the realified covariance.
+Whitening is done in the complex domain, realification after it; vec is
+column-major and [Re; Im] stacks real parts over imaginary parts. The noise
+is proper, so the realified covariance is 1/2 realify(Gamma_c), with
+realify(M) = [[Re M, -Im M], [Im M, Re M]]. realify is a *-homomorphism, so
+the symmetric inverse square root of that is sqrt(2) realify(W_c), where
+W_c = Gamma_c^{-1/2} has size N_D*T2. observe returns the whitened model
+y = sqrt(2) [Re; Im](W_c vec(Y)), G = sqrt(2 rho) [Re; Im](W_c vec(A_i H)).
 """
 
 from __future__ import annotations
@@ -27,17 +31,10 @@ import numpy as np
 
 from .construct import DstbcCode, rate_cspcu
 
-__all__ = ["PowerConfig", "RelayChannel", "rvec"]
+__all__ = ["PowerConfig", "RelayChannel"]
 
 _POWER_TOL = 1e-9
 _EIG_CLAMP = 1e-12
-
-
-def rvec(a: np.ndarray) -> np.ndarray:
-    """Stack vec(Re a) over vec(Im a), column-major, trial by trial:
-    (b, T, N) maps to (b, 2*T*N)."""
-    flat = np.swapaxes(a, 1, 2).reshape(a.shape[0], -1)
-    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -134,13 +131,16 @@ class RelayChannel:
     def observe(self, x, f, gm, v, w, power: PowerConfig):
         """Transmit, then whiten: the real model (G (b, d, K), y (b, d))."""
         y = self.transmit(x, f, gm, v, w, power)
-        gprime = _real_channel(self.weights, self.effective(f, gm), power.rho)
-        # the covariances stay bound until return: releasing them mid-chunk
+        b = y.shape[0]
+        ah = np.einsum("ktn,bnl->bltk", self.weights, self.effective(f, gm))
+        cols = np.concatenate([math.sqrt(power.rho) * ah.reshape(b, -1, self.K),
+                               np.swapaxes(y, 1, 2).reshape(b, -1, 1)], axis=2)
+        # the covariance stays bound until return: releasing it mid-chunk
         # left about 20 MiB more resident after multi-worker ML runs
         gamma_c = self._covariance(gm, power)
-        gamma = _realify_cov(gamma_c)
-        whitener, _ = _whitener(gamma)
-        return whitener @ gprime, np.einsum("bij,bj->bi", whitener, rvec(y))
+        white = _whitener(gamma_c)[0] @ cols
+        white = math.sqrt(2.0) * np.concatenate([white.real, white.imag], axis=1)
+        return white[:, :, :-1], white[:, :, -1]
 
     def noise_bound(self, gm, power: PowerConfig) -> np.ndarray:
         """Per trial, whether the trace/eigenvalue bound holds; (b,) bool.
@@ -148,45 +148,38 @@ class RelayChannel:
         alpha = T2*N_D + beta * relay_gain * sum |g|^2 with beta the largest
         squared Frobenius norm among the relay matrices; both the trace and
         the largest eigenvalue of the realified covariance stay below alpha.
+        Its trace is that of Gamma_c, its largest eigenvalue half Gamma_c's.
         """
-        gamma = _realify_cov(self.covariance(gm, power))
+        gamma_c = self.covariance(gm, power)
         beta = np.max(np.sum(np.abs(self.relay_mats) ** 2, axis=(1, 2)))
         g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))
         limit = (self.T2 * gm.shape[2] + beta * power.relay_gain * g2) * (1 + 1e-12)
-        trace = np.trace(gamma, axis1=1, axis2=2)
-        return (trace <= limit) & (np.linalg.eigvalsh(gamma)[:, -1] <= limit)
+        trace = np.trace(gamma_c, axis1=1, axis2=2).real
+        return (trace <= limit) & (0.5 * np.linalg.eigvalsh(gamma_c)[:, -1] <= limit)
 
     def _check_shapes(self, **arrays) -> None:
         """Reject arrays that do not fit the code: f (b, N), gm (b, N, N_D),
-        x (b, K), v (b, N, T1) and w (b, T2, N_D), with N_D taken from gm."""
+        x (b, K), v (b, N, T1) and w (b, T2, N_D), with N_D taken from gm
+        and the trial count b from the first array given."""
         nd = arrays["gm"].shape[-1] if "gm" in arrays else None
         dims = {"f": (self.N,), "gm": (self.N, nd), "x": (self.K,),
                 "v": (self.N, self.T1), "w": (self.T2, nd)}
+        first = next(iter(arrays))
         for name, a in arrays.items():
             want = dims[name]
             if a.ndim != len(want) + 1 or a.shape[1:] != want:
                 what = (f"the code's {self.N} relays on axis 1" if name in ("f", "gm")
                         else f"shape (b, {', '.join(map(str, want))})")
                 raise ValueError(f"{name} must have {what}, got shape {a.shape}")
-
-
-def _realify_cov(gamma_c: np.ndarray) -> np.ndarray:
-    re, im = 0.5 * gamma_c.real, 0.5 * gamma_c.imag
-    return np.block([[re, -im], [im, re]])
+            if a.shape[0] != arrays[first].shape[0]:
+                raise ValueError(f"{name} has {a.shape[0]} trials on axis 0, "
+                                 f"{first} has {arrays[first].shape[0]}")
 
 
 def _whitener(gamma: np.ndarray):
-    """Symmetric inverse square roots of a stack of covariances, and their
+    """Hermitian inverse square roots of a stack of covariances, and their
     eigenvalues (ascending); eigenvalues below _EIG_CLAMP are raised to it."""
     evals, evecs = np.linalg.eigh(gamma)
     inv_sqrt = 1.0 / np.sqrt(np.maximum(evals, _EIG_CLAMP))
-    return np.einsum("bij,bj,bkj->bik", evecs, inv_sqrt, evecs), evals
+    return np.einsum("bij,bj,bkj->bik", evecs, inv_sqrt, evecs.conj()), evals
 
-
-def _real_channel(weights: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
-    """Columns sqrt(rho) rvec(A_i H) for a stack of H; (b, 2*N_D*T2, K)."""
-    b, k = h.shape[0], weights.shape[0]
-    ah = np.einsum("ktn,bnl->bktl", weights, h)
-    m = np.moveaxis(ah, 3, 2).reshape(b, k, -1)
-    gprime = math.sqrt(rho) * np.concatenate([m.real, m.imag], axis=2)
-    return gprime.transpose(0, 2, 1)

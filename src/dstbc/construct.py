@@ -147,11 +147,6 @@ class ConjugateLinearForm:
         """The matrix the relay actually applies: B_j, conjugated for j in S."""
         return self.B[j].conj() if j in self.S else self.B[j]
 
-    def codeword_column(self, j: int, z: np.ndarray) -> np.ndarray:
-        if j in self.S:
-            return self.B[j].conj() @ z.conj()
-        return self.B[j] @ z
-
 
 @dataclass(frozen=True)
 class BuildParams:

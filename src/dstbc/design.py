@@ -21,7 +21,6 @@ __all__ = [
     "cod_trivial",
     "cod_alamouti",
     "verify_cod",
-    "reindex",
     "design_to_dict",
     "design_from_dict",
 ]
@@ -34,8 +33,8 @@ class LinearDesign:
     """K weight matrices of shape (T, N), stored as one (K, T, N) array.
 
     A complete code design has weights that are linearly independent over R
-    (see independent_weights); intermediates such as reindexed CODs may
-    carry zero weights for symbols they do not touch.
+    (see independent_weights). The class does not check it, so a design may
+    carry zero weights for symbols it does not touch.
     """
 
     T: int
@@ -124,25 +123,6 @@ def cod_alamouti() -> CodProfile:
         dtype=complex,
     )
     return CodProfile(2, 2, 4, LinearDesign.from_weights(w))
-
-
-def reindex(c: CodProfile, symbol_indices, k_total: int) -> LinearDesign:
-    """Embed the COD into a design over k_total symbols.
-
-    symbol_indices[i] (0-based) is the global symbol that weight A'_i of the
-    COD attaches to; all other global symbols get a zero weight.
-    """
-    idx = list(symbol_indices)
-    if len(idx) != c.Kp:
-        raise ValueError(f"expected {c.Kp} indices, got {len(idx)}")
-    if len(set(idx)) != len(idx):
-        raise ValueError("symbol indices must be distinct")
-    if any(i < 0 or i >= k_total for i in idx):
-        raise ValueError("symbol index out of range")
-    w = np.zeros((k_total, c.Tp, c.Np), dtype=complex)
-    for i, gi in enumerate(idx):
-        w[gi] = c.design.weights[i]
-    return LinearDesign(c.Tp, c.Np, k_total, w)
 
 
 def design_to_dict(d: LinearDesign) -> dict:

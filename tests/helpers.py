@@ -1,11 +1,26 @@
 """Checks and file helpers that only the tests use."""
 
 import json
+import math
 
 import numpy as np
 
+from dstbc.channel import _whitener
 from dstbc.construct import ConjugateLinearForm
-from dstbc.design import LinearDesign, design_from_dict, design_to_dict, evaluate
+from dstbc.design import (
+    CodProfile,
+    LinearDesign,
+    design_from_dict,
+    design_to_dict,
+    evaluate,
+)
+
+
+def codeword_column(form: ConjugateLinearForm, j: int, z: np.ndarray) -> np.ndarray:
+    """Column j of the codeword that the super-symbols z give under form."""
+    if j in form.S:
+        return form.B[j].conj() @ z.conj()
+    return form.B[j] @ z
 
 
 def relay_form_consistent(
@@ -22,7 +37,7 @@ def relay_form_consistent(
         xmat = evaluate(design, x)
         z = form.V @ x
         for j in range(design.N):
-            if np.abs(form.codeword_column(j, z) - xmat[:, j]).max() > tol:
+            if np.abs(codeword_column(form, j, z) - xmat[:, j]).max() > tol:
                 return False
     return True
 
@@ -66,3 +81,65 @@ def save_design(d: LinearDesign, path) -> None:
 def load_design(path) -> LinearDesign:
     with open(path) as f:
         return design_from_dict(json.load(f))
+
+
+def reindex(c: CodProfile, symbol_indices, k_total: int) -> LinearDesign:
+    """Embed the COD into a design over k_total symbols.
+
+    symbol_indices[i] (0-based) is the global symbol that weight A'_i of the
+    COD attaches to; all other global symbols get a zero weight.
+    """
+    idx = list(symbol_indices)
+    if len(idx) != c.Kp:
+        raise ValueError(f"expected {c.Kp} indices, got {len(idx)}")
+    if len(set(idx)) != len(idx):
+        raise ValueError("symbol indices must be distinct")
+    if any(i < 0 or i >= k_total for i in idx):
+        raise ValueError("symbol index out of range")
+    w = np.zeros((k_total, c.Tp, c.Np), dtype=complex)
+    for i, gi in enumerate(idx):
+        w[gi] = c.design.weights[i]
+    return LinearDesign(c.Tp, c.Np, k_total, w)
+
+
+# The realified route to the whitened model: realify the complex covariance
+# and the channel columns first, then whiten with a real eigh of size
+# 2*N_D*T2. RelayChannel.observe and noise_bound must agree with it.
+
+def rvec(a: np.ndarray) -> np.ndarray:
+    """Stack vec(Re a) over vec(Im a), column-major, trial by trial:
+    (b, T, N) maps to (b, 2*T*N)."""
+    flat = np.swapaxes(a, 1, 2).reshape(a.shape[0], -1)
+    return np.concatenate([flat.real, flat.imag], axis=-1)
+
+
+def _realify_cov(gamma_c: np.ndarray) -> np.ndarray:
+    re, im = 0.5 * gamma_c.real, 0.5 * gamma_c.imag
+    return np.block([[re, -im], [im, re]])
+
+
+def _real_channel(weights: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
+    """Columns sqrt(rho) rvec(A_i H) for a stack of H; (b, 2*N_D*T2, K)."""
+    b, k = h.shape[0], weights.shape[0]
+    ah = np.einsum("ktn,bnl->bktl", weights, h)
+    m = np.moveaxis(ah, 3, 2).reshape(b, k, -1)
+    gprime = math.sqrt(rho) * np.concatenate([m.real, m.imag], axis=2)
+    return gprime.transpose(0, 2, 1)
+
+
+def realified_observe(channel, x, f, gm, v, w, power):
+    """The whitened real model (G, y) of RelayChannel.observe, realified first."""
+    y = channel.transmit(x, f, gm, v, w, power)
+    gprime = _real_channel(channel.weights, channel.effective(f, gm), power.rho)
+    whitener, _ = _whitener(_realify_cov(channel.covariance(gm, power)))
+    return whitener @ gprime, np.einsum("bij,bj->bi", whitener, rvec(y))
+
+
+def realified_noise_bound(channel, gm, power) -> np.ndarray:
+    """RelayChannel.noise_bound on the realified covariance."""
+    gamma = _realify_cov(channel.covariance(gm, power))
+    beta = np.max(np.sum(np.abs(channel.relay_mats) ** 2, axis=(1, 2)))
+    g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))
+    limit = (channel.T2 * gm.shape[2] + beta * power.relay_gain * g2) * (1 + 1e-12)
+    trace = np.trace(gamma, axis1=1, axis2=2)
+    return (trace <= limit) & (np.linalg.eigvalsh(gamma)[:, -1] <= limit)

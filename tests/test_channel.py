@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from dstbc.channel import PowerConfig, RelayChannel, _real_channel, _realify_cov, _whitener, rvec
-from dstbc.construct import build
-from dstbc.design import cod_alamouti, cod_trivial, evaluate
+from dstbc.channel import PowerConfig, RelayChannel, _whitener
+from dstbc.construct import build, from_design
+from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
+from tests.helpers import (
+    _real_channel,
+    _realify_cov,
+    realified_noise_bound,
+    realified_observe,
+    rvec,
+)
+from tests.test_acceptance import _sweep_codes
 from tests.test_decode import cn
 
 
@@ -121,6 +129,17 @@ class TestBoundaryChecks:
         # gm has N_D = 3 receive antennas; w with 2 does not fit it
         self._assert_refused("w", np.zeros((2, 6, 2), dtype=complex), r"^w must have shape \(b, 6, 3\)")
 
+    @pytest.mark.parametrize("name, match", [
+        ("x", r"^x has 3 trials on axis 0, f has 2$"),
+        ("f", r"^gm has 2 trials on axis 0, f has 3$"),
+        ("gm", r"^gm has 3 trials on axis 0, f has 2$"),
+        ("v", r"^v has 3 trials on axis 0, f has 2$"),
+        ("w", r"^w has 3 trials on axis 0, f has 2$"),
+    ], ids=["x", "f", "gm", "v", "w"])
+    def test_trial_counts_must_agree(self, name, match):
+        _, args, _ = self._setup()
+        self._assert_refused(name, np.concatenate([args[name], args[name][:1]]), match)
+
     def test_covariance_checks_gm(self):
         channel, args, power = self._setup()
         with pytest.raises(ValueError, match="^gm must have the code's 4 relays"):
@@ -208,9 +227,6 @@ class TestSimulate:
         assert np.abs(mean - ref).max() < 5 * sigma / np.sqrt(10000)
 
     def test_requires_relay_form(self):
-        from dstbc.construct import from_design
-        from dstbc.design import LinearDesign
-
         w = cod_alamouti().design.weights[[0, 2, 1, 3]]
         code = from_design(LinearDesign.from_weights(w))
         with pytest.raises(ValueError, match="relay form"):
@@ -247,6 +263,14 @@ class TestWhiten:
         whitener, _ = _whitener(4 * np.eye(4)[None])
         np.testing.assert_allclose(whitener[0], 0.5 * np.eye(4), atol=1e-15)
 
+    def test_complex_hermitian_covariance(self):
+        # a complex Hermitian covariance needs the conjugate right factor
+        rng = np.random.default_rng(12)
+        m = cn(rng, 5, 6, 6)
+        gamma = m @ np.conj(np.swapaxes(m, 1, 2)) + np.eye(6)
+        whitener, _ = _whitener(gamma)
+        assert np.abs(whitener @ gamma @ whitener - np.eye(6)).max() < 1e-10
+
     def test_whitened_noise_is_white(self):
         # the whitener that observe applies, on zero-input observations
         rng = np.random.default_rng(11)
@@ -260,3 +284,50 @@ class TestWhiten:
         emp = draws.T @ draws / draws.shape[0]
         rel = np.linalg.norm(emp - np.eye(dim)) / np.linalg.norm(np.eye(dim))
         assert rel < 0.05
+
+
+def _non_diagonal_bbh_code():
+    """N = T = 2 with relay columns [z1 + z2, z1] and [z2, z1]:
+    B_0 B_0^H = [[2, 1], [1, 1]] is not diagonal."""
+    a, b = np.array([[1, 0], [1, 1]]), np.array([[1, 1], [0, 0]])
+    return from_design(LinearDesign.from_weights(np.stack([a, 1j * a, b, 1j * b])))
+
+
+def _rel_err(a, ref):
+    return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+
+
+class TestRealifiedOracle:
+    """observe and noise_bound against the realified route of tests.helpers:
+    realify first, then whiten with a real eigh of twice the size."""
+
+    def _assert_observe_matches(self, code, rng, nd=2, trials=4):
+        channel = RelayChannel(code)
+        power = PowerConfig.balanced(code, 30.0)
+        args = (rng.standard_normal((trials, code.K)), cn(rng, trials, code.N),
+                cn(rng, trials, code.N, nd), cn(rng, trials, code.N, code.T1),
+                cn(rng, trials, code.T2, nd), power)
+        g, y = channel.observe(*args)
+        g_ref, y_ref = realified_observe(channel, *args)
+        assert _rel_err(g, g_ref) < 1e-10 and _rel_err(y, y_ref) < 1e-10
+
+    def test_sweep_codes(self):
+        rng = np.random.default_rng(13)
+        for _, code in _sweep_codes():
+            self._assert_observe_matches(code, rng)
+
+    def test_non_diagonal_bbh(self):
+        code = _non_diagonal_bbh_code()
+        bbh = RelayChannel(code).bbh
+        np.testing.assert_allclose(bbh[0], [[2, 1], [1, 1]])
+        self._assert_observe_matches(code, np.random.default_rng(14), nd=3, trials=20)
+
+    @pytest.mark.parametrize("code", [_non_diagonal_bbh_code(), build(4, cod_alamouti(), 1, 2)],
+                             ids=["non-diagonal-bbh", "alamouti-N4"])
+    def test_noise_bound_verdicts(self, code):
+        rng = np.random.default_rng(15)
+        channel = RelayChannel(code)
+        power = PowerConfig.balanced(code, 15.0)
+        gm = cn(rng, 100, code.N, 2)
+        np.testing.assert_array_equal(channel.noise_bound(gm, power),
+                                      realified_noise_bound(channel, gm, power))

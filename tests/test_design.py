@@ -11,11 +11,10 @@ from dstbc.design import (
     design_to_dict,
     evaluate,
     independent_weights,
-    reindex,
     verify_cod,
 )
 
-from tests.helpers import load_design, save_design
+from tests.helpers import load_design, reindex, save_design
 
 
 def test_evaluate_zero_and_unit_vectors():
