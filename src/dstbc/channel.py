@@ -34,7 +34,6 @@ from .construct import DstbcCode, rate_cspcu
 __all__ = ["PowerConfig", "RelayChannel"]
 
 _POWER_TOL = 1e-9
-_EIG_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,11 @@ class RelayChannel:
 
 def _whitener(gamma: np.ndarray):
     """Hermitian inverse square roots of a stack of covariances, and their
-    eigenvalues (ascending); eigenvalues below _EIG_CLAMP are raised to it."""
+    eigenvalues (ascending).
+
+    No eigenvalue is clamped: Gamma_c is the identity plus a PSD sum, so its
+    eigenvalues are at least 1 (0.5 for the realified covariance)."""
     evals, evecs = np.linalg.eigh(gamma)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(evals, _EIG_CLAMP))
+    inv_sqrt = 1.0 / np.sqrt(evals)
     return np.einsum("bij,bj,bkj->bik", evecs, inv_sqrt, evecs.conj()), evals
 

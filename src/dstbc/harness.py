@@ -3,8 +3,17 @@
 Each trial is a full transmission cycle: draw information bits, Gray-map
 them through the per-group alphabets, run the two-phase relay channel with
 a fresh channel realization, whiten with the exact noise covariance, decode,
-and count bit errors. Trial i at SNR point s draws everything from its own
-generator seeded with a 64-bit mix of (master_seed, s, i), so results are
+and count bit errors.
+
+The draws are counter-based SplitMix64. Random word s of trial i at SNR
+point p is mix_seed(master_seed, p, i*stride + s), in uint64 arithmetic,
+where stride is fixed per engine: the label words, then two words per
+complex Gaussian. The hash state after (master_seed, p) is computed once per
+point and the last round runs on a whole chunk of counters at once, so the
+scalar mix_seed is the bit-exact oracle of the vector draw. Group labels are
+bit fields of the label words; each Gaussian is Box-Muller on two 53-bit
+uniforms, sqrt(-ln u1) exp(2 pi i u2) with u1 in (0, 1], which is CN(0, 1).
+Every draw is a pure function of (master_seed, p, i), so results are
 reproducible and independent of how trials are scheduled.
 
 Trials are processed in fixed-size chunks whose linear algebra is batched;
@@ -44,17 +53,24 @@ __all__ = [
 
 _CHUNK = 256
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix_round(h, v):
+    """One SplitMix64 round absorbing v into state h. Works on Python ints
+    below 2**64 and on numpy uint64 arrays alike (the mask is a no-op on
+    uint64, whose arithmetic wraps)."""
+    z = ((h ^ v ^ 0xD1B54A32D192ED03) + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def mix_seed(*vals: int) -> int:
     """64-bit splitmix-style hash of the given integers."""
-    h = 0x9E3779B97F4A7C15
+    h = _GOLDEN
     for v in vals:
-        h = (h ^ (int(v) & _MASK64) ^ 0xD1B54A32D192ED03) & _MASK64
-        z = (h + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        h = (z ^ (z >> 31)) & _MASK64
+        h = _mix_round(h, int(v) & _MASK64)
     return h
 
 
@@ -177,29 +193,42 @@ class _Engine:
         self.sets = code.group_sets
         self.bits_per_group = [s.bits_per_point for s in self.sets]
         self.bits_per_cw = sum(self.bits_per_group)
+        # random words per trial: the label words, then (u1, u2) for each
+        # complex Gaussian of f, gm, v and w, in that order
+        self.label_words = -(-self.bits_per_cw // 64)
+        self.gauss_shapes = ((self.N,), (self.N, nd), (self.N, self.T1), (self.T2, nd))
+        self.gauss_splits = np.cumsum([math.prod(s) for s in self.gauss_shapes])
+        self.stride = self.label_words + 2 * int(self.gauss_splits[-1])
 
     # -- draws ------------------------------------------------------------
-    def _draw_chunk(self, seeds):
-        b = len(seeds)
-        n, nd, t1, t2 = self.N, self.nd, self.T1, self.T2
-        bits = np.empty((b, self.bits_per_cw), dtype=np.int64)
-        f = np.empty((b, n), dtype=complex)
-        gm = np.empty((b, n, nd), dtype=complex)
-        v = np.empty((b, n, t1), dtype=complex)
-        w = np.empty((b, t2, nd), dtype=complex)
-        root = 1.0 / np.sqrt(2.0)
-        for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            bits[i] = rng.integers(0, 2, self.bits_per_cw)
-            f[i] = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * root
-            gm[i] = (rng.standard_normal((n, nd)) + 1j * rng.standard_normal((n, nd))) * root
-            v[i] = (rng.standard_normal((n, t1)) + 1j * rng.standard_normal((n, t1))) * root
-            w[i] = (rng.standard_normal((t2, nd)) + 1j * rng.standard_normal((t2, nd))) * root
-        # Gray labels: each group's bits, most significant first
+    def _words(self, key: int, lo: int, hi: int) -> np.ndarray:
+        """Random words (hi - lo, stride): word s of trial i is
+        mix_seed(master_seed, snr_index, i*stride + s) mod 2**64."""
+        counters = (np.arange(lo, hi, dtype=np.uint64)[:, None] * self.stride
+                    + np.arange(self.stride, dtype=np.uint64))
+        return _mix_round(key, counters)
+
+    def _draw_chunk(self, key: int, lo: int, hi: int):
+        """Transmitted point indices (b, groups) and f, gm, v, w of trials
+        lo..hi-1, from the hash state key = mix_seed(master_seed, snr_index)."""
+        b = hi - lo
+        words = self._words(key, lo, hi)
+        labels = words[:, :self.label_words]
+        # 53-bit uniforms in [0, 1); u1 moves up one step into (0, 1]
+        u = (words[:, self.label_words:] >> 11).astype(float) * 2.0**-53
+        z = np.sqrt(-np.log(u[:, 0::2] + 2.0**-53)) * np.exp(2j * np.pi * u[:, 1::2])
+        f, gm, v, w = (part.reshape(b, *shape) for part, shape in zip(
+            np.split(z, self.gauss_splits[:-1], axis=1), self.gauss_shapes))
+        # Gray labels: group k reads the next bits_per_group[k] bits, which
+        # may straddle two label words
         tx_idx = np.empty((b, len(self.groups)), dtype=np.int64)
         pos = 0
         for k, (nb, s) in enumerate(zip(self.bits_per_group, self.sets)):
-            tx_idx[:, k] = s.index_of_label[bits[:, pos:pos + nb] @ (1 << np.arange(nb)[::-1])]
+            q, o = divmod(pos, 64)
+            field = labels[:, q] >> o
+            if o + nb > 64:
+                field |= labels[:, q + 1] << (64 - o)
+            tx_idx[:, k] = s.index_of_label[(field & ((1 << nb) - 1)).astype(np.int64)]
             pos += nb
         return tx_idx, f, gm, v, w
 
@@ -216,11 +245,12 @@ class _Engine:
         """Map decode-group decisions back to original-group point indices."""
         return self.dec.group_indices(dec_idx)
 
-    def chunk_bit_errors(self, power: PowerConfig, seeds) -> np.ndarray:
-        tx_idx, f, gm, v, w = self._draw_chunk(seeds)
+    def chunk_bit_errors(self, power: PowerConfig, key: int, lo: int, hi: int) -> np.ndarray:
+        """Bit errors of trials lo..hi-1; key as for _draw_chunk."""
+        tx_idx, f, gm, v, w = self._draw_chunk(key, lo, hi)
         g, yw = self._observe(tx_idx, f, gm, v, w, power)
         rx_idx = self._rx_group_indices(self._decide(g, yw))
-        errors = np.zeros(len(seeds), dtype=np.int64)
+        errors = np.zeros(hi - lo, dtype=np.int64)
         for k, s in enumerate(self.sets):
             d = s.labels[tx_idx[:, k]] ^ s.labels[rx_idx[:, k]]
             for bit in range(s.bits_per_point):
@@ -231,11 +261,11 @@ class _Engine:
 def _run_point(engine: _Engine, power: PowerConfig, snr_index: int,
                config: ExperimentConfig, workers: int) -> dict:
     n_chunks = (config.max_trials + _CHUNK - 1) // _CHUNK
+    key = mix_seed(config.master_seed, snr_index)
 
-    def seeds_for(chunk: int):
+    def bounds(chunk: int):
         lo = chunk * _CHUNK
-        hi = min(lo + _CHUNK, config.max_trials)
-        return [mix_seed(config.master_seed, snr_index, i) for i in range(lo, hi)]
+        return lo, min(lo + _CHUNK, config.max_trials)
 
     def consume(counts_iter):
         total_err, trials = 0, 0
@@ -251,7 +281,7 @@ def _run_point(engine: _Engine, power: PowerConfig, snr_index: int,
 
     if workers <= 1:
         counts_iter = (
-            engine.chunk_bit_errors(power, seeds_for(c)) for c in range(n_chunks)
+            engine.chunk_bit_errors(power, key, *bounds(c)) for c in range(n_chunks)
         )
         bit_errors, trials = consume(counts_iter)
     else:
@@ -262,7 +292,7 @@ def _run_point(engine: _Engine, power: PowerConfig, snr_index: int,
                 while nxt < n_chunks or pending:
                     while len(pending) < 2 * workers and nxt < n_chunks:
                         pending.append(
-                            ex.submit(engine.chunk_bit_errors, power, seeds_for(nxt))
+                            ex.submit(engine.chunk_bit_errors, power, key, *bounds(nxt))
                         )
                         nxt += 1
                     yield pending.popleft().result()

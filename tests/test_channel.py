@@ -186,6 +186,15 @@ class TestNoiseCovariance:
         ok = RelayChannel(code).noise_bound(cn(rng, 100, 4, 2), power)
         assert ok.shape == (100,) and ok.all()
 
+    def test_smallest_eigenvalue_at_least_one(self):
+        # Gamma_c is the identity plus a PSD sum, so the whitener needs no clamp
+        rng = np.random.default_rng(16)
+        codes = [code for _, code in _sweep_codes()] + [_non_diagonal_bbh_code()]
+        for code in codes:
+            power = PowerConfig.balanced(code, 30.0)
+            gamma_c = RelayChannel(code).covariance(cn(rng, 50, code.N, 2), power)
+            assert np.linalg.eigvalsh(gamma_c).min() >= 1 - 1e-12
+
 
 class TestSimulate:
     def test_noiseless_equals_linear_model(self):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from dstbc.channel import PowerConfig, RelayChannel
 from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
-from dstbc.construct import build, code_to_dict, from_design, GroupingScheme
+from dstbc.construct import build, code_to_dict, from_design, GroupingScheme, preset
 from dstbc.decode import DECODERS, GroupDecoder, group_symbols
 from dstbc.design import cod_trivial
 from dstbc.harness import (
@@ -19,7 +20,6 @@ from dstbc.harness import (
     snr_db_to_power,
     worker_count,
 )
-from tests.test_decode import cn
 
 
 def small_config(**kw):
@@ -99,39 +99,86 @@ class TestEngineCrossCheck:
         code = make_code()
         power = PowerConfig.balanced(code, snr_db_to_power(6.0))
         engine = _Engine(code, decoder, 2)
-        seeds = [mix_seed(3, 0, i) for i in range(150)]
-        batched = engine.chunk_bit_errors(power, seeds)
+        key = mix_seed(3, 0)
+        batched = engine.chunk_bit_errors(power, key, 0, 150)
 
         # each trial alone, as a batch of one, with its own label mapping
         channel = RelayChannel(code)
         dec = GroupDecoder(decoder, code.grouping, code.group_sets)
         singles = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            bits = rng.integers(0, 2, sum(s.bits_per_point for s in code.group_sets))
+        for i in range(150):
+            tx_idx, f, gm, v, w = engine._draw_chunk(key, i, i + 1)
             x = np.empty(code.K)
-            tx = []
-            pos = 0
-            for grp, s in zip(code.grouping.groups, code.group_sets):
-                label = 0
-                for b in bits[pos:pos + s.bits_per_point]:
-                    label = (label << 1) | int(b)
-                idx = int(s.index_of_label[label])
-                tx.append(idx)
+            for grp, s, idx in zip(code.grouping.groups, code.group_sets, tx_idx[0]):
                 x[list(grp)] = s.points[idx]
-                pos += s.bits_per_point
-            f, gm = cn(rng, 1, code.N), cn(rng, 1, code.N, 2)
-            v, w = cn(rng, 1, code.N, code.T1), cn(rng, 1, code.T2, 2)
             g, yw = channel.observe(x[None], f, gm, v, w, power)
             x_hat = group_symbols(dec.groups, dec.sets, dec.decide(g, yw)[0])[0]
             errs = 0
             for k, (grp, s) in enumerate(zip(code.grouping.groups, code.group_sets)):
                 # nearest point: ZF decisions carry per-coordinate levels
                 rx = int(np.argmin(np.sum((s.points - x_hat[list(grp)]) ** 2, axis=1)))
-                errs += bin(int(s.labels[tx[k]]) ^ int(s.labels[rx])).count("1")
+                errs += bin(int(s.labels[tx_idx[0, k]]) ^ int(s.labels[rx])).count("1")
             singles.append(errs)
         assert batched.sum() > 0  # the comparison must see actual errors
         np.testing.assert_array_equal(batched, np.array(singles))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (3, 259), (259, 613), (612, 700)])
+    def test_chunk_equals_rows_of_wider_draw(self, lo, hi):
+        engine = _Engine(_pam2_code(), "pic-sic", 2)
+        key = mix_seed(4, 1)
+        wide = engine._draw_chunk(key, 0, 700)
+        for part, whole in zip(engine._draw_chunk(key, lo, hi), wide):
+            np.testing.assert_array_equal(part, whole[lo:hi])
+
+
+class TestCounterDraws:
+    def test_vector_hash_matches_scalar_mix_seed(self):
+        engine = _Engine(_unrotated_qam4_code(), "pic-sic", 3)
+        stride = engine.stride
+        # from wrap on, trial * stride wraps uint64
+        wrap = 2**64 // stride
+        for trial in (0, 1, 255, 10**6, wrap - 1, wrap, wrap + 1, 2**63 - 2):
+            words = engine._words(mix_seed(17, 2), trial, trial + 2)
+            for i, slot in itertools.product((0, 1), (0, 1, stride // 2, stride - 1)):
+                assert int(words[i, slot]) == mix_seed(17, 2, (trial + i) * stride + slot)
+
+    def test_gaussians_are_proper_unit_variance(self):
+        engine = _Engine(_pam2_code(), "pic-sic", 2)
+        draws = engine._draw_chunk(mix_seed(8, 0), 0, 8192)[1:]
+        z = np.concatenate([a.reshape(-1) for a in draws])
+        assert z.size > 10**5
+        # each statistic has a standard error of 1/sqrt(size), under 0.003
+        assert abs(np.mean(np.abs(z) ** 2) - 1) < 0.015
+        assert abs(np.mean(z)) < 0.015
+        assert abs(np.mean(z * z)) < 0.015
+
+    @pytest.mark.parametrize("make_code", [_pam2_code, _unrotated_qam4_code])
+    def test_labels_uniform_over_alphabet(self, make_code):
+        code = make_code()
+        trials = 8192
+        tx_idx = _Engine(code, "pic-sic", 1)._draw_chunk(mix_seed(9, 0), 0, trials)[0]
+        for k, s in enumerate(code.group_sets):
+            counts = np.bincount(tx_idx[:, k], minlength=s.size)
+            expected = trials / s.size
+            chi2 = np.sum((counts - expected) ** 2 / expected)
+            # 99.9% point of chi-square with size - 1 <= 3 degrees of freedom
+            assert chi2 < 16.3
+
+    def test_labels_beyond_64_bits_per_codeword(self):
+        code = preset("alamouti", 8, 2, 3, modulation_set("qam64"))
+        engine = _Engine(code, "pic-sic", 1)
+        assert engine.bits_per_cw == 72 and engine.label_words == 2
+        tx_idx = engine._draw_chunk(mix_seed(10, 0), 0, 2048)[0]
+        # every group, including the one straddling the two label words,
+        # reaches its whole 64-point alphabet
+        for k, s in enumerate(code.group_sets):
+            assert np.unique(tx_idx[:, k]).size == s.size
+        cfg = ExperimentConfig(
+            decoder="pic-sic", preset="alamouti", N=8, lam=2, n=3, modulation="qam64",
+            nd=1, snr_grid_db=(20.0,), max_trials=20, max_bit_errors=10**9, master_seed=1,
+        )
+        pt = run_ber(cfg).points[0]
+        assert pt["trials"] == 20 and 0 <= pt["ber"] < 0.5
 
 
 class TestRunBer:
