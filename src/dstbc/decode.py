@@ -4,8 +4,30 @@ PIC decodes each group after projecting out the span of every other
 group's columns; PIC-SIC walks the groups in order, projecting out only
 later groups and subtracting each decision before moving on. ZF / ZF-SIC
 are the same decoders under the all-singleton refinement of the grouping,
-available when the group alphabets factor per coordinate. ML is exhaustive
-search over the full product alphabet.
+available when the group alphabets factor per coordinate. ML minimizes
+||y - G x||^2 over the full product alphabet.
+
+Each trial is factorized once, G = Q R (reduced QR), and decoded in the
+coordinates z = Q'y, where ||y - G x||^2 = ||z - R x||^2 + ||y - Q z||^2:
+
+- PIC-SIC / ZF-SIC take the columns in reverse group order, so the leading
+  columns of Q span exactly the groups decoded after the current one
+  (Wübben et al., Electron. Lett. 2001). Each stage is a nearest-point
+  search on its own diagonal block of R, and a decision is subtracted
+  from z through R.
+- PIC / ZF take the least-squares x^ = R^-1 z. The projected residual of
+  group k is (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2, where S_k is the
+  inverse of block k of (G'G)^-1 = R^-1 R^-T.
+- ML takes the columns in group order and splits the groups into two
+  halves. R is upper triangular, so the metric is
+  ||z1 - R11 x1 - R12 x2||^2 + ||z2 - R22 x2||^2. Each half's candidates
+  are enumerated once, and trials are searched in blocks that bound the
+  (trials, M1, M2) metric array.
+
+A trial whose R has fewer rows than columns, or a diagonal entry at most
+_RANK_TOL times its largest, has a rank-deficient G. PIC, PIC-SIC and the
+ZF flavours decode those rows by SVD projection with a numerical-rank cut
+instead. ML needs no such fallback: its identity holds for any G.
 
 Decoding is batch-first: GroupDecoder decides a chunk of trials along a
 leading axis, and a single problem is a batch of one. All decoders break
@@ -27,6 +49,8 @@ __all__ = ["DECODERS", "GroupDecoder", "group_symbols", "ML_CANDIDATE_CAP"]
 DECODERS = ("ml", "pic", "pic-sic", "zf", "zf-sic")
 _RANK_TOL = 1e-10
 ML_CANDIDATE_CAP = 2**20
+# ML candidate-pair metrics held at once: trials per block times M1 * M2
+_ML_BLOCK = 2**16
 
 
 def group_symbols(groups, sets, idx: np.ndarray) -> np.ndarray:
@@ -114,15 +138,16 @@ def _singleton_refinement(grouping: GroupingScheme, sets):
     return singles, tuple(coord_sets), label_map
 
 
-def _ml_candidates(grouping: GroupingScheme, sets, cap: int):
-    """Every point of the product alphabet, last group varying fastest (so
-    candidate 0 is all-lowest-index), with its per-group point indices."""
+def _ml_half(sets):
+    """Every point of the product of sets, last set varying fastest: the
+    symbols (M, sum of dims) and per-set point indices (M, len(sets))."""
     sizes = [s.size for s in sets]
-    total = math.prod(sizes)
-    if total > cap:
-        raise ValueError(f"product alphabet has {total} points, above the cap {cap}")
-    idx = np.stack(np.unravel_index(np.arange(total), sizes), axis=1)
-    return group_symbols(grouping.groups, sets, idx), idx
+    idx = np.zeros((math.prod(sizes), len(sizes)), dtype=np.int64)
+    if sizes:
+        idx[:] = np.stack(np.unravel_index(np.arange(idx.shape[0]), sizes), axis=1)
+    x = np.concatenate([s.points[idx[:, i]] for i, s in enumerate(sets)]
+                       + [np.empty((idx.shape[0], 0))], axis=1)
+    return x, idx
 
 
 class GroupDecoder:
@@ -146,18 +171,90 @@ class GroupDecoder:
         self.groups = [list(g) for g in grouping.groups]
         self.sets = tuple(sets)
         if decoder == "ml":
-            self.cand_x, self.cand_idx = _ml_candidates(grouping, self.sets, ml_cap)
-        else:
-            nulled = grouping.complement if decoder in ("pic", "zf") else grouping.tail
-            self.interference = [list(nulled(k)) for k in range(grouping.g)]
+            total = math.prod(s.size for s in self.sets)
+            if total > ml_cap:
+                raise ValueError(f"product alphabet has {total} points, above the cap {ml_cap}")
+            half = len(self.groups) // 2
+            self.halves = (_ml_half(self.sets[:half]), _ml_half(self.sets[half:]))
+            self.order = [c for grp in self.groups for c in grp]
+            return
+        pic = decoder in ("pic", "zf")
+        nulled = grouping.complement if pic else grouping.tail
+        self.interference = [list(nulled(k)) for k in range(grouping.g)]
+        # QR columns: PIC keeps G's order, SIC takes the groups in reverse
+        self.order = list(range(self.K)) if pic else [c for grp in self.groups[::-1] for c in grp]
+        # PIC inverts the S_k blocks of one size in one call
+        sizes = sorted({len(grp) for grp in self.groups})
+        self.size_classes = [[k for k, grp in enumerate(self.groups) if len(grp) == m]
+                             for m in sizes]
 
     def decide(self, g: np.ndarray, y: np.ndarray):
         if g.ndim != 3 or g.shape[2] != self.K:
             raise ValueError(f"G must be (b, d, K) with K = {self.K} columns, got {g.shape}")
         if y.shape != g.shape[:2]:
             raise ValueError(f"y must be (b, d) matching the rows of G {g.shape}, got {y.shape}")
+        q, r = np.linalg.qr(g[:, :, self.order])
+        z = np.einsum("bdk,bd->bk", q, y)
         if self.decoder == "ml":
-            return self._ml(g, y)
+            return self._ml(g, y, z, r)
+        res = y - np.einsum("bdk,bk->bd", q, z)
+        rss = np.einsum("bd,bd->b", res, res)  # the part of y outside span(G)
+        full = np.zeros(g.shape[0], dtype=bool)
+        if r.shape[1] == self.K:
+            diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+            full = diag.min(axis=1) > _RANK_TOL * diag.max(axis=1)
+        solve = self._pic if self.decoder in ("pic", "zf") else self._sic
+        if full.all():
+            return solve(r, z, rss)
+        idx = np.empty((g.shape[0], len(self.groups)), dtype=np.int64)
+        metric = np.empty(idx.shape)
+        if full.any():
+            idx[full], metric[full] = solve(r[full], z[full], rss[full])
+        idx[~full], metric[~full] = self._projected(g[~full], y[~full])
+        return idx, metric
+
+    def _pic(self, r, z, rss):
+        """Metric (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2 per group."""
+        rinv = np.linalg.inv(r)
+        xh = np.einsum("bkl,bl->bk", rinv, z)
+        s_blocks = {}
+        for ks in self.size_classes:
+            u = rinv[:, np.array([self.groups[k] for k in ks]), :]  # (b, n, m, K)
+            s = np.linalg.inv(u @ np.swapaxes(u, 2, 3))
+            s_blocks.update((k, s[:, i]) for i, k in enumerate(ks))
+        b = r.shape[0]
+        idx = np.empty((b, len(self.groups)), dtype=np.int64)
+        metric = np.empty((b, len(self.groups)))
+        for k, grp in enumerate(self.groups):
+            diff = self.sets[k].points[None] - xh[:, None, grp]
+            metrics = np.einsum("bmi,bij,bmj->bm", diff, s_blocks[k], diff)
+            idx[:, k] = np.argmin(metrics, axis=1)
+            metric[:, k] = metrics[np.arange(b), idx[:, k]] + rss
+        return idx, metric
+
+    def _sic(self, r, z, rss):
+        """Stages on R's diagonal blocks. With the columns in reverse group
+        order, group k sits at [after, end): the groups decoded after it
+        come before, and z[end:] holds the residuals of the groups before."""
+        b = r.shape[0]
+        idx = np.empty((b, len(self.groups)), dtype=np.int64)
+        metric = np.empty((b, len(self.groups)))
+        end = self.K
+        for k, grp in enumerate(self.groups):
+            after = end - len(grp)
+            points = self.sets[k].points
+            diff = z[:, after:end, None] - r[:, after:end, after:end] @ points.T
+            metrics = np.einsum("bjm,bjm->bm", diff, diff)
+            choice = np.argmin(metrics, axis=1)
+            done = z[:, end:]
+            idx[:, k] = choice
+            metric[:, k] = metrics[np.arange(b), choice] + rss + np.einsum("bj,bj->b", done, done)
+            z = z - np.einsum("bjc,bc->bj", r[:, :, after:end], points[choice])
+            end = after
+        return idx, metric
+
+    def _projected(self, g, y):
+        """PIC / PIC-SIC by SVD projection: the rank-deficient fallback."""
         b = g.shape[0]
         idx = np.empty((b, len(self.groups)), dtype=np.int64)
         metric = np.empty((b, len(self.groups)))
@@ -176,16 +273,29 @@ class GroupDecoder:
                 yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
         return idx, metric
 
-    def _ml(self, g, y):
-        """Exhaustive search of ||y - G x||^2, ranked by x'G'Gx - 2 x'G'y."""
-        c1 = np.einsum("bdk,bd->bk", g, y)
-        gram = np.einsum("bdk,bdl->bkl", g, g)
+    def _ml(self, g, y, z, r):
+        """Split-half search of ||z - R x||^2; the flat index i1 * M2 + i2 is
+        the product-alphabet index, so argmin keeps the lowest on ties."""
+        (x1, idx1), (x2, idx2) = self.halves
+        k1 = x1.shape[1]
+        h = min(k1, r.shape[1])  # rows of R that the first half reaches
+        block = max(1, _ML_BLOCK // (x1.shape[0] * x2.shape[0]))
         best = np.empty(g.shape[0], dtype=np.int64)
-        for i in range(g.shape[0]):
-            quad = np.einsum("mk,mk->m", self.cand_x @ gram[i], self.cand_x)
-            best[i] = np.argmin(quad - 2.0 * (self.cand_x @ c1[i]))
-        r = y - np.einsum("bdk,bk->bd", g, self.cand_x[best])
-        return self.cand_idx[best], np.einsum("bd,bd->b", r, r)[:, None]
+        for lo in range(0, g.shape[0], block):
+            sl = slice(lo, lo + block)
+            a = np.einsum("mk,bjk->bmj", x1, r[sl, :h, :k1])
+            t = z[sl, None, :] - np.einsum("mk,bjk->bmj", x2, r[sl, :, k1:])
+            # ||a||^2 - 2 a.t[:h] + ||t||^2 for every (i1, i2) as one product
+            one_a, one_t = np.ones(a.shape[:2] + (1,)), np.ones(t.shape[:2] + (1,))
+            lhs = np.concatenate([a, np.einsum("bmj,bmj->bm", a, a)[:, :, None], one_a], axis=2)
+            rhs = np.concatenate([-2.0 * t[:, :, :h], one_t,
+                                  np.einsum("bmj,bmj->bm", t, t)[:, :, None]], axis=2)
+            metric = lhs @ np.swapaxes(rhs, 1, 2)
+            best[sl] = np.argmin(metric.reshape(metric.shape[0], -1), axis=1)
+        i1, i2 = np.divmod(best, x2.shape[0])
+        idx = np.concatenate([idx1[i1], idx2[i2]], axis=1)
+        res = y - np.einsum("bdk,bk->bd", g, group_symbols(self.groups, self.sets, idx))
+        return idx, np.einsum("bd,bd->b", res, res)[:, None]
 
     def group_indices(self, dec_idx: np.ndarray) -> np.ndarray:
         """Map decode-group decisions to point indices of the original groups."""

@@ -7,6 +7,7 @@ import numpy as np
 
 from dstbc.channel import _whitener
 from dstbc.construct import ConjugateLinearForm
+from dstbc.decode import _project_out, _singleton_refinement, group_symbols
 from dstbc.design import (
     CodProfile,
     LinearDesign,
@@ -143,3 +144,50 @@ def realified_noise_bound(channel, gm, power) -> np.ndarray:
     limit = (channel.T2 * gm.shape[2] + beta * power.relay_gain * g2) * (1 + 1e-12)
     trace = np.trace(gamma, axis1=1, axis2=2)
     return (trace <= limit) & (np.linalg.eigvalsh(gamma)[:, -1] <= limit)
+
+
+# The decoders as they were before factorization: a rank-cut SVD projection
+# per group and an exhaustive ML over the whole product alphabet, one trial
+# at a time. GroupDecoder.decide must agree with them.
+
+def oracle_decide(decoder, grouping, sets, g, y):
+    """(idx, metric, ties) for G (b, d, K) and y (b, d): per decode group the
+    point index and metric that decide returns, and the number of decisions
+    whose smallest metric two or more candidates share exactly."""
+    sets = grouping.check_sets(sets)
+    if decoder in ("zf", "zf-sic"):
+        grouping, sets, _ = _singleton_refinement(grouping, sets)
+    groups = [list(grp) for grp in grouping.groups]
+    b, ties = g.shape[0], 0
+    if decoder == "ml":
+        sizes = [s.size for s in sets]
+        cand_idx = np.stack(np.unravel_index(np.arange(math.prod(sizes)), sizes), axis=1)
+        cand_x = group_symbols(groups, sets, cand_idx)
+        c1 = np.einsum("bdk,bd->bk", g, y)
+        gram = np.einsum("bdk,bdl->bkl", g, g)
+        best = np.empty(b, dtype=np.int64)
+        for i in range(b):
+            quad = np.einsum("mk,mk->m", cand_x @ gram[i], cand_x)
+            metrics = quad - 2.0 * (cand_x @ c1[i])
+            best[i] = np.argmin(metrics)
+            ties += int(np.count_nonzero(metrics == metrics[best[i]]) > 1)
+        r = y - np.einsum("bdk,bk->bd", g, cand_x[best])
+        return cand_idx[best], np.einsum("bd,bd->b", r, r)[:, None], ties
+    nulled = grouping.complement if decoder in ("pic", "zf") else grouping.tail
+    idx = np.empty((b, len(groups)), dtype=np.int64)
+    metric = np.empty((b, len(groups)))
+    sic = decoder.endswith("-sic")
+    yk = y.copy() if sic else y
+    for k, grp in enumerate(groups):
+        gk = g[:, :, grp]
+        py, pg = _project_out(g[:, :, list(nulled(k))], yk, gk)
+        points = sets[k].points
+        diff = py[:, :, None] - pg @ points.T
+        metrics = np.einsum("bdm,bdm->bm", diff, diff)
+        choice = np.argmin(metrics, axis=1)
+        idx[:, k] = choice
+        metric[:, k] = metrics[np.arange(b), choice]
+        ties += int(np.count_nonzero((metrics == metric[:, k:k + 1]).sum(axis=1) > 1))
+        if sic:
+            yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
+    return idx, metric, ties

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dstbc.channel import PowerConfig, RelayChannel
-from dstbc.constellation import make_pam, make_rotated_qam, rotation_2d
-from dstbc.construct import GroupingScheme, build, from_design
-from dstbc.decode import GroupDecoder, _project_out, group_symbols
+from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam, rotation_2d
+from dstbc.construct import GroupingScheme, build, from_design, preset
+from dstbc.decode import _ML_BLOCK, DECODERS, GroupDecoder, _project_out, group_symbols
 from dstbc.design import cod_alamouti, cod_trivial
+from dstbc.harness import modulation_set
+from tests.helpers import oracle_decide
 
 
 def cn(rng, *shape):
@@ -247,3 +253,142 @@ class TestBoundaryChecks:
         code, dec = self._pam2_decoder(decoder)
         with pytest.raises(ValueError, match="^y must be"):
             dec.decide(np.ones((3, 8, code.K)), np.ones((3, 9)))
+
+
+def decoders_of(code):
+    """Every decoder the code admits: ZF needs coordinate-separable group
+    alphabets, and ML a product alphabet within the candidate cap."""
+    out = {}
+    for decoder in DECODERS:
+        try:
+            out[decoder] = GroupDecoder(decoder, code.grouping, code.group_sets)
+        except ValueError:
+            pass
+    return out
+
+
+def duplicate_column(g, rows, src, dst):
+    """G with column dst replaced by column src on the given rows."""
+    g = g.copy()
+    g[rows, :, dst] = g[rows, :, src]
+    return g
+
+
+# a rotated QAM-4 code (4 groups of 2) and a PAM-2 code (8 singletons)
+def _qam_code():
+    return build(4, cod_alamouti(), 2, 1, make_rotated_qam(4, rotation_2d()))
+
+
+def _pam_code():
+    return build(2, cod_alamouti(), 1, 2, make_pam(2))
+
+
+class TestOracle:
+    """decide against oracle_decide: the SVD projections and exhaustive ML."""
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_sweep_codes_equal_oracle(self, decoder):
+        from tests.test_acceptance import _sweep_codes
+
+        batches = ties = 0
+        for i, (tag, code) in enumerate(_sweep_codes()):
+            try:
+                dec = GroupDecoder(decoder, code.grouping, code.group_sets)
+            except ValueError:
+                continue  # ZF on a rotated alphabet, ML above the cap
+            rng = np.random.default_rng(900 + i)
+            for P in (2.0, 1000.0):
+                g, y, _ = observed_problem(code, 2, P, rng, trials=256)
+                idx, metric = dec.decide(g, y)
+                o_idx, o_metric, n_ties = oracle_decide(
+                    decoder, code.grouping, code.group_sets, g, y)
+                np.testing.assert_array_equal(idx, o_idx, err_msg=f"{tag} P={P}")
+                np.testing.assert_allclose(metric, o_metric, rtol=1e-9, err_msg=f"{tag} P={P}")
+                batches += 1
+                ties += n_ties
+        print(f"{decoder}: {batches} batches of 256 equal the oracle; "
+              f"{ties} oracle decisions had an exact metric tie")
+        assert batches >= 2 * 24  # the 24 PAM-2 codes at least
+
+    @pytest.mark.parametrize("make_code,decoder", [
+        (_qam_code, "pic"), (_qam_code, "pic-sic"), (_qam_code, "ml"),
+        (_pam_code, "pic"), (_pam_code, "pic-sic"), (_pam_code, "zf"), (_pam_code, "zf-sic"),
+    ])
+    def test_duplicated_column_rows(self, make_code, decoder):
+        # every third row gets column 0 twice: inside group 0 of the QAM
+        # code, across the first two singletons of the PAM code. ML stays on
+        # the QAM code: swapping two PAM-2 symbols on a shared column leaves
+        # G x unchanged, an exact tie that only rounding would break.
+        code = make_code()
+        assert 1 in code.grouping.groups[0] + code.grouping.groups[1]
+        g, y, _ = observed_problem(code, 2, 20.0, np.random.default_rng(16), trials=60)
+        g = duplicate_column(g, np.arange(0, 60, 3), 0, 1)
+        assert (np.linalg.matrix_rank(g) < code.K).tolist() == [t % 3 == 0 for t in range(60)]
+        idx, metric = GroupDecoder(decoder, code.grouping, code.group_sets).decide(g, y)
+        o_idx, o_metric, _ = oracle_decide(decoder, code.grouping, code.group_sets, g, y)
+        np.testing.assert_array_equal(idx, o_idx)
+        np.testing.assert_allclose(metric, o_metric, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_rows_decode_as_batches_of_one(self, decoder):
+        sizes = (1, 7, 8, 9, 257)
+        for make_code in (_qam_code, _pam_code):
+            code = make_code()
+            try:
+                dec = GroupDecoder(decoder, code.grouping, code.group_sets)
+            except ValueError:
+                continue  # ZF on the rotated QAM code
+            g, y, _ = observed_problem(code, 2, 5.0, np.random.default_rng(17), trials=257)
+            g = duplicate_column(g, np.arange(0, 257, 10), 0, 1)
+            if decoder == "ml":
+                block = max(1, _ML_BLOCK // math.prod(len(x) for x, _ in dec.halves))
+                assert any(n % block for n in sizes if n > 1)
+            single = np.concatenate([dec.decide(g[t:t + 1], y[t:t + 1])[0] for t in range(257)])
+            for n in sizes:
+                np.testing.assert_array_equal(dec.decide(g[:n], y[:n])[0], single[:n],
+                                              err_msg=f"{make_code.__name__} batch of {n}")
+
+
+_MODULATIONS = {1: ("pam2", "pam4", "pam8"), 2: ("qam4", "qam16", "qam4-unrotated")}
+
+
+@st.composite
+def noiseless_problems(draw):
+    """A preset code with a modulation, a receive-antenna count and a seed."""
+    name = draw(st.sampled_from(
+        ["alamouti", "scalar", "toeplitz", "scalar-full", "single-complex"]))
+    lam = None
+    if name == "alamouti":
+        N = 2 * draw(st.integers(1, 4))
+        lam = draw(st.integers(1, min(2, N // 2)))
+    elif name == "scalar":
+        N = draw(st.integers(1, 8))
+        lam = draw(st.integers(1, min(N, 2)))
+    elif name == "single-complex":
+        N = draw(st.sampled_from([2, 4]))
+    else:
+        N = draw(st.integers(1, 2 if name == "scalar-full" else 8))
+    code = preset(name, N, lam, draw(st.integers(1, 3)))
+    modulation = draw(st.sampled_from(_MODULATIONS[len(code.grouping.groups[0])]))
+    if modulation == "qam4-unrotated":
+        gset = make_rotated_qam(4, identity_rotation(2))
+    else:
+        gset = modulation_set(modulation)
+    return code.with_sets(gset), draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(noiseless_problems())
+def test_noiseless_recovery_every_decoder(problem):
+    code, nd, seed = problem
+    assume(2 * nd * code.T2 >= code.K)  # G can have full column rank
+    rng = np.random.default_rng(seed)
+    trials = 4
+    sent = np.stack([rng.integers(s.size, size=trials) for s in code.group_sets], axis=1)
+    x = group_symbols(code.grouping.groups, code.group_sets, sent)
+    f, gm = cn(rng, trials, code.N), cn(rng, trials, code.N, nd)
+    v, w = np.zeros((trials, code.N, code.T1)), np.zeros((trials, code.T2, nd))
+    g, y = RelayChannel(code).observe(x, f, gm, v, w, PowerConfig.balanced(code, 10.0))
+    for decoder, dec in decoders_of(code).items():
+        np.testing.assert_array_equal(dec.group_indices(dec.decide(g, y)[0]), sent,
+                                      err_msg=decoder)
