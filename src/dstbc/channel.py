@@ -16,10 +16,13 @@ leading axis, and a single trial is a batch of one.
 Whitening is done in the complex domain, realification after it; vec is
 column-major and [Re; Im] stacks real parts over imaginary parts. The noise
 is proper, so the realified covariance is 1/2 realify(Gamma_c), with
-realify(M) = [[Re M, -Im M], [Im M, Re M]]. realify is a *-homomorphism, so
-the symmetric inverse square root of that is sqrt(2) realify(W_c), where
-W_c = Gamma_c^{-1/2} has size N_D*T2. observe returns the whitened model
-y = sqrt(2) [Re; Im](W_c vec(Y)), G = sqrt(2 rho) [Re; Im](W_c vec(A_i H)).
+realify(M) = [[Re M, -Im M], [Im M, Re M]]. Gamma_c, of size N_D*T2, is the
+identity plus a PSD sum, so it has a Cholesky factor Gamma_c = L L^H whose
+pivots are at least 1. realify is a *-homomorphism, so sqrt(2) realify(W_c)
+with W_c = L^-1 whitens the realified covariance. observe returns the
+whitened model y = sqrt(2) [Re; Im](W_c vec(Y)),
+G = sqrt(2 rho) [Re; Im](W_c vec(A_i H)). Any exact whitener gives the same
+[G y]'[G y], which is all the decoders read.
 """
 
 from __future__ import annotations
@@ -117,9 +120,6 @@ class RelayChannel:
         relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H + 1{l1=l2} I.
         """
         self._check_shapes(gm=gm)
-        return self._covariance(gm, power)
-
-    def _covariance(self, gm, power: PowerConfig) -> np.ndarray:
         b, _, nd = gm.shape
         dim = nd * self.T2
         coef = power.relay_gain * (gm[:, :, :, None] * gm.conj()[:, :, None, :])
@@ -136,8 +136,8 @@ class RelayChannel:
                                np.swapaxes(y, 1, 2).reshape(b, -1, 1)], axis=2)
         # the covariance stays bound until return: releasing it mid-chunk
         # left about 20 MiB more resident after multi-worker ML runs
-        gamma_c = self._covariance(gm, power)
-        white = _whitener(gamma_c)[0] @ cols
+        gamma_c = self.covariance(gm, power)
+        white = np.linalg.solve(np.linalg.cholesky(gamma_c), cols)
         white = math.sqrt(2.0) * np.concatenate([white.real, white.imag], axis=1)
         return white[:, :, :-1], white[:, :, -1]
 
@@ -173,15 +173,3 @@ class RelayChannel:
             if a.shape[0] != arrays[first].shape[0]:
                 raise ValueError(f"{name} has {a.shape[0]} trials on axis 0, "
                                  f"{first} has {arrays[first].shape[0]}")
-
-
-def _whitener(gamma: np.ndarray):
-    """Hermitian inverse square roots of a stack of covariances, and their
-    eigenvalues (ascending).
-
-    No eigenvalue is clamped: Gamma_c is the identity plus a PSD sum, so its
-    eigenvalues are at least 1 (0.5 for the realified covariance)."""
-    evals, evecs = np.linalg.eigh(gamma)
-    inv_sqrt = 1.0 / np.sqrt(evals)
-    return np.einsum("bij,bj,bkj->bik", evecs, inv_sqrt, evecs.conj()), evals
-

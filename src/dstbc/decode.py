@@ -30,9 +30,11 @@ ZF flavours decode those rows by SVD projection with a numerical-rank cut
 instead. ML needs no such fallback: its identity holds for any G.
 
 Decoding is batch-first: GroupDecoder decides a chunk of trials along a
-leading axis, and a single problem is a batch of one. All decoders break
-metric ties toward the lowest candidate index, so equal inputs always
-produce equal outputs.
+leading axis, and a single problem is a batch of one. Ties go to the lowest
+candidate index among metrics that are equal as computed, so equal inputs
+always produce equal outputs. Candidates that tie only in exact arithmetic,
+such as two symbols on a duplicated column of G, carry metrics that differ
+by rounding, and may be decided differently from an exhaustive search.
 """
 
 from __future__ import annotations
@@ -158,8 +160,7 @@ class GroupDecoder:
     group_indices maps their decisions back to the grouping's groups.
     """
 
-    def __init__(self, decoder: str, grouping: GroupingScheme, sets,
-                 ml_cap: int = ML_CANDIDATE_CAP):
+    def __init__(self, decoder: str, grouping: GroupingScheme, sets):
         if decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
         sets = grouping.check_sets(sets)
@@ -172,8 +173,9 @@ class GroupDecoder:
         self.sets = tuple(sets)
         if decoder == "ml":
             total = math.prod(s.size for s in self.sets)
-            if total > ml_cap:
-                raise ValueError(f"product alphabet has {total} points, above the cap {ml_cap}")
+            if total > ML_CANDIDATE_CAP:
+                raise ValueError(f"product alphabet has {total} points, "
+                                 f"above the cap {ML_CANDIDATE_CAP}")
             half = len(self.groups) // 2
             self.halves = (_ml_half(self.sets[:half]), _ml_half(self.sets[half:]))
             self.order = [c for grp in self.groups for c in grp]

@@ -185,7 +185,6 @@ class _Engine:
         if code.group_sets is None:
             raise ValueError("code has no signal sets; pick a modulation")
         self.decoder = decoder
-        self.nd = nd
         self.channel = RelayChannel(code)
         self.dec = GroupDecoder(decoder, code.grouping, code.group_sets)
         self.T1, self.T2, self.N = code.T1, code.T2, code.N

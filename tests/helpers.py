@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 
-from dstbc.channel import _whitener
 from dstbc.construct import ConjugateLinearForm
 from dstbc.decode import _project_out, _singleton_refinement, group_symbols
 from dstbc.design import (
@@ -105,7 +104,19 @@ def reindex(c: CodProfile, symbol_indices, k_total: int) -> LinearDesign:
 
 # The realified route to the whitened model: realify the complex covariance
 # and the channel columns first, then whiten with a real eigh of size
-# 2*N_D*T2. RelayChannel.observe and noise_bound must agree with it.
+# 2*N_D*T2. RelayChannel.observe must give the same [G y]'[G y] and the
+# same decisions, and noise_bound the same verdicts.
+
+def _whitener(gamma: np.ndarray):
+    """Hermitian inverse square roots of a stack of covariances, and their
+    eigenvalues (ascending).
+
+    No eigenvalue is clamped: Gamma_c is the identity plus a PSD sum, so its
+    eigenvalues are at least 1 (0.5 for the realified covariance)."""
+    evals, evecs = np.linalg.eigh(gamma)
+    inv_sqrt = 1.0 / np.sqrt(evals)
+    return np.einsum("bij,bj,bkj->bik", evecs, inv_sqrt, evecs.conj()), evals
+
 
 def rvec(a: np.ndarray) -> np.ndarray:
     """Stack vec(Re a) over vec(Im a), column-major, trial by trial:

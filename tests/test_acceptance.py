@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dstbc.channel import PowerConfig, RelayChannel, _whitener
+from dstbc.channel import PowerConfig, RelayChannel
 from dstbc.constellation import make_pam, make_rotated_qam, rotation_2d
 from dstbc.construct import (
     bits_per_channel_use,
@@ -24,7 +24,7 @@ from dstbc.construct import (
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate, verify_cod
 from dstbc.diversity import REL_SV_THRESHOLD, _relative_sv, check_pic_sic
 from dstbc.harness import ExperimentConfig, estimate_diversity_slope, run_ber
-from tests.helpers import _realify_cov, codeword_column, rvec
+from tests.helpers import _realify_cov, _whitener, codeword_column, rvec
 from tests.test_decode import cn, observed_problem, x_hat
 
 

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from dstbc.channel import PowerConfig, RelayChannel, _whitener
+from dstbc.channel import PowerConfig, RelayChannel
 from dstbc.construct import build, from_design
+from dstbc.decode import group_symbols
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
 from tests.helpers import (
     _real_channel,
     _realify_cov,
+    _whitener,
     realified_noise_bound,
     realified_observe,
     rvec,
 )
 from tests.test_acceptance import _sweep_codes
-from tests.test_decode import cn
+from tests.test_decode import cn, decoders_of
 
 
 def _alamouti_code():
@@ -302,34 +304,53 @@ def _non_diagonal_bbh_code():
     return from_design(LinearDesign.from_weights(np.stack([a, 1j * a, b, 1j * b])))
 
 
-def _rel_err(a, ref):
-    return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+def _gram(g, y):
+    """[G y]'[G y] per trial, (b, K + 1, K + 1): all that the decoders read."""
+    m = np.concatenate([g, y[:, :, None]], axis=2)
+    return np.swapaxes(m, 1, 2) @ m
 
 
 class TestRealifiedOracle:
     """observe and noise_bound against the realified route of tests.helpers:
-    realify first, then whiten with a real eigh of twice the size."""
+    realify first, then whiten with a real eigh of twice the size. The two
+    whiteners differ by an orthogonal factor on the left, so observe must
+    match the route in [G y]'[G y] and in every decoder's decisions."""
 
-    def _assert_observe_matches(self, code, rng, nd=2, trials=4):
+    def _observe_both(self, code, rng, nd=2, trials=4, P=30.0):
         channel = RelayChannel(code)
-        power = PowerConfig.balanced(code, 30.0)
-        args = (rng.standard_normal((trials, code.K)), cn(rng, trials, code.N),
-                cn(rng, trials, code.N, nd), cn(rng, trials, code.N, code.T1),
-                cn(rng, trials, code.T2, nd), power)
-        g, y = channel.observe(*args)
-        g_ref, y_ref = realified_observe(channel, *args)
-        assert _rel_err(g, g_ref) < 1e-10 and _rel_err(y, y_ref) < 1e-10
+        power = PowerConfig.balanced(code, P)
+        idx = np.stack([rng.integers(s.size, size=trials) for s in code.group_sets], axis=1)
+        args = (group_symbols(code.grouping.groups, code.group_sets, idx),
+                cn(rng, trials, code.N), cn(rng, trials, code.N, nd),
+                cn(rng, trials, code.N, code.T1), cn(rng, trials, code.T2, nd), power)
+        return channel.observe(*args), realified_observe(channel, *args)
+
+    def _assert_gram_matches(self, code, rng, nd=2, trials=4):
+        (g, y), (g_ref, y_ref) = self._observe_both(code, rng, nd, trials)
+        gram, gram_ref = _gram(g, y), _gram(g_ref, y_ref)
+        rel = (np.linalg.norm(gram - gram_ref, axis=(1, 2))
+               / np.linalg.norm(gram_ref, axis=(1, 2)))
+        assert rel.max() < 1e-10
 
     def test_sweep_codes(self):
         rng = np.random.default_rng(13)
         for _, code in _sweep_codes():
-            self._assert_observe_matches(code, rng)
+            self._assert_gram_matches(code, rng)
 
     def test_non_diagonal_bbh(self):
         code = _non_diagonal_bbh_code()
         bbh = RelayChannel(code).bbh
         np.testing.assert_allclose(bbh[0], [[2, 1], [1, 1]])
-        self._assert_observe_matches(code, np.random.default_rng(14), nd=3, trials=20)
+        self._assert_gram_matches(code, np.random.default_rng(14), nd=3, trials=20)
+
+    def test_decisions_equal_oracle(self):
+        rng = np.random.default_rng(18)
+        codes = list(_sweep_codes()) + [("non-diagonal-bbh", _non_diagonal_bbh_code())]
+        for tag, code in codes:
+            (g, y), (g_ref, y_ref) = self._observe_both(code, rng, trials=256, P=5.0)
+            for decoder, dec in decoders_of(code).items():
+                np.testing.assert_array_equal(dec.decide(g, y)[0], dec.decide(g_ref, y_ref)[0],
+                                              err_msg=f"{tag} {decoder}")
 
     @pytest.mark.parametrize("code", [_non_diagonal_bbh_code(), build(4, cod_alamouti(), 1, 2)],
                              ids=["non-diagonal-bbh", "alamouti-N4"])

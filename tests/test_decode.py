@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from dstbc.channel import PowerConfig, RelayChannel
 from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam, rotation_2d
 from dstbc.construct import GroupingScheme, build, from_design, preset
-from dstbc.decode import _ML_BLOCK, DECODERS, GroupDecoder, _project_out, group_symbols
+from dstbc.decode import (
+    _ML_BLOCK,
+    DECODERS,
+    ML_CANDIDATE_CAP,
+    GroupDecoder,
+    _project_out,
+    group_symbols,
+)
 from dstbc.design import cod_alamouti, cod_trivial
 from dstbc.harness import modulation_set
 from tests.helpers import oracle_decide
@@ -33,9 +40,9 @@ def observed_problem(code, nd, P, rng, trials=1, noiseless=False):
     return g, y, x
 
 
-def x_hat(decoder, code, g, y, **kw):
+def x_hat(decoder, code, g, y):
     """One decoder's decisions on a batch, as symbol vectors (b, K)."""
-    dec = GroupDecoder(decoder, code.grouping, code.group_sets, **kw)
+    dec = GroupDecoder(decoder, code.grouping, code.group_sets)
     return group_symbols(dec.groups, dec.sets, dec.decide(g, y)[0])
 
 
@@ -190,9 +197,10 @@ class TestMl:
         np.testing.assert_allclose(x_hat("ml", code, g, y), x0)
 
     def test_candidate_cap(self):
-        code = build(2, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
+        code = build(8, cod_trivial(), 1, 3, make_pam(16))  # 16**6 = 2**24 points
+        assert math.prod(s.size for s in code.group_sets) > ML_CANDIDATE_CAP
         with pytest.raises(ValueError, match="cap"):
-            GroupDecoder("ml", code.grouping, code.group_sets, ml_cap=3)
+            GroupDecoder("ml", code.grouping, code.group_sets)
 
     def test_global_optimality_over_sic(self):
         rng = np.random.default_rng(14)
