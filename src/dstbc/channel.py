@@ -36,8 +36,6 @@ from .construct import DstbcCode, rate_cspcu
 
 __all__ = ["PowerConfig", "RelayChannel"]
 
-_POWER_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PowerConfig:
@@ -68,16 +66,7 @@ class PowerConfig:
             raise ValueError(
                 f"pi1 must lie in (0, {(t1 + t2) / t1:g}) for this code, got {pi1}"
             )
-        pi2 = (t1 + t2 - pi1 * t1) / (float(r) * t2)
-        cfg = cls(P, pi1, pi2)
-        if not cfg.satisfies_constraint(code):
-            raise ValueError("power split violates the phase-power constraint")
-        return cfg
-
-    def satisfies_constraint(self, code: DstbcCode) -> bool:
-        r = float(rate_cspcu(code))
-        lhs = self.pi1 * code.T1 + self.pi2 * r * code.T2
-        return abs(lhs - (code.T1 + code.T2)) <= _POWER_TOL * (code.T1 + code.T2)
+        return cls(P, pi1, (t1 + t2 - pi1 * t1) / (float(r) * t2))
 
 
 class RelayChannel:
@@ -140,21 +129,6 @@ class RelayChannel:
         white = np.linalg.solve(np.linalg.cholesky(gamma_c), cols)
         white = math.sqrt(2.0) * np.concatenate([white.real, white.imag], axis=1)
         return white[:, :, :-1], white[:, :, -1]
-
-    def noise_bound(self, gm, power: PowerConfig) -> np.ndarray:
-        """Per trial, whether the trace/eigenvalue bound holds; (b,) bool.
-
-        alpha = T2*N_D + beta * relay_gain * sum |g|^2 with beta the largest
-        squared Frobenius norm among the relay matrices; both the trace and
-        the largest eigenvalue of the realified covariance stay below alpha.
-        Its trace is that of Gamma_c, its largest eigenvalue half Gamma_c's.
-        """
-        gamma_c = self.covariance(gm, power)
-        beta = np.max(np.sum(np.abs(self.relay_mats) ** 2, axis=(1, 2)))
-        g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))
-        limit = (self.T2 * gm.shape[2] + beta * power.relay_gain * g2) * (1 + 1e-12)
-        trace = np.trace(gamma_c, axis1=1, axis2=2).real
-        return (trace <= limit) & (0.5 * np.linalg.eigvalsh(gamma_c)[:, -1] <= limit)
 
     def _check_shapes(self, **arrays) -> None:
         """Reject arrays that do not fit the code: f (b, N), gm (b, N, N_D),

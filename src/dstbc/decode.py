@@ -7,27 +7,32 @@ are the same decoders under the all-singleton refinement of the grouping,
 available when the group alphabets factor per coordinate. ML minimizes
 ||y - G x||^2 over the full product alphabet.
 
-Each trial is factorized once, G = Q R (reduced QR), and decoded in the
-coordinates z = Q'y, where ||y - G x||^2 = ||z - R x||^2 + ||y - Q z||^2:
+The decoders read (G, y) only through the Gram matrix [G y]'[G y], formed
+once per chunk with its columns in the decoder's order. PIC, PIC-SIC and
+the ZF flavours take one Cholesky factor of it, with 1 added to the y'y
+entry so that the factor exists when y lies in span(G). Its upper factor is
+[[R, z], [0, sqrt(rss + 1)]] with R'R = G'G, z = R^-T G'y and rss the part
+of y outside span(G), so ||y - G x||^2 = ||z - R x||^2 + rss:
 
 - PIC-SIC / ZF-SIC take the columns in reverse group order, so the leading
-  columns of Q span exactly the groups decoded after the current one
-  (Wübben et al., Electron. Lett. 2001). Each stage is a nearest-point
-  search on its own diagonal block of R, and a decision is subtracted
-  from z through R.
-- PIC / ZF take the least-squares x^ = R^-1 z. The projected residual of
-  group k is (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2, where S_k is the
-  inverse of block k of (G'G)^-1 = R^-1 R^-T.
-- ML takes the columns in group order and splits the groups into two
-  halves. R is upper triangular, so the metric is
-  ||z1 - R11 x1 - R12 x2||^2 + ||z2 - R22 x2||^2. Each half's candidates
-  are enumerated once, and trials are searched in blocks that bound the
-  (trials, M1, M2) metric array.
+  columns of R belong to the groups decoded after the current one (Wübben
+  et al., Electron. Lett. 2001). Each stage is a nearest-point search on its
+  own diagonal block of R, and a decision is subtracted from z through R.
+- PIC / ZF take x^ = R^-1 z. Group k scores (a - x^_k)' S_k (a - x^_k) + rss,
+  where S_k is the inverse of block k of (G'G)^-1 = R^-1 R^-T.
 
-A trial whose R has fewer rows than columns, or a diagonal entry at most
-_RANK_TOL times its largest, has a rank-deficient G. PIC, PIC-SIC and the
-ZF flavours decode those rows by SVD projection with a numerical-rank cut
-instead. ML needs no such fallback: its identity holds for any G.
+A Gram factor loses about eps * kappa(G)^2 in relative accuracy. A row whose
+smallest pivot of R is at most _PIVOT_TOL = 1e-4 times its largest has
+kappa(G) >= 1e4, so its factor keeps at most about 8 digits: such rows, and
+every row of a chunk on which cholesky raises, are decoded by SVD projection
+with a numerical-rank cut instead. rss is common to a trial's candidates, so
+no decision depends on it; a metric is accurate to about eps*||y||^2*kappa^2.
+
+ML needs no factor: in group order it scores x'Ax - 2b'x, A = G'G and
+b = G'y read from the Gram matrix, which holds for any G. Each half of the
+groups has its candidates enumerated once, trials are searched in blocks
+that bound the (trials, M1, M2) metric array, and the metric returned is
+||y - G x||^2.
 
 Decoding is batch-first: GroupDecoder decides a chunk of trials along a
 leading axis, and a single problem is a batch of one. Ties go to the lowest
@@ -50,9 +55,10 @@ __all__ = ["DECODERS", "GroupDecoder", "group_symbols", "ML_CANDIDATE_CAP"]
 
 DECODERS = ("ml", "pic", "pic-sic", "zf", "zf-sic")
 _RANK_TOL = 1e-10
+_PIVOT_TOL = 1e-4
 ML_CANDIDATE_CAP = 2**20
-# ML candidate-pair metrics held at once: trials per block times M1 * M2
-_ML_BLOCK = 2**16
+# ML candidate-pair metrics held at once (2 MiB): trials per block times M1 * M2
+_ML_BLOCK = 2**18
 
 
 def group_symbols(groups, sets, idx: np.ndarray) -> np.ndarray:
@@ -144,9 +150,7 @@ def _ml_half(sets):
     """Every point of the product of sets, last set varying fastest: the
     symbols (M, sum of dims) and per-set point indices (M, len(sets))."""
     sizes = [s.size for s in sets]
-    idx = np.zeros((math.prod(sizes), len(sizes)), dtype=np.int64)
-    if sizes:
-        idx[:] = np.stack(np.unravel_index(np.arange(idx.shape[0]), sizes), axis=1)
+    idx = np.indices(sizes, dtype=np.int64).reshape(len(sizes), math.prod(sizes)).T
     x = np.concatenate([s.points[idx[:, i]] for i, s in enumerate(sets)]
                        + [np.empty((idx.shape[0], 0))], axis=1)
     return x, idx
@@ -183,7 +187,7 @@ class GroupDecoder:
         pic = decoder in ("pic", "zf")
         nulled = grouping.complement if pic else grouping.tail
         self.interference = [list(nulled(k)) for k in range(grouping.g)]
-        # QR columns: PIC keeps G's order, SIC takes the groups in reverse
+        # Gram columns: PIC keeps G's order, SIC takes the groups in reverse
         self.order = list(range(self.K)) if pic else [c for grp in self.groups[::-1] for c in grp]
         # PIC inverts the S_k blocks of one size in one call
         sizes = sorted({len(grp) for grp in self.groups})
@@ -195,23 +199,25 @@ class GroupDecoder:
             raise ValueError(f"G must be (b, d, K) with K = {self.K} columns, got {g.shape}")
         if y.shape != g.shape[:2]:
             raise ValueError(f"y must be (b, d) matching the rows of G {g.shape}, got {y.shape}")
-        q, r = np.linalg.qr(g[:, :, self.order])
-        z = np.einsum("bdk,bd->bk", q, y)
+        gy = np.concatenate([g[:, :, self.order], y[:, :, None]], axis=2)
+        gram = np.swapaxes(gy, 1, 2) @ gy
         if self.decoder == "ml":
-            return self._ml(g, y, z, r)
-        res = y - np.einsum("bdk,bk->bd", q, z)
-        rss = np.einsum("bd,bd->b", res, res)  # the part of y outside span(G)
-        full = np.zeros(g.shape[0], dtype=bool)
-        if r.shape[1] == self.K:
-            diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-            full = diag.min(axis=1) > _RANK_TOL * diag.max(axis=1)
+            return self._ml(g, y, gram)
+        gram[:, -1, -1] += 1.0  # keeps the factor positive definite when y is in span(G)
+        try:
+            c = np.swapaxes(np.linalg.cholesky(gram), 1, 2)  # [[R, z], [0, sqrt(rss + 1)]]
+        except np.linalg.LinAlgError:
+            return self._projected(g, y)
+        r, z = c[:, :-1, :-1], c[:, :-1, -1]
+        rss = c[:, -1, -1] ** 2 - 1.0  # the part of y outside span(G)
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        full = diag.min(axis=1) > _PIVOT_TOL * diag.max(axis=1)
         solve = self._pic if self.decoder in ("pic", "zf") else self._sic
         if full.all():
             return solve(r, z, rss)
         idx = np.empty((g.shape[0], len(self.groups)), dtype=np.int64)
         metric = np.empty(idx.shape)
-        if full.any():
-            idx[full], metric[full] = solve(r[full], z[full], rss[full])
+        idx[full], metric[full] = solve(r[full], z[full], rss[full])
         idx[~full], metric[~full] = self._projected(g[~full], y[~full])
         return idx, metric
 
@@ -224,23 +230,19 @@ class GroupDecoder:
             u = rinv[:, np.array([self.groups[k] for k in ks]), :]  # (b, n, m, K)
             s = np.linalg.inv(u @ np.swapaxes(u, 2, 3))
             s_blocks.update((k, s[:, i]) for i, k in enumerate(ks))
-        b = r.shape[0]
-        idx = np.empty((b, len(self.groups)), dtype=np.int64)
-        metric = np.empty((b, len(self.groups)))
+        idx, metric = [], []
         for k, grp in enumerate(self.groups):
             diff = self.sets[k].points[None] - xh[:, None, grp]
             metrics = np.einsum("bmi,bij,bmj->bm", diff, s_blocks[k], diff)
-            idx[:, k] = np.argmin(metrics, axis=1)
-            metric[:, k] = metrics[np.arange(b), idx[:, k]] + rss
-        return idx, metric
+            idx.append(np.argmin(metrics, axis=1))
+            metric.append(metrics.min(axis=1) + rss)
+        return np.stack(idx, axis=1), np.stack(metric, axis=1)
 
     def _sic(self, r, z, rss):
         """Stages on R's diagonal blocks. With the columns in reverse group
         order, group k sits at [after, end): the groups decoded after it
         come before, and z[end:] holds the residuals of the groups before."""
-        b = r.shape[0]
-        idx = np.empty((b, len(self.groups)), dtype=np.int64)
-        metric = np.empty((b, len(self.groups)))
+        idx, metric = [], []
         end = self.K
         for k, grp in enumerate(self.groups):
             after = end - len(grp)
@@ -249,17 +251,15 @@ class GroupDecoder:
             metrics = np.einsum("bjm,bjm->bm", diff, diff)
             choice = np.argmin(metrics, axis=1)
             done = z[:, end:]
-            idx[:, k] = choice
-            metric[:, k] = metrics[np.arange(b), choice] + rss + np.einsum("bj,bj->b", done, done)
+            idx.append(choice)
+            metric.append(metrics.min(axis=1) + rss + np.einsum("bj,bj->b", done, done))
             z = z - np.einsum("bjc,bc->bj", r[:, :, after:end], points[choice])
             end = after
-        return idx, metric
+        return np.stack(idx, axis=1), np.stack(metric, axis=1)
 
     def _projected(self, g, y):
-        """PIC / PIC-SIC by SVD projection: the rank-deficient fallback."""
-        b = g.shape[0]
-        idx = np.empty((b, len(self.groups)), dtype=np.int64)
-        metric = np.empty((b, len(self.groups)))
+        """PIC / PIC-SIC by SVD projection: the exact fallback."""
+        idx, metric = [], []
         sic = self.decoder.endswith("-sic")
         yk = y.copy() if sic else y
         for k, grp in enumerate(self.groups):
@@ -269,31 +269,31 @@ class GroupDecoder:
             diff = py[:, :, None] - pg @ points.T
             metrics = np.einsum("bdm,bdm->bm", diff, diff)
             choice = np.argmin(metrics, axis=1)
-            idx[:, k] = choice
-            metric[:, k] = metrics[np.arange(b), choice]
+            idx.append(choice)
+            metric.append(metrics.min(axis=1))
             if sic:
                 yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
-        return idx, metric
+        return np.stack(idx, axis=1), np.stack(metric, axis=1)
 
-    def _ml(self, g, y, z, r):
-        """Split-half search of ||z - R x||^2; the flat index i1 * M2 + i2 is
-        the product-alphabet index, so argmin keeps the lowest on ties."""
+    def _ml(self, g, y, gram):
+        """Split-half search of x'Ax - 2b'x, with A = G'G and b = G'y read
+        from the Gram matrix; the flat index i1 * M2 + i2 is the
+        product-alphabet index, so argmin keeps the lowest on ties."""
         (x1, idx1), (x2, idx2) = self.halves
         k1 = x1.shape[1]
-        h = min(k1, r.shape[1])  # rows of R that the first half reaches
         block = max(1, _ML_BLOCK // (x1.shape[0] * x2.shape[0]))
         best = np.empty(g.shape[0], dtype=np.int64)
         for lo in range(0, g.shape[0], block):
-            sl = slice(lo, lo + block)
-            a = np.einsum("mk,bjk->bmj", x1, r[sl, :h, :k1])
-            t = z[sl, None, :] - np.einsum("mk,bjk->bmj", x2, r[sl, :, k1:])
-            # ||a||^2 - 2 a.t[:h] + ||t||^2 for every (i1, i2) as one product
-            one_a, one_t = np.ones(a.shape[:2] + (1,)), np.ones(t.shape[:2] + (1,))
-            lhs = np.concatenate([a, np.einsum("bmj,bmj->bm", a, a)[:, :, None], one_a], axis=2)
-            rhs = np.concatenate([-2.0 * t[:, :, :h], one_t,
-                                  np.einsum("bmj,bmj->bm", t, t)[:, :, None]], axis=2)
+            a, b = gram[lo:lo + block, :-1, :-1], gram[lo:lo + block, -1:, :-1]
+            # x1'A11x1 - 2b1'x1 + 2x1'A12x2 + x2'A22x2 - 2b2'x2 as one product
+            p1 = np.sum((x1 @ a[:, :k1, :k1] - 2.0 * b[:, :, :k1]) * x1, axis=2)
+            p2 = np.sum((x2 @ a[:, k1:, k1:] - 2.0 * b[:, :, k1:]) * x2, axis=2)
+            lhs = np.concatenate([np.broadcast_to(x1, p1.shape + (k1,)), p1[:, :, None],
+                                  np.ones(p1.shape + (1,))], axis=2)
+            rhs = np.concatenate([2.0 * (x2 @ a[:, k1:, :k1]), np.ones(p2.shape + (1,)),
+                                  p2[:, :, None]], axis=2)
             metric = lhs @ np.swapaxes(rhs, 1, 2)
-            best[sl] = np.argmin(metric.reshape(metric.shape[0], -1), axis=1)
+            best[lo:lo + block] = np.argmin(metric.reshape(metric.shape[0], -1), axis=1)
         i1, i2 = np.divmod(best, x2.shape[0])
         idx = np.concatenate([idx1[i1], idx2[i2]], axis=1)
         res = y - np.einsum("bdk,bk->bd", g, group_symbols(self.groups, self.sets, idx))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from dstbc.construct import ConjugateLinearForm
+from dstbc.construct import ConjugateLinearForm, DstbcCode, rate_cspcu
 from dstbc.decode import _project_out, _singleton_refinement, group_symbols
 from dstbc.design import (
     CodProfile,
@@ -73,6 +73,32 @@ def complement_transform_selftest(
     return True
 
 
+_POWER_TOL = 1e-9
+
+
+def satisfies_constraint(power, code: DstbcCode) -> bool:
+    """Whether the split meets pi1*T1 + pi2*R*T2 = T1 + T2 within _POWER_TOL."""
+    r = float(rate_cspcu(code))
+    lhs = power.pi1 * code.T1 + power.pi2 * r * code.T2
+    return abs(lhs - (code.T1 + code.T2)) <= _POWER_TOL * (code.T1 + code.T2)
+
+
+def noise_bound(channel, gm, power) -> np.ndarray:
+    """Per trial, whether the trace/eigenvalue bound holds; (b,) bool.
+
+    alpha = T2*N_D + beta * relay_gain * sum |g|^2 with beta the largest
+    squared Frobenius norm among the relay matrices; both the trace and
+    the largest eigenvalue of the realified covariance stay below alpha.
+    Its trace is that of Gamma_c, its largest eigenvalue half Gamma_c's.
+    """
+    gamma_c = channel.covariance(gm, power)
+    beta = np.max(np.sum(np.abs(channel.relay_mats) ** 2, axis=(1, 2)))
+    g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))
+    limit = (channel.T2 * gm.shape[2] + beta * power.relay_gain * g2) * (1 + 1e-12)
+    trace = np.trace(gamma_c, axis1=1, axis2=2).real
+    return (trace <= limit) & (0.5 * np.linalg.eigvalsh(gamma_c)[:, -1] <= limit)
+
+
 def save_design(d: LinearDesign, path) -> None:
     with open(path, "w") as f:
         json.dump(design_to_dict(d), f)
@@ -105,7 +131,7 @@ def reindex(c: CodProfile, symbol_indices, k_total: int) -> LinearDesign:
 # The realified route to the whitened model: realify the complex covariance
 # and the channel columns first, then whiten with a real eigh of size
 # 2*N_D*T2. RelayChannel.observe must give the same [G y]'[G y] and the
-# same decisions, and noise_bound the same verdicts.
+# same decisions, and realified_noise_bound the verdicts of noise_bound.
 
 def _whitener(gamma: np.ndarray):
     """Hermitian inverse square roots of a stack of covariances, and their
@@ -148,7 +174,7 @@ def realified_observe(channel, x, f, gm, v, w, power):
 
 
 def realified_noise_bound(channel, gm, power) -> np.ndarray:
-    """RelayChannel.noise_bound on the realified covariance."""
+    """noise_bound on the realified covariance."""
     gamma = _realify_cov(channel.covariance(gm, power))
     beta = np.max(np.sum(np.abs(channel.relay_mats) ** 2, axis=(1, 2)))
     g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))

@@ -24,7 +24,7 @@ from dstbc.construct import (
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate, verify_cod
 from dstbc.diversity import REL_SV_THRESHOLD, _relative_sv, check_pic_sic
 from dstbc.harness import ExperimentConfig, estimate_diversity_slope, run_ber
-from tests.helpers import _realify_cov, _whitener, codeword_column, rvec
+from tests.helpers import _realify_cov, _whitener, codeword_column, noise_bound, rvec
 from tests.test_decode import cn, observed_problem, x_hat
 
 
@@ -122,7 +122,7 @@ def test_criterion_04_noise_model():
             rel_w = (np.linalg.norm(emp_w - np.eye(dim))
                      / np.linalg.norm(np.eye(dim)))
             assert rel_w < 0.03, f"whitened covariance mismatch {rel_w:.4f}"
-        assert channel.noise_bound(cn(rng, 100, 2, 2), power).all()
+        assert noise_bound(channel, cn(rng, 100, 2, 2), power).all()
 
 
 def test_criterion_05_decoder_equivalences():

@@ -9,9 +9,11 @@ from tests.helpers import (
     _real_channel,
     _realify_cov,
     _whitener,
+    noise_bound,
     realified_noise_bound,
     realified_observe,
     rvec,
+    satisfies_constraint,
 )
 from tests.test_acceptance import _sweep_codes
 from tests.test_decode import cn, decoders_of
@@ -42,7 +44,7 @@ class TestPowerConfig:
         code = build(8, cod_alamouti(), 1, 3)
         cfg = PowerConfig.balanced(code, 10.0)
         assert abs(cfg.pi2 - 3.0) < 1e-12  # R = 1/3
-        assert cfg.satisfies_constraint(code)
+        assert satisfies_constraint(cfg, code)
 
     def test_rho_formula(self):
         cfg = PowerConfig(4.0, 1.0, 2.0)
@@ -50,7 +52,7 @@ class TestPowerConfig:
 
     def test_constraint_rejected_when_violated(self):
         code = _alamouti_code()
-        assert not PowerConfig(10.0, 1.0, 17.3).satisfies_constraint(code)
+        assert not satisfies_constraint(PowerConfig(10.0, 1.0, 17.3), code)
 
     @pytest.mark.parametrize("pi1", [0.0, -1.0, 2.5, 3.0, float("nan")])
     def test_balanced_rejects_pi1_outside_open_interval(self, pi1):
@@ -99,7 +101,7 @@ class TestEffectiveChannel:
             with pytest.raises(ValueError, match="^f must"):
                 call(x, f4[0], gm4, v, w, power)  # no trial axis
         with pytest.raises(ValueError, match="^gm must"):
-            channel.noise_bound(gm2, power)
+            channel.covariance(gm2, power)
 
 
 class TestBoundaryChecks:
@@ -185,7 +187,7 @@ class TestNoiseCovariance:
         rng = np.random.default_rng(7)
         code = build(4, cod_alamouti(), 1, 2)
         power = PowerConfig.balanced(code, 15.0)
-        ok = RelayChannel(code).noise_bound(cn(rng, 100, 4, 2), power)
+        ok = noise_bound(RelayChannel(code), cn(rng, 100, 4, 2), power)
         assert ok.shape == (100,) and ok.all()
 
     def test_smallest_eigenvalue_at_least_one(self):
@@ -359,5 +361,5 @@ class TestRealifiedOracle:
         channel = RelayChannel(code)
         power = PowerConfig.balanced(code, 15.0)
         gm = cn(rng, 100, code.N, 2)
-        np.testing.assert_array_equal(channel.noise_bound(gm, power),
+        np.testing.assert_array_equal(noise_bound(channel, gm, power),
                                       realified_noise_bound(channel, gm, power))

@@ -275,10 +275,13 @@ def decoders_of(code):
     return out
 
 
-def duplicate_column(g, rows, src, dst):
-    """G with column dst replaced by column src on the given rows."""
+def duplicate_column(g, rows, src, dst, delta=0.0, rng=None):
+    """G with column dst replaced by column src on the given rows, plus
+    delta times standard normal noise when delta is nonzero."""
     g = g.copy()
     g[rows, :, dst] = g[rows, :, src]
+    if delta:
+        g[rows, :, dst] += delta * rng.standard_normal((len(rows), g.shape[1]))
     return g
 
 
@@ -298,25 +301,35 @@ class TestOracle:
     def test_sweep_codes_equal_oracle(self, decoder):
         from tests.test_acceptance import _sweep_codes
 
-        batches = ties = 0
+        batches, ties, shapes = 0, 0, {"d > K": 0, "d = K": 0, "d < K": 0}
         for i, (tag, code) in enumerate(_sweep_codes()):
             try:
                 dec = GroupDecoder(decoder, code.grouping, code.group_sets)
             except ValueError:
                 continue  # ZF on a rotated alphabet, ML above the cap
             rng = np.random.default_rng(900 + i)
-            for P in (2.0, 1000.0):
-                g, y, _ = observed_problem(code, 2, P, rng, trials=256)
-                idx, metric = dec.decide(g, y)
-                o_idx, o_metric, n_ties = oracle_decide(
-                    decoder, code.grouping, code.group_sets, g, y)
-                np.testing.assert_array_equal(idx, o_idx, err_msg=f"{tag} P={P}")
-                np.testing.assert_allclose(metric, o_metric, rtol=1e-9, err_msg=f"{tag} P={P}")
-                batches += 1
-                ties += n_ties
-        print(f"{decoder}: {batches} batches of 256 equal the oracle; "
+            for nd in (2, 1):
+                d = 2 * nd * code.T2
+                shapes["d > K" if d > code.K else "d = K" if d == code.K else "d < K"] += 2
+                for P in (2.0, 1000.0):
+                    g, y, _ = observed_problem(code, nd, P, rng, trials=256)
+                    idx, metric = dec.decide(g, y)
+                    o_idx, o_metric, n_ties = oracle_decide(
+                        decoder, code.grouping, code.group_sets, g, y)
+                    msg = f"{tag} N_D={nd} P={P}"
+                    np.testing.assert_array_equal(idx, o_idx, err_msg=msg)
+                    if nd == 2:
+                        np.testing.assert_allclose(metric, o_metric, rtol=1e-9, err_msg=msg)
+                    else:  # plus an absolute floor of 1e-10 ||y||^2 per row
+                        yy = np.einsum("bd,bd->b", y, y)[:, None]
+                        np.testing.assert_allclose(metric / yy, o_metric / yy, rtol=1e-9,
+                                                   atol=1e-10, err_msg=msg)
+                    batches += 1
+                    ties += n_ties
+        print(f"{decoder}: {batches} batches of 256 equal the oracle ({shapes}); "
               f"{ties} oracle decisions had an exact metric tie")
-        assert batches >= 2 * 24  # the 24 PAM-2 codes at least
+        assert batches >= 2 * 2 * 24  # the 24 PAM-2 codes at least
+        assert shapes["d = K"]  # square G at N_D = 1
 
     @pytest.mark.parametrize("make_code,decoder", [
         (_qam_code, "pic"), (_qam_code, "pic-sic"), (_qam_code, "ml"),
@@ -326,16 +339,26 @@ class TestOracle:
         # every third row gets column 0 twice: inside group 0 of the QAM
         # code, across the first two singletons of the PAM code. ML stays on
         # the QAM code: swapping two PAM-2 symbols on a shared column leaves
-        # G x unchanged, an exact tie that only rounding would break.
+        # G x unchanged, an exact tie that only rounding would break. The
+        # near-duplicates (delta > 0) have full rank, but a condition number
+        # that a factor of the Gram matrix cannot resolve: at delta = 1e-6
+        # their rows fall below the pivot tolerance, while at 0 and 1e-8 the
+        # Cholesky factor of the chunk fails and every row is projected.
         code = make_code()
         assert 1 in code.grouping.groups[0] + code.grouping.groups[1]
-        g, y, _ = observed_problem(code, 2, 20.0, np.random.default_rng(16), trials=60)
-        g = duplicate_column(g, np.arange(0, 60, 3), 0, 1)
-        assert (np.linalg.matrix_rank(g) < code.K).tolist() == [t % 3 == 0 for t in range(60)]
-        idx, metric = GroupDecoder(decoder, code.grouping, code.group_sets).decide(g, y)
-        o_idx, o_metric, _ = oracle_decide(decoder, code.grouping, code.group_sets, g, y)
-        np.testing.assert_array_equal(idx, o_idx)
-        np.testing.assert_allclose(metric, o_metric, rtol=1e-9, atol=1e-12)
+        rng = np.random.default_rng(16)
+        g0, y, _ = observed_problem(code, 2, 20.0, rng, trials=60)
+        dec = GroupDecoder(decoder, code.grouping, code.group_sets)
+        for delta in (0.0, 1e-6, 1e-8):
+            g = duplicate_column(g0, np.arange(0, 60, 3), 0, 1, delta, rng)
+            if not delta:
+                assert (np.linalg.matrix_rank(g) < code.K).tolist() == [t % 3 == 0
+                                                                        for t in range(60)]
+            idx, metric = dec.decide(g, y)
+            o_idx, o_metric, _ = oracle_decide(decoder, code.grouping, code.group_sets, g, y)
+            np.testing.assert_array_equal(idx, o_idx, err_msg=f"delta={delta}")
+            np.testing.assert_allclose(metric, o_metric, rtol=1e-9, atol=1e-12,
+                                       err_msg=f"delta={delta}")
 
     @pytest.mark.parametrize("decoder", DECODERS)
     def test_rows_decode_as_batches_of_one(self, decoder):

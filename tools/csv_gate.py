@@ -1,0 +1,51 @@
+"""Fingerprint run_ber output: one sha256 per configuration, decoder and seed.
+
+Prints a line per run_ber(...).to_csv() over the three BER benchmark
+configurations and a square one (2*N_D*T2 = K), for every decoder and
+master_seed 0 and 1. A decoder a code refuses prints the hash of its
+message instead. Two checkouts decode alike when their outputs are equal:
+
+    DSTBC_THREADS=1 python3 tools/csv_gate.py > a.txt
+    DSTBC_THREADS=2 python3 tools/csv_gate.py > b.txt
+    diff a.txt b.txt
+
+The dstbc imported is the one under src/ next to this script.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from dstbc.decode import DECODERS  # noqa: E402
+from dstbc.harness import ExperimentConfig, run_ber  # noqa: E402
+
+# name: (preset, N, lam, n, modulation, nd, SNR grid in dB, trial cap, error target)
+CONFIGS = {
+    "ber-sweep-pam2": ("scalar", 2, 1, 2, "pam2", 2, (2, 5, 8, 11, 14), 16384, 400),
+    "ber-pam8-zfsic": ("alamouti", 8, 1, 3, "pam8", 1, (10, 15, 20), 1024, 10**9),
+    "ber-qam4-crit9": ("alamouti", 4, 2, 2, "qam4", 4, (6,), 512, 10**9),
+    "square-pam4": ("alamouti", 2, 1, 1, "pam4", 1, (0, 10, 20, 30), 4096, 400),
+}
+
+
+def main() -> int:
+    for name, (preset, N, lam, n, modulation, nd, grid, cap, target) in CONFIGS.items():
+        for decoder in DECODERS:
+            for seed in (0, 1):
+                cfg = ExperimentConfig(
+                    decoder=decoder, preset=preset, N=N, lam=lam, n=n,
+                    modulation=modulation, nd=nd, snr_grid_db=grid,
+                    max_trials=cap, max_bit_errors=target, master_seed=seed)
+                try:
+                    out, kind = run_ber(cfg).to_csv(), "csv"
+                except ValueError as e:
+                    out, kind = str(e), "refused"
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                print(f"{name} {decoder} seed={seed} {kind} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
