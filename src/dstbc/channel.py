@@ -120,8 +120,10 @@ class RelayChannel:
         """Transmit, then whiten: the real model (G (b, d, K), y (b, d))."""
         y = self.transmit(x, f, gm, v, w, power)
         b = y.shape[0]
-        ah = np.einsum("ktn,bnl->bltk", self.weights, self.effective(f, gm))
-        cols = np.concatenate([math.sqrt(power.rho) * ah.reshape(b, -1, self.K),
+        # every A_k H by one (K*T2, N) @ (b, N, N_D) product
+        ah = self.weights.reshape(-1, self.N) @ self.effective(f, gm)
+        ah = math.sqrt(power.rho) * ah.reshape(b, self.K, self.T2, -1).transpose(0, 3, 2, 1)
+        cols = np.concatenate([ah.reshape(b, -1, self.K),  # rows vec(A_k H), column-major
                                np.swapaxes(y, 1, 2).reshape(b, -1, 1)], axis=2)
         # the covariance stays bound until return: releasing it mid-chunk
         # left about 20 MiB more resident after multi-worker ML runs

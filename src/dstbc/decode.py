@@ -8,11 +8,11 @@ available when the group alphabets factor per coordinate. ML minimizes
 ||y - G x||^2 over the full product alphabet.
 
 The decoders read (G, y) only through the Gram matrix [G y]'[G y], formed
-once per chunk with its columns in the decoder's order. PIC, PIC-SIC and
-the ZF flavours take one Cholesky factor of it, with 1 added to the y'y
-entry so that the factor exists when y lies in span(G). Its upper factor is
-[[R, z], [0, sqrt(rss + 1)]] with R'R = G'G, z = R^-T G'y and rss the part
-of y outside span(G), so ||y - G x||^2 = ||z - R x||^2 + rss:
+once per chunk with its columns in the decoder's order. Every decoder takes
+one Cholesky factor of it, with 1 added to the y'y entry so that the factor
+exists when y lies in span(G). Its upper factor is [[R, z], [0, sqrt(rss + 1)]]
+with R'R = G'G, z = R^-T G'y and rss the part of y outside span(G), so
+||y - G x||^2 = ||z - R x||^2 + rss:
 
 - PIC-SIC / ZF-SIC take the columns in reverse group order, so the leading
   columns of R belong to the groups decoded after the current one (Wübben
@@ -20,23 +20,32 @@ of y outside span(G), so ||y - G x||^2 = ||z - R x||^2 + rss:
   own diagonal block of R, and a decision is subtracted from z through R.
 - PIC / ZF take x^ = R^-1 z. Group k scores (a - x^_k)' S_k (a - x^_k) + rss,
   where S_k is the inverse of block k of (G'G)^-1 = R^-1 R^-T.
+- ML takes the PIC-SIC order and factor, and searches the sphere
+  ||z - R x||^2 <= r^2 breadth-first (Fincke-Pohst; Viterbo & Boutros,
+  IEEE Trans. IT 1999; Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT 2002). r^2 is the metric of the PIC-SIC decision,
+  widened by a relative 1e-10 so that rounding cannot prune that decision,
+  which is also kept as a candidate: every trial has one, and the search is
+  exact. Level k extends every survivor by each point of group k, adding
+  its block row's term, and keeps the extensions inside the sphere. A
+  level whose survivors pass _ML_SURVIVORS splits its trial block in two,
+  and each half goes on alone. The metric returned is ||y - G x||^2.
 
 A Gram factor loses about eps * kappa(G)^2 in relative accuracy. A row whose
 smallest pivot of R is at most _PIVOT_TOL = 1e-4 times its largest has
-kappa(G) >= 1e4, so its factor keeps at most about 8 digits: such rows, and
-every row of a chunk on which cholesky raises, are decoded by SVD projection
-with a numerical-rank cut instead. rss is common to a trial's candidates, so
-no decision depends on it; a metric is accurate to about eps*||y||^2*kappa^2.
-
-ML needs no factor: in group order it scores x'Ax - 2b'x, A = G'G and
-b = G'y read from the Gram matrix, which holds for any G. Each half of the
-groups has its candidates enumerated once, trials are searched in blocks
-that bound the (trials, M1, M2) metric array, and the metric returned is
-||y - G x||^2.
+kappa(G) >= 1e4, so its factor keeps at most about 8 digits. Such rows, and
+rows with no factor (numpy's batched factor fails as a whole, and only then
+is each row factored on its own), take the exact fallback: SVD projection
+with a numerical-rank cut for PIC and PIC-SIC, and for ML an exhaustive
+search of x'Ax - 2b'x, A = G'G and b = G'y, which holds for any G. That
+search enumerates each half of the groups' candidates once, and bounds the
+(trials, M1, M2) metric array by searching trials in blocks. rss is common
+to a trial's candidates, so no decision depends on it; a metric is accurate
+to about eps*||y||^2*kappa^2.
 
 Decoding is batch-first: GroupDecoder decides a chunk of trials along a
 leading axis, and a single problem is a batch of one. Ties go to the lowest
-candidate index among metrics that are equal as computed, so equal inputs
+candidate index, for ML the product-alphabet index with the last group
+varying fastest, among metrics that are equal as computed, so equal inputs
 always produce equal outputs. Candidates that tie only in exact arithmetic,
 such as two symbols on a duplicated column of G, carry metrics that differ
 by rounding, and may be decided differently from an exhaustive search.
@@ -59,6 +68,8 @@ _PIVOT_TOL = 1e-4
 ML_CANDIDATE_CAP = 2**20
 # ML candidate-pair metrics held at once (2 MiB): trials per block times M1 * M2
 _ML_BLOCK = 2**18
+# sphere-search survivors of one level above which a trial block is split
+_ML_SURVIVORS = 2**15
 
 
 def group_symbols(groups, sets, idx: np.ndarray) -> np.ndarray:
@@ -156,6 +167,32 @@ def _ml_half(sets):
     return x, idx
 
 
+def _factor(gram):
+    """Upper Cholesky factors of Gram matrices (b, n, n), and the rows to
+    decode from them: those whose pivot ratio exceeds _PIVOT_TOL. numpy's
+    batched factor fails as a whole, so only then is each row factored on
+    its own; a row with no factor keeps zeros, which the ratio rejects."""
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        lower = np.zeros_like(gram)
+        for t, a in enumerate(gram):
+            try:
+                lower[t] = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                pass
+    c = np.swapaxes(lower, 1, 2)
+    diag = np.diagonal(c[:, :-1, :-1], axis1=1, axis2=2)
+    return c, diag.min(axis=1) > _PIVOT_TOL * diag.max(axis=1)
+
+
+def _rows(full, fast, exact):
+    """One array over all rows: fast on the rows where full holds, exact on the rest."""
+    out = np.empty((full.size,) + fast.shape[1:], fast.dtype)
+    out[full], out[~full] = fast, exact
+    return out
+
+
 class GroupDecoder:
     """One decoder's tables for one grouping, applied to chunks of trials.
 
@@ -175,24 +212,29 @@ class GroupDecoder:
             grouping, sets, self.label_map = _singleton_refinement(grouping, sets)
         self.groups = [list(g) for g in grouping.groups]
         self.sets = tuple(sets)
-        if decoder == "ml":
-            total = math.prod(s.size for s in self.sets)
-            if total > ML_CANDIDATE_CAP:
-                raise ValueError(f"product alphabet has {total} points, "
-                                 f"above the cap {ML_CANDIDATE_CAP}")
-            half = len(self.groups) // 2
-            self.halves = (_ml_half(self.sets[:half]), _ml_half(self.sets[half:]))
-            self.order = [c for grp in self.groups for c in grp]
-            return
         pic = decoder in ("pic", "zf")
         nulled = grouping.complement if pic else grouping.tail
         self.interference = [list(nulled(k)) for k in range(grouping.g)]
-        # Gram columns: PIC keeps G's order, SIC takes the groups in reverse
+        # Gram columns: PIC keeps G's order, SIC and ML take the groups in reverse
         self.order = list(range(self.K)) if pic else [c for grp in self.groups[::-1] for c in grp]
         # PIC inverts the S_k blocks of one size in one call
         sizes = sorted({len(grp) for grp in self.groups})
         self.size_classes = [[k for k, grp in enumerate(self.groups) if len(grp) == m]
                              for m in sizes]
+        if decoder == "ml":
+            self.sizes = [s.size for s in self.sets]
+            total = math.prod(self.sizes)
+            if total > ML_CANDIDATE_CAP:
+                raise ValueError(f"product alphabet has {total} points, "
+                                 f"above the cap {ML_CANDIDATE_CAP}")
+            # product-alphabet index: the last group varies fastest
+            self.strides = np.array([math.prod(self.sizes[k + 1:])
+                                     for k in range(len(self.sizes))])
+            half = len(self.groups) // 2
+            self.halves = (_ml_half(self.sets[:half]), _ml_half(self.sets[half:]))
+            # the split-half fallback reads the Gram matrix in group order
+            self.group_order = np.array([self.order.index(c) for grp in self.groups
+                                         for c in grp] + [self.K])
 
     def decide(self, g: np.ndarray, y: np.ndarray):
         if g.ndim != 3 or g.shape[2] != self.K:
@@ -201,25 +243,20 @@ class GroupDecoder:
             raise ValueError(f"y must be (b, d) matching the rows of G {g.shape}, got {y.shape}")
         gy = np.concatenate([g[:, :, self.order], y[:, :, None]], axis=2)
         gram = np.swapaxes(gy, 1, 2) @ gy
-        if self.decoder == "ml":
-            return self._ml(g, y, gram)
         gram[:, -1, -1] += 1.0  # keeps the factor positive definite when y is in span(G)
-        try:
-            c = np.swapaxes(np.linalg.cholesky(gram), 1, 2)  # [[R, z], [0, sqrt(rss + 1)]]
-        except np.linalg.LinAlgError:
-            return self._projected(g, y)
+        c, full = _factor(gram)  # c = [[R, z], [0, sqrt(rss + 1)]]
         r, z = c[:, :-1, :-1], c[:, :-1, -1]
         rss = c[:, -1, -1] ** 2 - 1.0  # the part of y outside span(G)
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        full = diag.min(axis=1) > _PIVOT_TOL * diag.max(axis=1)
+        if self.decoder == "ml":
+            idx = (self._sphere(r, z) if full.all() else
+                   _rows(full, self._sphere(r[full], z[full]), self._ml(gram[~full])))
+            res = y - np.einsum("bdk,bk->bd", g, group_symbols(self.groups, self.sets, idx))
+            return idx, np.einsum("bd,bd->b", res, res)[:, None]
         solve = self._pic if self.decoder in ("pic", "zf") else self._sic
         if full.all():
             return solve(r, z, rss)
-        idx = np.empty((g.shape[0], len(self.groups)), dtype=np.int64)
-        metric = np.empty(idx.shape)
-        idx[full], metric[full] = solve(r[full], z[full], rss[full])
-        idx[~full], metric[~full] = self._projected(g[~full], y[~full])
-        return idx, metric
+        fast, exact = solve(r[full], z[full], rss[full]), self._projected(g[~full], y[~full])
+        return tuple(_rows(full, a, e) for a, e in zip(fast, exact))
 
     def _pic(self, r, z, rss):
         """Metric (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2 per group."""
@@ -275,15 +312,68 @@ class GroupDecoder:
                 yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
         return np.stack(idx, axis=1), np.stack(metric, axis=1)
 
-    def _ml(self, g, y, gram):
+    def _sphere(self, r, z):
+        """Exact ML by a breadth-first search up R's block rows, inside the
+        sphere through the PIC-SIC decision; returns point indices (b, g).
+        Among metrics equal as computed, the lowest product index wins."""
+        b = r.shape[0]
+        sic_idx, sic_metric = self._sic(r, z, 0.0)
+        sic_metric = sic_metric[:, -1]
+        radius = sic_metric * (1.0 + 1e-10)  # rounding must not prune the decision itself
+        # group k sits at R's columns [start, end); R[:end, start:end] a for each
+        # of its points a, (b, M_k, end), holds on rows [start, end) its block
+        # row's term and on the rows above its update of z
+        products, end = [], self.K
+        for grp, s in zip(self.groups, self.sets):
+            start = end - len(grp)
+            products.append(s.points @ np.swapaxes(r[:, :end, start:end], 1, 2))
+            end = start
+        leaves = self._descend(products, radius, 0, np.arange(b),
+                               np.zeros(b, dtype=np.int64), np.zeros(b), z)
+        # the PIC-SIC decision is a candidate too, so every trial has one
+        leaves.append((np.arange(b), sic_idx @ self.strides, sic_metric))
+        trial, flat, metric = (np.concatenate(col) for col in zip(*leaves))
+        order = np.lexsort((flat, metric, trial))
+        best = order[np.searchsorted(trial[order], np.arange(b))]  # each trial's first
+        return np.stack(np.unravel_index(flat[best], self.sizes), axis=1)
+
+    def _descend(self, products, radius, level, trial, flat, metric, zr):
+        """Take the survivors of the groups before level through the rest.
+
+        Survivor i is a trial, a partial product index, its partial metric
+        and zr[i], z less R times the symbols decided so far, on the rows
+        above those groups. Group k adds |zr_k - R_kk a|^2 for each point a
+        of its own rows. A level whose survivors pass _ML_SURVIVORS splits
+        its trial block in two; returns a (trial, flat, metric) per block.
+        """
+        for k in range(level, len(self.groups)):
+            start = zr.shape[1] - len(self.groups[k])
+            diff = zr[:, None, start:] - products[k][trial, :, start:]
+            cand = metric[:, None] + np.einsum("nmj,nmj->nm", diff, diff)
+            parent, point = np.nonzero(cand <= radius[trial, None])
+            trial, flat = trial[parent], flat[parent] + point * self.strides[k]
+            metric = cand[parent, point]
+            if k + 1 == len(self.groups):
+                break
+            zr = zr[parent, :start] - products[k][trial, point, :start]
+            if trial.size > _ML_SURVIVORS and trial[0] != trial[-1]:
+                cut = np.searchsorted(trial, (trial[0] + trial[-1] + 1) // 2)
+                return [leaf for part in (slice(None, cut), slice(cut, None))
+                        for leaf in self._descend(products, radius, k + 1, trial[part],
+                                                  flat[part], metric[part], zr[part])]
+        return [(trial, flat, metric)]
+
+    def _ml(self, gram):
         """Split-half search of x'Ax - 2b'x, with A = G'G and b = G'y read
-        from the Gram matrix; the flat index i1 * M2 + i2 is the
-        product-alphabet index, so argmin keeps the lowest on ties."""
+        from the Gram matrix: the exact fallback, which needs no factor. The
+        flat index i1 * M2 + i2 is the product-alphabet index, so argmin
+        keeps the lowest on ties."""
+        gram = gram[:, self.group_order[:, None], self.group_order]
         (x1, idx1), (x2, idx2) = self.halves
         k1 = x1.shape[1]
         block = max(1, _ML_BLOCK // (x1.shape[0] * x2.shape[0]))
-        best = np.empty(g.shape[0], dtype=np.int64)
-        for lo in range(0, g.shape[0], block):
+        best = np.empty(gram.shape[0], dtype=np.int64)
+        for lo in range(0, gram.shape[0], block):
             a, b = gram[lo:lo + block, :-1, :-1], gram[lo:lo + block, -1:, :-1]
             # x1'A11x1 - 2b1'x1 + 2x1'A12x2 + x2'A22x2 - 2b2'x2 as one product
             p1 = np.sum((x1 @ a[:, :k1, :k1] - 2.0 * b[:, :, :k1]) * x1, axis=2)
@@ -295,9 +385,7 @@ class GroupDecoder:
             metric = lhs @ np.swapaxes(rhs, 1, 2)
             best[lo:lo + block] = np.argmin(metric.reshape(metric.shape[0], -1), axis=1)
         i1, i2 = np.divmod(best, x2.shape[0])
-        idx = np.concatenate([idx1[i1], idx2[i2]], axis=1)
-        res = y - np.einsum("bdk,bk->bd", g, group_symbols(self.groups, self.sets, idx))
-        return idx, np.einsum("bd,bd->b", res, res)[:, None]
+        return np.concatenate([idx1[i1], idx2[i2]], axis=1)
 
     def group_indices(self, dec_idx: np.ndarray) -> np.ndarray:
         """Map decode-group decisions to point indices of the original groups."""

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dstbc import decode
 from dstbc.channel import PowerConfig, RelayChannel
 from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam, rotation_2d
 from dstbc.construct import GroupingScheme, build, from_design, preset
 from dstbc.decode import (
-    _ML_BLOCK,
     DECODERS,
     ML_CANDIDATE_CAP,
     GroupDecoder,
@@ -202,6 +202,15 @@ class TestMl:
         with pytest.raises(ValueError, match="cap"):
             GroupDecoder("ml", code.grouping, code.group_sets)
 
+    def test_empty_sphere_keeps_the_pic_sic_decision(self, monkeypatch):
+        # were rounding to prune every leaf of a trial's search, the PIC-SIC
+        # decision that set its radius would still be a candidate
+        rng = np.random.default_rng(13)
+        code = _qam_code()
+        g, y, _ = observed_problem(code, 2, 5.0, rng, trials=50)
+        monkeypatch.setattr(GroupDecoder, "_descend", lambda self, *args: [])
+        np.testing.assert_array_equal(x_hat("ml", code, g, y), x_hat("pic-sic", code, g, y))
+
     def test_global_optimality_over_sic(self):
         rng = np.random.default_rng(14)
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
@@ -275,6 +284,18 @@ def decoders_of(code):
     return out
 
 
+def spy(monkeypatch, name):
+    """The arguments of every later call to GroupDecoder.<name>, in a list."""
+    calls, method = [], getattr(GroupDecoder, name)
+
+    def recorded(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(GroupDecoder, name, recorded)
+    return calls
+
+
 def duplicate_column(g, rows, src, dst, delta=0.0, rng=None):
     """G with column dst replaced by column src on the given rows, plus
     delta times standard normal noise when delta is nonzero."""
@@ -335,7 +356,7 @@ class TestOracle:
         (_qam_code, "pic"), (_qam_code, "pic-sic"), (_qam_code, "ml"),
         (_pam_code, "pic"), (_pam_code, "pic-sic"), (_pam_code, "zf"), (_pam_code, "zf-sic"),
     ])
-    def test_duplicated_column_rows(self, make_code, decoder):
+    def test_duplicated_column_rows(self, make_code, decoder, monkeypatch):
         # every third row gets column 0 twice: inside group 0 of the QAM
         # code, across the first two singletons of the PAM code. ML stays on
         # the QAM code: swapping two PAM-2 symbols on a shared column leaves
@@ -343,26 +364,33 @@ class TestOracle:
         # near-duplicates (delta > 0) have full rank, but a condition number
         # that a factor of the Gram matrix cannot resolve: at delta = 1e-6
         # their rows fall below the pivot tolerance, while at 0 and 1e-8 the
-        # Cholesky factor of the chunk fails and every row is projected.
+        # Cholesky factor of the chunk fails and each row is factored alone.
+        # Either way only those 20 rows reach the exact fallback.
         code = make_code()
         assert 1 in code.grouping.groups[0] + code.grouping.groups[1]
         rng = np.random.default_rng(16)
         g0, y, _ = observed_problem(code, 2, 20.0, rng, trials=60)
         dec = GroupDecoder(decoder, code.grouping, code.group_sets)
+        exact = spy(monkeypatch, "_ml" if decoder == "ml" else "_projected")
         for delta in (0.0, 1e-6, 1e-8):
             g = duplicate_column(g0, np.arange(0, 60, 3), 0, 1, delta, rng)
             if not delta:
                 assert (np.linalg.matrix_rank(g) < code.K).tolist() == [t % 3 == 0
                                                                         for t in range(60)]
+            exact.clear()
             idx, metric = dec.decide(g, y)
+            assert sum(len(args[0]) for args in exact) == 20, f"delta={delta}"
             o_idx, o_metric, _ = oracle_decide(decoder, code.grouping, code.group_sets, g, y)
             np.testing.assert_array_equal(idx, o_idx, err_msg=f"delta={delta}")
             np.testing.assert_allclose(metric, o_metric, rtol=1e-9, atol=1e-12,
                                        err_msg=f"delta={delta}")
 
     @pytest.mark.parametrize("decoder", DECODERS)
-    def test_rows_decode_as_batches_of_one(self, decoder):
+    def test_rows_decode_as_batches_of_one(self, decoder, monkeypatch):
         sizes = (1, 7, 8, 9, 257)
+        # a survivor budget small enough that the ML batches split their trial blocks
+        monkeypatch.setattr(decode, "_ML_SURVIVORS", 16)
+        descents = spy(monkeypatch, "_descend")
         for make_code in (_qam_code, _pam_code):
             code = make_code()
             try:
@@ -371,13 +399,30 @@ class TestOracle:
                 continue  # ZF on the rotated QAM code
             g, y, _ = observed_problem(code, 2, 5.0, np.random.default_rng(17), trials=257)
             g = duplicate_column(g, np.arange(0, 257, 10), 0, 1)
-            if decoder == "ml":
-                block = max(1, _ML_BLOCK // math.prod(len(x) for x, _ in dec.halves))
-                assert any(n % block for n in sizes if n > 1)
             single = np.concatenate([dec.decide(g[t:t + 1], y[t:t + 1])[0] for t in range(257)])
+            descents.clear()
             for n in sizes:
                 np.testing.assert_array_equal(dec.decide(g[:n], y[:n])[0], single[:n],
                                               err_msg=f"{make_code.__name__} batch of {n}")
+            if decoder == "ml":  # one search per batch, and more where a block split
+                assert len(descents) > len(sizes), make_code.__name__
+
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_sphere_at_widest_radius(self, budget, monkeypatch):
+        # the crit-9 code at P = 1 (0 dB), where the PIC-SIC radius is widest
+        code = preset("alamouti", 4, 2, 2, modulation_set("qam4"))
+        g, y, _ = observed_problem(code, 4, 1.0, np.random.default_rng(18), trials=128)
+        dec = GroupDecoder("ml", code.grouping, code.group_sets)
+        if budget:
+            monkeypatch.setattr(decode, "_ML_SURVIVORS", budget)
+        descents, exact = spy(monkeypatch, "_descend"), spy(monkeypatch, "_ml")
+        idx, metric = dec.decide(g, y)
+        o_idx, o_metric, _ = oracle_decide("ml", code.grouping, code.group_sets, g, y)
+        np.testing.assert_array_equal(idx, o_idx)
+        np.testing.assert_allclose(metric, o_metric, rtol=1e-9)
+        assert not exact
+        # the default budget searches the chunk as one block; 64 splits it
+        assert (len(descents) > 1) == bool(budget)
 
 
 _MODULATIONS = {1: ("pam2", "pam4", "pam8"), 2: ("qam4", "qam16", "qam4-unrotated")}

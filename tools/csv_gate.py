@@ -1,7 +1,8 @@
 """Fingerprint run_ber output: one sha256 per configuration, decoder and seed.
 
 Prints a line per run_ber(...).to_csv() over the three BER benchmark
-configurations and a square one (2*N_D*T2 = K), for every decoder and
+configurations, the criterion-9 one at 0 and 12 dB and a square one
+(2*N_D*T2 = K), for every decoder and
 master_seed 0 and 1. A decoder a code refuses prints the hash of its
 message instead. Two checkouts decode alike when their outputs are equal:
 
@@ -26,6 +27,8 @@ CONFIGS = {
     "ber-sweep-pam2": ("scalar", 2, 1, 2, "pam2", 2, (2, 5, 8, 11, 14), 16384, 400),
     "ber-pam8-zfsic": ("alamouti", 8, 1, 3, "pam8", 1, (10, 15, 20), 1024, 10**9),
     "ber-qam4-crit9": ("alamouti", 4, 2, 2, "qam4", 4, (6,), 512, 10**9),
+    # the widest and the narrowest ML sphere of the criterion-9 code
+    "crit9-0-12db": ("alamouti", 4, 2, 2, "qam4", 4, (0, 12), 512, 10**9),
     "square-pam4": ("alamouti", 2, 1, 1, "pam4", 1, (0, 10, 20, 30), 4096, 400),
 }
 
