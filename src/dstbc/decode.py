@@ -22,25 +22,26 @@ with R'R = G'G, z = R^-T G'y and rss the part of y outside span(G), so
   where S_k is the inverse of block k of (G'G)^-1 = R^-1 R^-T.
 - ML takes the PIC-SIC order and factor, and searches the sphere
   ||z - R x||^2 <= r^2 breadth-first (Fincke-Pohst; Viterbo & Boutros,
-  IEEE Trans. IT 1999; Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT 2002). r^2 is the metric of the PIC-SIC decision,
-  widened by a relative 1e-10 so that rounding cannot prune that decision,
-  which is also kept as a candidate: every trial has one, and the search is
-  exact. Level k extends every survivor by each point of group k, adding
-  its block row's term, and keeps the extensions inside the sphere. A
-  level whose survivors pass _ML_SURVIVORS splits its trial block in two,
-  and each half goes on alone. The metric returned is ||y - G x||^2.
+  IEEE Trans. IT 1999; Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT
+  2002). r^2 is the metric of the PIC-SIC decision, widened by a relative
+  1e-10 so that rounding cannot prune that decision, which is also kept as
+  a candidate: every trial has one, and the search is exact. Level k
+  extends every survivor by each point of group k, adding its block row's
+  term, and keeps the extensions inside the sphere. A level whose
+  survivors pass _ML_SURVIVORS splits its trial block in two, and each
+  half goes on alone. The metric returned is ||y - G x||^2.
 
 A Gram factor loses about eps * kappa(G)^2 in relative accuracy. A row whose
 smallest pivot of R is at most _PIVOT_TOL = 1e-4 times its largest has
 kappa(G) >= 1e4, so its factor keeps at most about 8 digits. Such rows, and
-rows with no factor (numpy's batched factor fails as a whole, and only then
-is each row factored on its own), take the exact fallback: SVD projection
-with a numerical-rank cut for PIC and PIC-SIC, and for ML an exhaustive
-search of x'Ax - 2b'x, A = G'G and b = G'y, which holds for any G. That
-search enumerates each half of the groups' candidates once, and bounds the
-(trials, M1, M2) metric array by searching trials in blocks. rss is common
-to a trial's candidates, so no decision depends on it; a metric is accurate
-to about eps*||y||^2*kappa^2.
+every row of a chunk with no factor (numpy's batched factor fails as a
+whole), take the exact fallback: SVD projection with a numerical-rank cut
+for PIC and PIC-SIC, and for ML an exhaustive search of x'Ax - 2b'x,
+A = G'G and b = G'y, which holds for any G. That search enumerates each
+half of the groups' candidates once, and bounds the (trials, M1, M2)
+metric array by searching trials in blocks. rss is common to a trial's
+candidates, so no decision depends on it; a metric is accurate to about
+eps*||y||^2*kappa^2.
 
 Decoding is batch-first: GroupDecoder decides a chunk of trials along a
 leading axis, and a single problem is a batch of one. Ties go to the lowest
@@ -170,27 +171,28 @@ def _ml_half(sets):
 def _factor(gram):
     """Upper Cholesky factors of Gram matrices (b, n, n), and the rows to
     decode from them: those whose pivot ratio exceeds _PIVOT_TOL. numpy's
-    batched factor fails as a whole, so only then is each row factored on
-    its own; a row with no factor keeps zeros, which the ratio rejects."""
+    batched factor fails as a whole, and then no row has one: the factors
+    are zeros, which the ratio rejects."""
     try:
-        lower = np.linalg.cholesky(gram)
+        c = np.swapaxes(np.linalg.cholesky(gram), 1, 2)
     except np.linalg.LinAlgError:
-        lower = np.zeros_like(gram)
-        for t, a in enumerate(gram):
-            try:
-                lower[t] = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                pass
-    c = np.swapaxes(lower, 1, 2)
+        return np.zeros_like(gram), np.zeros(gram.shape[0], dtype=bool)
     diag = np.diagonal(c[:, :-1, :-1], axis1=1, axis2=2)
     return c, diag.min(axis=1) > _PIVOT_TOL * diag.max(axis=1)
 
 
 def _rows(full, fast, exact):
-    """One array over all rows: fast on the rows where full holds, exact on the rest."""
-    out = np.empty((full.size,) + fast.shape[1:], fast.dtype)
-    out[full], out[~full] = fast, exact
-    return out
+    """The arrays of fast(rows) on the rows where full holds and of
+    exact(rows) on the rest, merged by row; neither is called without rows."""
+    if full.all():
+        return fast(slice(None))
+    if not full.any():
+        return exact(slice(None))
+    out = []
+    for f, e in zip(fast(full), exact(~full)):
+        out.append(np.empty((full.size,) + f.shape[1:], f.dtype))
+        out[-1][full], out[-1][~full] = f, e
+    return tuple(out)
 
 
 class GroupDecoder:
@@ -248,15 +250,13 @@ class GroupDecoder:
         r, z = c[:, :-1, :-1], c[:, :-1, -1]
         rss = c[:, -1, -1] ** 2 - 1.0  # the part of y outside span(G)
         if self.decoder == "ml":
-            idx = (self._sphere(r, z) if full.all() else
-                   _rows(full, self._sphere(r[full], z[full]), self._ml(gram[~full])))
+            (idx,) = _rows(full, lambda t: (self._sphere(r[t], z[t]),),
+                           lambda t: (self._ml(gram[t]),))
             res = y - np.einsum("bdk,bk->bd", g, group_symbols(self.groups, self.sets, idx))
             return idx, np.einsum("bd,bd->b", res, res)[:, None]
         solve = self._pic if self.decoder in ("pic", "zf") else self._sic
-        if full.all():
-            return solve(r, z, rss)
-        fast, exact = solve(r[full], z[full], rss[full]), self._projected(g[~full], y[~full])
-        return tuple(_rows(full, a, e) for a, e in zip(fast, exact))
+        return _rows(full, lambda t: solve(r[t], z[t], rss[t]),
+                     lambda t: self._projected(g[t], y[t]))
 
     def _pic(self, r, z, rss):
         """Metric (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2 per group."""
