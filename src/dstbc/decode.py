@@ -23,25 +23,29 @@ with R'R = G'G, z = R^-T G'y and rss the part of y outside span(G), so
 - ML takes the PIC-SIC order and factor, and searches the sphere
   ||z - R x||^2 <= r^2 breadth-first (Fincke-Pohst; Viterbo & Boutros,
   IEEE Trans. IT 1999; Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT
-  2002). r^2 is the metric of the PIC-SIC decision, widened by a relative
-  1e-10 so that rounding cannot prune that decision, which is also kept as
-  a candidate: every trial has one, and the search is exact. Level k
-  extends every survivor by each point of group k, adding its block row's
-  term, and keeps the extensions inside the sphere. A level whose
-  survivors pass _ML_SURVIVORS splits its trial block in two, and each
-  half goes on alone. The metric returned is ||y - G x||^2.
+  2002). r^2 is ||z - R x||^2 at a candidate decision, the PIC-SIC one,
+  widened by a relative 1e-10 so that rounding cannot prune the candidate,
+  which is also kept as a leaf: every trial has one, and the search is
+  exact. Level k extends every survivor by each point of group k, adding
+  its block row's term, and keeps the extensions inside the sphere. A
+  level whose survivors pass _ML_SURVIVORS splits its trial block in two,
+  and each half goes on alone. The metric returned is ||y - G x||^2.
 
 A Gram factor loses about eps * kappa(G)^2 in relative accuracy. A row whose
 smallest pivot of R is at most _PIVOT_TOL = 1e-4 times its largest has
 kappa(G) >= 1e4, so its factor keeps at most about 8 digits. Such rows, and
 every row of a chunk with no factor (numpy's batched factor fails as a
-whole), take the exact fallback: SVD projection with a numerical-rank cut
-for PIC and PIC-SIC, and for ML an exhaustive search of x'Ax - 2b'x,
-A = G'G and b = G'y, which holds for any G. That search enumerates each
-half of the groups' candidates once, and bounds the (trials, M1, M2)
-metric array by searching trials in blocks. rss is common to a trial's
-candidates, so no decision depends on it; a metric is accurate to about
-eps*||y||^2*kappa^2.
+whole), take the exact fallback. PIC and PIC-SIC project by SVD with a
+numerical-rank cut. ML runs the same search on the upper factor
+[[R, z], [0, +-sqrt(rss)]] of a QR of [G y], zero-padded to K + 1 rows so
+that R is square when G is wide; the search never inverts R, so a singular
+R is searched exactly. Its candidate is the MMSE-SIC decision (Wübben,
+Böhnke, Kühn & Kammeyer, IEEE VTC 2003-Fall): _sic on the Cholesky factor
+of G'G + I. The identity is the MMSE term of the whitened noise (unit
+variance per real dimension) and makes the matrix positive definite, so the
+factor always exists. The QR factor's zero pivots would leave SIC stages
+blind, and a far candidate makes a wide sphere. rss is common to a trial's
+candidates, so no decision depends on it.
 
 Decoding is batch-first: GroupDecoder decides a chunk of trials along a
 leading axis, and a single problem is a batch of one. Ties go to the lowest
@@ -67,8 +71,6 @@ DECODERS = ("ml", "pic", "pic-sic", "zf", "zf-sic")
 _RANK_TOL = 1e-10
 _PIVOT_TOL = 1e-4
 ML_CANDIDATE_CAP = 2**20
-# ML candidate-pair metrics held at once (2 MiB): trials per block times M1 * M2
-_ML_BLOCK = 2**18
 # sphere-search survivors of one level above which a trial block is split
 _ML_SURVIVORS = 2**15
 
@@ -158,16 +160,6 @@ def _singleton_refinement(grouping: GroupingScheme, sets):
     return singles, tuple(coord_sets), label_map
 
 
-def _ml_half(sets):
-    """Every point of the product of sets, last set varying fastest: the
-    symbols (M, sum of dims) and per-set point indices (M, len(sets))."""
-    sizes = [s.size for s in sets]
-    idx = np.indices(sizes, dtype=np.int64).reshape(len(sizes), math.prod(sizes)).T
-    x = np.concatenate([s.points[idx[:, i]] for i, s in enumerate(sets)]
-                       + [np.empty((idx.shape[0], 0))], axis=1)
-    return x, idx
-
-
 def _factor(gram):
     """Upper Cholesky factors of Gram matrices (b, n, n), and the rows to
     decode from them: those whose pivot ratio exceeds _PIVOT_TOL. numpy's
@@ -232,11 +224,6 @@ class GroupDecoder:
             # product-alphabet index: the last group varies fastest
             self.strides = np.array([math.prod(self.sizes[k + 1:])
                                      for k in range(len(self.sizes))])
-            half = len(self.groups) // 2
-            self.halves = (_ml_half(self.sets[:half]), _ml_half(self.sets[half:]))
-            # the split-half fallback reads the Gram matrix in group order
-            self.group_order = np.array([self.order.index(c) for grp in self.groups
-                                         for c in grp] + [self.K])
 
     def decide(self, g: np.ndarray, y: np.ndarray):
         if g.ndim != 3 or g.shape[2] != self.K:
@@ -250,8 +237,9 @@ class GroupDecoder:
         r, z = c[:, :-1, :-1], c[:, :-1, -1]
         rss = c[:, -1, -1] ** 2 - 1.0  # the part of y outside span(G)
         if self.decoder == "ml":
-            (idx,) = _rows(full, lambda t: (self._sphere(r[t], z[t]),),
-                           lambda t: (self._ml(gram[t]),))
+            (idx,) = _rows(
+                full, lambda t: (self._sphere(r[t], z[t], self._sic(r[t], z[t], 0.0)[0]),),
+                lambda t: (self._sphere_by_qr(gy[t], gram[t]),))
             res = y - np.einsum("bdk,bk->bd", g, group_symbols(self.groups, self.sets, idx))
             return idx, np.einsum("bd,bd->b", res, res)[:, None]
         solve = self._pic if self.decoder in ("pic", "zf") else self._sic
@@ -312,14 +300,25 @@ class GroupDecoder:
                 yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
         return np.stack(idx, axis=1), np.stack(metric, axis=1)
 
-    def _sphere(self, r, z):
+    def _sphere_by_qr(self, gy, gram):
+        """ML on rows with no usable Cholesky factor: the search runs on the
+        upper factor of [G y] by QR, from the MMSE-SIC decision."""
+        mmse = np.swapaxes(np.linalg.cholesky(gram + np.eye(self.K + 1)), 1, 2)
+        cand = self._sic(mmse[:, :-1, :-1], mmse[:, :-1, -1], 0.0)[0]
+        pad = max(0, self.K + 1 - gy.shape[1])  # R is square when G is wide
+        c = np.linalg.qr(np.pad(gy, ((0, 0), (0, pad), (0, 0))), mode="r")
+        return self._sphere(c[:, :-1, :-1], c[:, :-1, -1], cand)
+
+    def _sphere(self, r, z, cand):
         """Exact ML by a breadth-first search up R's block rows, inside the
-        sphere through the PIC-SIC decision; returns point indices (b, g).
-        Among metrics equal as computed, the lowest product index wins."""
+        sphere through the candidate decision cand (b, g); returns point
+        indices (b, g). R is never inverted, so it may be singular. Among
+        metrics equal as computed, the lowest product index wins."""
         b = r.shape[0]
-        sic_idx, sic_metric = self._sic(r, z, 0.0)
-        sic_metric = sic_metric[:, -1]
-        radius = sic_metric * (1.0 + 1e-10)  # rounding must not prune the decision itself
+        x = group_symbols(self.groups, self.sets, cand)[:, self.order]
+        res = z - np.einsum("bkl,bl->bk", r, x)
+        cand_metric = np.einsum("bk,bk->b", res, res)
+        radius = cand_metric * (1.0 + 1e-10)  # rounding must not prune the candidate itself
         # group k sits at R's columns [start, end); R[:end, start:end] a for each
         # of its points a, (b, M_k, end), holds on rows [start, end) its block
         # row's term and on the rows above its update of z
@@ -330,8 +329,8 @@ class GroupDecoder:
             end = start
         leaves = self._descend(products, radius, 0, np.arange(b),
                                np.zeros(b, dtype=np.int64), np.zeros(b), z)
-        # the PIC-SIC decision is a candidate too, so every trial has one
-        leaves.append((np.arange(b), sic_idx @ self.strides, sic_metric))
+        # the candidate is a leaf too, so every trial has one
+        leaves.append((np.arange(b), cand @ self.strides, cand_metric))
         trial, flat, metric = (np.concatenate(col) for col in zip(*leaves))
         order = np.lexsort((flat, metric, trial))
         best = order[np.searchsorted(trial[order], np.arange(b))]  # each trial's first
@@ -362,30 +361,6 @@ class GroupDecoder:
                         for leaf in self._descend(products, radius, k + 1, trial[part],
                                                   flat[part], metric[part], zr[part])]
         return [(trial, flat, metric)]
-
-    def _ml(self, gram):
-        """Split-half search of x'Ax - 2b'x, with A = G'G and b = G'y read
-        from the Gram matrix: the exact fallback, which needs no factor. The
-        flat index i1 * M2 + i2 is the product-alphabet index, so argmin
-        keeps the lowest on ties."""
-        gram = gram[:, self.group_order[:, None], self.group_order]
-        (x1, idx1), (x2, idx2) = self.halves
-        k1 = x1.shape[1]
-        block = max(1, _ML_BLOCK // (x1.shape[0] * x2.shape[0]))
-        best = np.empty(gram.shape[0], dtype=np.int64)
-        for lo in range(0, gram.shape[0], block):
-            a, b = gram[lo:lo + block, :-1, :-1], gram[lo:lo + block, -1:, :-1]
-            # x1'A11x1 - 2b1'x1 + 2x1'A12x2 + x2'A22x2 - 2b2'x2 as one product
-            p1 = np.sum((x1 @ a[:, :k1, :k1] - 2.0 * b[:, :, :k1]) * x1, axis=2)
-            p2 = np.sum((x2 @ a[:, k1:, k1:] - 2.0 * b[:, :, k1:]) * x2, axis=2)
-            lhs = np.concatenate([np.broadcast_to(x1, p1.shape + (k1,)), p1[:, :, None],
-                                  np.ones(p1.shape + (1,))], axis=2)
-            rhs = np.concatenate([2.0 * (x2 @ a[:, k1:, :k1]), np.ones(p2.shape + (1,)),
-                                  p2[:, :, None]], axis=2)
-            metric = lhs @ np.swapaxes(rhs, 1, 2)
-            best[lo:lo + block] = np.argmin(metric.reshape(metric.shape[0], -1), axis=1)
-        i1, i2 = np.divmod(best, x2.shape[0])
-        return np.concatenate([idx1[i1], idx2[i2]], axis=1)
 
     def group_indices(self, dec_idx: np.ndarray) -> np.ndarray:
         """Map decode-group decisions to point indices of the original groups."""

@@ -92,13 +92,12 @@ def _relative_sv(mats: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sqrt(np.where(lam_max > 0, lam_min / lam_max, 0.0))
     redo = np.nonzero(ratio < _FAST_PATH_RATIO)[0]
-    for i in redo:
-        rows, cols = mats[i].shape
-        if rows < cols:  # full column rank is impossible
-            ratio[i] = 0.0
-            continue
-        s = np.linalg.svd(mats[i], compute_uv=False)
-        ratio[i] = 0.0 if s[0] == 0 else s[-1] / s[0]
+    rows, cols = mats.shape[1:]
+    if rows < cols:  # full column rank is impossible
+        ratio[redo] = 0.0
+    elif redo.size:
+        s = np.linalg.svd(mats[redo], compute_uv=False)
+        ratio[redo] = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)  # s = 0 gives 0
     return ratio
 
 

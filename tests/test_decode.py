@@ -296,6 +296,19 @@ def spy(monkeypatch, name):
     return calls
 
 
+def qr_spy(monkeypatch):
+    """The arguments of every later np.linalg.qr call, in a list, as spy
+    records them: ML factors the rows with no Cholesky factor by QR."""
+    calls, qr = [], np.linalg.qr
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    return calls
+
+
 def duplicate_column(g, rows, src, dst, delta=0.0, rng=None):
     """G with column dst replaced by column src on the given rows, plus
     delta times standard normal noise when delta is nonzero."""
@@ -371,7 +384,7 @@ class TestOracle:
         rng = np.random.default_rng(16)
         g0, y, _ = observed_problem(code, 2, 20.0, rng, trials=60)
         dec = GroupDecoder(decoder, code.grouping, code.group_sets)
-        exact = spy(monkeypatch, "_ml" if decoder == "ml" else "_projected")
+        exact = qr_spy(monkeypatch) if decoder == "ml" else spy(monkeypatch, "_projected")
         for delta in (0.0, 1e-6, 1e-8):
             g = duplicate_column(g0, np.arange(0, 60, 3), 0, 1, delta, rng)
             if not delta:
@@ -410,20 +423,25 @@ class TestOracle:
             if decoder == "ml":  # one search per batch of 1-9, and more where a block split
                 assert len(descents) > len(sizes) - 1, make_code.__name__
 
-    @pytest.mark.parametrize("budget", [None, 64])
-    def test_sphere_at_widest_radius(self, budget, monkeypatch):
-        # the crit-9 code at P = 1 (0 dB), where the PIC-SIC radius is widest
+    @pytest.mark.parametrize("nd,budget", [
+        pytest.param(4, None, id="None"), pytest.param(4, 64, id="64"),
+        pytest.param(1, None, id="nd1-None"), pytest.param(1, 64, id="nd1-64"),
+    ])
+    def test_sphere_at_widest_radius(self, nd, budget, monkeypatch):
+        # the crit-9 code at P = 1 (0 dB), where the PIC-SIC radius is widest;
+        # at N_D = 1, G (12 x 16) is wide and every row is searched on the
+        # QR factor from the MMSE-SIC decision
         code = preset("alamouti", 4, 2, 2, modulation_set("qam4"))
-        g, y, _ = observed_problem(code, 4, 1.0, np.random.default_rng(18), trials=128)
+        g, y, _ = observed_problem(code, nd, 1.0, np.random.default_rng(18), trials=128)
         dec = GroupDecoder("ml", code.grouping, code.group_sets)
         if budget:
             monkeypatch.setattr(decode, "_ML_SURVIVORS", budget)
-        descents, exact = spy(monkeypatch, "_descend"), spy(monkeypatch, "_ml")
+        descents, exact = spy(monkeypatch, "_descend"), qr_spy(monkeypatch)
         idx, metric = dec.decide(g, y)
         o_idx, o_metric, _ = oracle_decide("ml", code.grouping, code.group_sets, g, y)
         np.testing.assert_array_equal(idx, o_idx)
         np.testing.assert_allclose(metric, o_metric, rtol=1e-9)
-        assert not exact
+        assert sum(len(args[0]) for args in exact) == (128 if nd == 1 else 0)
         # the default budget searches the chunk as one block; 64 splits it
         assert (len(descents) > 1) == bool(budget)
 

@@ -325,3 +325,20 @@ def test_oversized_difference_set_is_subsampled():
     assert 0 < r.coverage < 1
     assert abs(r.coverage - 2 * 256 / (2 * 960)) < 1e-12
     assert r.to_dict()["coverage"] == r.coverage
+
+
+def test_exact_svd_fallback_equals_per_matrix_svd():
+    # near-rank-deficient matrices (ratio far below the Gram fast path) and
+    # an all-zero one take the batched exact SVD, which must equal a
+    # per-matrix SVD bit for bit; a wide stack cannot have full column rank
+    rng = np.random.default_rng(22)
+    mats = rng.standard_normal((9, 4, 3)) + 1j * rng.standard_normal((9, 4, 3))
+    mats[:, :, 2] = mats[:, :, 1] + 1e-9 * rng.standard_normal((9, 4))
+    mats[4] = 0.0
+    expect = []
+    for m in mats:
+        s = np.linalg.svd(m, compute_uv=False)
+        expect.append(0.0 if s[0] == 0 else s[-1] / s[0])
+    assert 0.0 in expect and max(expect) < 1e-6
+    np.testing.assert_array_equal(_relative_sv(mats), expect)
+    np.testing.assert_array_equal(_relative_sv(np.swapaxes(mats, 1, 2)[:, :2]), np.zeros(9))

@@ -1,8 +1,8 @@
 """Fingerprint run_ber output: one sha256 per configuration, decoder and seed.
 
 Prints a line per run_ber(...).to_csv() over the three BER benchmark
-configurations, the criterion-9 one at 0 and 12 dB and a square one
-(2*N_D*T2 = K), for every decoder and
+configurations, the criterion-9 one at 0 and 12 dB, the same code at
+N_D = 1 (2*N_D*T2 < K) and a square one (2*N_D*T2 = K), for every decoder and
 master_seed 0 and 1. A decoder a code refuses prints the hash of its
 message instead. Two checkouts decode alike when their outputs are equal:
 
@@ -29,6 +29,8 @@ CONFIGS = {
     "ber-qam4-crit9": ("alamouti", 4, 2, 2, "qam4", 4, (6,), 512, 10**9),
     # the widest and the narrowest ML sphere of the criterion-9 code
     "crit9-0-12db": ("alamouti", 4, 2, 2, "qam4", 4, (0, 12), 512, 10**9),
+    # 2*N_D*T2 = 12 < K = 16: every row takes the exact fallback
+    "crit9-nd1": ("alamouti", 4, 2, 2, "qam4", 1, (0, 12), 512, 10**9),
     "square-pam4": ("alamouti", 2, 1, 1, "pam4", 1, (0, 10, 20, 30), 4096, 400),
 }
 
