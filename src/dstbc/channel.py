@@ -22,7 +22,9 @@ pivots are at least 1. realify is a *-homomorphism, so sqrt(2) realify(W_c)
 with W_c = L^-1 whitens the realified covariance. observe returns the
 whitened model y = sqrt(2) [Re; Im](W_c vec(Y)),
 G = sqrt(2 rho) [Re; Im](W_c vec(A_i H)). Any exact whitener gives the same
-[G y]'[G y], which is all the decoders read.
+[G y]'[G y], which is all the decoders read. W_c is applied by forward
+substitution on L (solve_lower), and Gamma_c is built by one matmul of the
+relay gain products with the stacked Bbar_j Bbar_j^H.
 """
 
 from __future__ import annotations
@@ -34,7 +36,20 @@ import numpy as np
 
 from .construct import DstbcCode, rate_cspcu
 
-__all__ = ["PowerConfig", "RelayChannel"]
+__all__ = ["PowerConfig", "RelayChannel", "solve_lower"]
+
+
+def solve_lower(low: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X with low X = c, for lower-triangular low (b, d, d) and c (b, d, m).
+
+    Forward substitution, one row of every trial at a time: numpy has no
+    batched triangular solve, and np.linalg.solve LU-factors low again.
+    Real or complex; c may be read-only or broadcast, and no input is written.
+    """
+    x = np.empty(c.shape, np.result_type(low, c))
+    for i in range(low.shape[1]):
+        x[:, i] = (c[:, i] - (low[:, i, None, :i] @ x[:, :i])[:, 0]) / low[:, i, i, None]
+    return x
 
 
 @dataclass(frozen=True)
@@ -111,8 +126,12 @@ class RelayChannel:
         self._check_shapes(gm=gm)
         b, _, nd = gm.shape
         dim = nd * self.T2
-        coef = power.relay_gain * (gm[:, :, :, None] * gm.conj()[:, :, None, :])
-        gamma_c = np.einsum("bjlm,jxy->blxmy", coef, self.bbh).reshape(b, dim, dim)
+        g = np.swapaxes(gm, 1, 2)
+        coef = power.relay_gain * (g[:, :, None, :] * g.conj()[:, None, :, :])  # (b, l1, l2, j)
+        # one (b, N_D^2, N) @ (N, T2^2) product, then the blocks to (l1, x, l2, y)
+        prod = coef.reshape(b, nd * nd, self.N) @ self.bbh.reshape(self.N, -1)
+        gamma_c = prod.reshape(b, nd, nd, self.T2, self.T2).transpose(0, 1, 3, 2, 4)
+        gamma_c = gamma_c.reshape(b, dim, dim)
         gamma_c[:, np.arange(dim), np.arange(dim)] += 1.0
         return gamma_c
 
@@ -128,7 +147,7 @@ class RelayChannel:
         # the covariance stays bound until return: releasing it mid-chunk
         # left about 20 MiB more resident after multi-worker ML runs
         gamma_c = self.covariance(gm, power)
-        white = np.linalg.solve(np.linalg.cholesky(gamma_c), cols)
+        white = solve_lower(np.linalg.cholesky(gamma_c), cols)
         white = math.sqrt(2.0) * np.concatenate([white.real, white.imag], axis=1)
         return white[:, :, :-1], white[:, :, -1]
 

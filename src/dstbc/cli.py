@@ -112,9 +112,11 @@ def _cmd_simulate(args) -> int:
     if args.snr_start is not None or args.snr_stop is not None:
         if args.snr_start is None or args.snr_stop is None:
             raise ValueError("--snr-start and --snr-stop go together")
-        step = args.snr_step if args.snr_step else 1.0
-        if step <= 0 or args.snr_stop < args.snr_start:
-            raise ValueError("SNR grid must be ascending with positive step")
+        step = 1.0 if args.snr_step is None else args.snr_step
+        if not step > 0:
+            raise ValueError(f"--snr-step must be positive, got {step:g}")
+        if args.snr_stop < args.snr_start:
+            raise ValueError("SNR grid must be ascending: --snr-stop is below --snr-start")
         grid = []
         s = args.snr_start
         while s <= args.snr_stop + 1e-9:

@@ -18,7 +18,8 @@ with R'R = G'G, z = R^-T G'y and rss the part of y outside span(G), so
   columns of R belong to the groups decoded after the current one (Wübben
   et al., Electron. Lett. 2001). Each stage is a nearest-point search on its
   own diagonal block of R, and a decision is subtracted from z through R.
-- PIC / ZF take x^ = R^-1 z. Group k scores (a - x^_k)' S_k (a - x^_k) + rss,
+- PIC / ZF take x^ = R^-1 z, with R^-1 by forward substitution on R'
+  (channel.solve_lower). Group k scores (a - x^_k)' S_k (a - x^_k) + rss,
   where S_k is the inverse of block k of (G'G)^-1 = R^-1 R^-T.
 - ML takes the PIC-SIC order and factor, and searches the sphere
   ||z - R x||^2 <= r^2 breadth-first (Fincke-Pohst; Viterbo & Boutros,
@@ -62,6 +63,7 @@ import math
 
 import numpy as np
 
+from .channel import solve_lower
 from .constellation import SignalSet
 from .construct import GroupingScheme
 
@@ -248,7 +250,9 @@ class GroupDecoder:
 
     def _pic(self, r, z, rss):
         """Metric (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2 per group."""
-        rinv = np.linalg.inv(r)
+        # R^-1 = (R'^-1)', by forward substitution on the lower factor R'
+        eye = np.broadcast_to(np.eye(self.K), r.shape)
+        rinv = np.swapaxes(solve_lower(np.swapaxes(r, 1, 2), eye), 1, 2)
         xh = np.einsum("bkl,bl->bk", rinv, z)
         s_blocks = {}
         for ks in self.size_classes:

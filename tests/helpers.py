@@ -173,6 +173,25 @@ def realified_observe(channel, x, f, gm, v, w, power):
     return whitener @ gprime, np.einsum("bij,bj->bi", whitener, rvec(y))
 
 
+def covariance_oracle(code: DstbcCode, gm, power) -> np.ndarray:
+    """RelayChannel.covariance by its block formula, one (l1, l2, j) at a
+    time, from the relay matrices of the code's relay form: block (l1, l2) is
+    relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H + 1{l1=l2} I."""
+    b, n, nd = gm.shape
+    t2 = code.T2
+    bbh = [m @ m.conj().T for m in map(code.relay_form.relay_matrix, range(n))]
+    gamma_c = np.zeros((b, nd * t2, nd * t2), dtype=complex)
+    for l1 in range(nd):
+        for l2 in range(nd):
+            block = gamma_c[:, l1 * t2:(l1 + 1) * t2, l2 * t2:(l2 + 1) * t2]
+            for j in range(n):
+                coef = power.relay_gain * gm[:, j, l1] * gm[:, j, l2].conj()
+                block += coef[:, None, None] * bbh[j]
+            if l1 == l2:
+                block += np.eye(t2)
+    return gamma_c
+
+
 def realified_noise_bound(channel, gm, power) -> np.ndarray:
     """noise_bound on the realified covariance."""
     gamma = _realify_cov(channel.covariance(gm, power))

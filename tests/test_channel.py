@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dstbc.channel import PowerConfig, RelayChannel
+from dstbc.channel import PowerConfig, RelayChannel, solve_lower
 from dstbc.construct import build, from_design
 from dstbc.decode import group_symbols
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
@@ -9,6 +9,7 @@ from tests.helpers import (
     _real_channel,
     _realify_cov,
     _whitener,
+    covariance_oracle,
     noise_bound,
     realified_noise_bound,
     realified_observe,
@@ -190,6 +191,19 @@ class TestNoiseCovariance:
         ok = noise_bound(RelayChannel(code), cn(rng, 100, 4, 2), power)
         assert ok.shape == (100,) and ok.all()
 
+    @pytest.mark.parametrize("nd", [1, 3])
+    def test_block_formula_oracle(self, nd):
+        # the (l1, x, l2, y) block order of the matmul, against a loop per block
+        rng = np.random.default_rng(17)
+        codes = [code for _, code in _sweep_codes()] + [_non_diagonal_bbh_code()]
+        for code in codes:
+            power = PowerConfig.balanced(code, 12.0)
+            gm = cn(rng, 8, code.N, nd)
+            gamma_c = RelayChannel(code).covariance(gm, power)
+            ref = covariance_oracle(code, gm, power)
+            rel = np.linalg.norm(gamma_c - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+            assert rel.max() < 1e-12
+
     def test_smallest_eigenvalue_at_least_one(self):
         # Gamma_c is the identity plus a PSD sum, so the whitener needs no clamp
         rng = np.random.default_rng(16)
@@ -297,6 +311,52 @@ class TestWhiten:
         emp = draws.T @ draws / draws.shape[0]
         rel = np.linalg.norm(emp - np.eye(dim)) / np.linalg.norm(np.eye(dim))
         assert rel < 0.05
+
+
+class TestSolveLower:
+    """Forward substitution against np.linalg.solve, inputs left unchanged."""
+
+    @staticmethod
+    def _assert_solves(low, c):
+        low_before, c_before = low.copy(), c.copy()
+        x = solve_lower(low, c)
+        ref = np.linalg.solve(low, c)
+        assert x.shape == ref.shape and x.dtype == ref.dtype
+        rel = np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert rel.max() < 1e-12
+        np.testing.assert_array_equal(low, low_before)
+        np.testing.assert_array_equal(c, c_before)
+
+    @pytest.mark.parametrize("nd", [1, 2, 4])
+    def test_complex_covariance_factors(self, nd):
+        rng = np.random.default_rng(19)
+        code = build(4, cod_alamouti(), 2, 2)
+        gamma_c = RelayChannel(code).covariance(cn(rng, 32, code.N, nd),
+                                                PowerConfig.balanced(code, 30.0))
+        low = np.linalg.cholesky(gamma_c)
+        self._assert_solves(low, cn(rng, 32, low.shape[1], code.K + 1))
+
+    def test_real_transposed_upper_factors(self):
+        # R' of the decoders' upper Gram factor R, as PIC inverts it
+        rng = np.random.default_rng(20)
+        g = rng.standard_normal((32, 24, 16))
+        low = np.linalg.cholesky(np.swapaxes(g, 1, 2) @ g)
+        self._assert_solves(low, rng.standard_normal((32, 16, 5)))
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (1, 4), (6, 1)])
+    def test_edge_sizes(self, d, m):
+        rng = np.random.default_rng(21)
+        a = cn(rng, 10, d, d)
+        low = np.linalg.cholesky(a @ np.swapaxes(a.conj(), 1, 2) + np.eye(d))
+        self._assert_solves(low, cn(rng, 10, d, m))
+
+    def test_broadcast_read_only_identity(self):
+        rng = np.random.default_rng(22)
+        g = rng.standard_normal((16, 12, 8))
+        low = np.linalg.cholesky(np.swapaxes(g, 1, 2) @ g)
+        eye = np.broadcast_to(np.eye(8), low.shape)
+        assert not eye.flags.writeable
+        self._assert_solves(low, eye)
 
 
 def _non_diagonal_bbh_code():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dstbc.cli import main
 from dstbc.construct import build, code_to_dict
 from dstbc.design import cod_trivial
@@ -88,6 +90,15 @@ class TestSimulate:
             "--snr-start", "20", "--snr-stop", "10",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan"])
+    def test_non_positive_step_is_usage_error(self, capsys, step):
+        code, out, err = run(
+            capsys, "simulate", "--preset", "toeplitz", "--N", "2", "--n", "2",
+            "--snr-start", "0", "--snr-stop", "2", "--snr-step", step, "--trials", "10",
+        )
+        assert code == 2 and out == ""
+        assert "--snr-step must be positive" in err
 
     def test_small_run_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"
