@@ -13,18 +13,24 @@ whitening transform, and the real-valued equivalent model y' = G' x + u'.
 The pipeline is batch-first: RelayChannel runs a chunk of trials along a
 leading axis, and a single trial is a batch of one.
 
-Whitening is done in the complex domain, realification after it; vec is
-column-major and [Re; Im] stacks real parts over imaginary parts. The noise
-is proper, so the realified covariance is 1/2 realify(Gamma_c), with
-realify(M) = [[Re M, -Im M], [Im M, Re M]]. Gamma_c, of size N_D*T2, is the
-identity plus a PSD sum, so it has a Cholesky factor Gamma_c = L L^H whose
-pivots are at least 1. realify is a *-homomorphism, so sqrt(2) realify(W_c)
-with W_c = L^-1 whitens the realified covariance. observe returns the
+Whitening is done in the complex domain, realification after it; [Re; Im]
+stacks real parts over imaginary parts. The noise is proper, so the
+realified covariance is 1/2 realify(Gamma_c), with
+realify(M) = [[Re M, -Im M], [Im M, Re M]]. covariance returns Gamma_c in
+column-major vec order; observe works in slot-major vec order, row t*N_D + l
+for slot t and antenna l. In that order Gamma_c is block-diagonal with T2/s
+blocks of size s*N_D, where s, fixed per code, is the smallest divisor of T2
+whose aligned s x s diagonal blocks hold every nonzero entry of the
+Bbar_j Bbar_j^H. Presets have diagonal Bbar_j Bbar_j^H and s = 1; s = T2 is
+the whole matrix. One matmul of the relay gain products with those blocks of
+the Bbar_j Bbar_j^H builds them (_slot_blocks). Each block is the identity
+plus a PSD sum, so it has a Cholesky factor L whose pivots are at least 1,
+and W_c = blockdiag(L^-1) whitens Gamma_c. realify is a *-homomorphism, so
+sqrt(2) realify(W_c) whitens the realified covariance. observe returns the
 whitened model y = sqrt(2) [Re; Im](W_c vec(Y)),
-G = sqrt(2 rho) [Re; Im](W_c vec(A_i H)). Any exact whitener gives the same
-[G y]'[G y], which is all the decoders read. W_c is applied by forward
-substitution on L (solve_lower), and Gamma_c is built by one matmul of the
-relay gain products with the stacked Bbar_j Bbar_j^H.
+G = sqrt(2 rho) [Re; Im](W_c vec(A_i H)), vec slot-major. Any exact whitener
+gives the same [G y]'[G y], which is all the decoders read. W_c is applied
+by forward substitution on the L of each block (solve_lower).
 """
 
 from __future__ import annotations
@@ -102,6 +108,17 @@ class RelayChannel:
         self.s_mask = np.array([j in form.S for j in range(code.N)])
         self.weights = code.design.weights
         self.N, self.K, self.T1, self.T2 = code.N, code.K, code.T1, code.T2
+        # the slot block size s: the smallest divisor of T2 whose aligned
+        # s x s diagonal blocks hold every nonzero entry of the Bbar_j Bbar_j^H
+        slot = np.arange(self.T2)
+        nonzero = np.abs(self.bbh).sum(axis=0) != 0
+        self.s = next(s for s in range(1, self.T2 + 1) if self.T2 % s == 0
+                      and not nonzero[slot[:, None] // s != slot // s].any())
+        nb = self.T2 // self.s
+        # those blocks, (N, nb*s*s), and the weights as (N, T2*K)
+        self._bbh_blocks = np.einsum("jaxay->jaxy", self.bbh.reshape(
+            self.N, nb, self.s, nb, self.s)).reshape(self.N, -1)
+        self._weights_t = self.weights.transpose(2, 1, 0).reshape(self.N, -1)
 
     def transmit(self, x, f, gm, v, w, power: PowerConfig) -> np.ndarray:
         """Destination observations Y, (b, T2, N_D)."""
@@ -118,36 +135,51 @@ class RelayChannel:
         return fbar[:, :, None] * gm
 
     def covariance(self, gm, power: PowerConfig) -> np.ndarray:
-        """Complex covariance of vec(U), (b, N_D*T2, N_D*T2).
+        """Complex covariance of vec(U), (b, N_D*T2, N_D*T2), column-major.
 
         Block (l1, l2) is
         relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H + 1{l1=l2} I.
+        The slot blocks that observe factors, scattered into place.
         """
         self._check_shapes(gm=gm)
         b, _, nd = gm.shape
-        dim = nd * self.T2
+        s, nb = self.s, self.T2 // self.s
+        blocks = self._slot_blocks(gm, power).reshape(b, nb, s, nd, s, nd)
+        gamma_c = np.zeros((b, nd, nb, s, nd, nb, s), complex)
+        r = np.arange(nb)
+        gamma_c[:, :, r, :, :, r] = blocks.transpose(1, 0, 3, 2, 5, 4)
+        return gamma_c.reshape(b, nd * self.T2, nd * self.T2)
+
+    def _slot_blocks(self, gm, power: PowerConfig) -> np.ndarray:
+        """The T2/s diagonal blocks of Gamma_c in slot-major order,
+        (b*T2/s, s*N_D, s*N_D): entry ((x, l1), (y, l2)) of block beta is
+        relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H[beta*s + x, beta*s + y]
+        + 1{x=y, l1=l2}. Gamma_c is zero outside them."""
+        b, _, nd = gm.shape
+        s, nb = self.s, self.T2 // self.s
         g = np.swapaxes(gm, 1, 2)
         coef = power.relay_gain * (g[:, :, None, :] * g.conj()[:, None, :, :])  # (b, l1, l2, j)
-        # one (b, N_D^2, N) @ (N, T2^2) product, then the blocks to (l1, x, l2, y)
-        prod = coef.reshape(b, nd * nd, self.N) @ self.bbh.reshape(self.N, -1)
-        gamma_c = prod.reshape(b, nd, nd, self.T2, self.T2).transpose(0, 1, 3, 2, 4)
-        gamma_c = gamma_c.reshape(b, dim, dim)
-        gamma_c[:, np.arange(dim), np.arange(dim)] += 1.0
-        return gamma_c
+        # one (b*N_D^2, N) @ (N, nb*s^2) product, then the blocks to (x, l1, y, l2)
+        prod = (coef.reshape(-1, self.N) @ self._bbh_blocks).reshape(b, nd, nd, nb, s, s)
+        blocks = prod.transpose(0, 3, 4, 1, 5, 2).reshape(b * nb, s * nd, s * nd)
+        blocks[:, np.arange(s * nd), np.arange(s * nd)] += 1.0
+        return blocks
 
     def observe(self, x, f, gm, v, w, power: PowerConfig):
-        """Transmit, then whiten: the real model (G (b, d, K), y (b, d))."""
+        """Transmit, then whiten: the real model (G (b, d, K), y (b, d)),
+        rows in slot-major vec order."""
         y = self.transmit(x, f, gm, v, w, power)
-        b = y.shape[0]
-        # every A_k H by one (K*T2, N) @ (b, N, N_D) product
-        ah = self.weights.reshape(-1, self.N) @ self.effective(f, gm)
-        ah = math.sqrt(power.rho) * ah.reshape(b, self.K, self.T2, -1).transpose(0, 3, 2, 1)
-        cols = np.concatenate([ah.reshape(b, -1, self.K),  # rows vec(A_k H), column-major
-                               np.swapaxes(y, 1, 2).reshape(b, -1, 1)], axis=2)
-        # the covariance stays bound until return: releasing it mid-chunk
-        # left about 20 MiB more resident after multi-worker ML runs
-        gamma_c = self.covariance(gm, power)
-        white = solve_lower(np.linalg.cholesky(gamma_c), cols)
+        b, _, nd = y.shape
+        # every A_k H by one (b*N_D, N) @ (N, T2*K) product, scaled into
+        # slot-major rows (t, l) beside y: cols is (b, T2, N_D, K + 1)
+        ah = np.swapaxes(self.effective(f, gm), 1, 2).reshape(-1, self.N) @ self._weights_t
+        cols = np.empty((b, self.T2, nd, self.K + 1), complex)
+        np.multiply(ah.reshape(b, nd, self.T2, self.K).transpose(0, 2, 1, 3),
+                    math.sqrt(power.rho), out=cols[..., :-1])
+        cols[..., -1] = y
+        blocks = self._slot_blocks(gm, power)
+        white = solve_lower(np.linalg.cholesky(blocks), cols.reshape(*blocks.shape[:2], -1))
+        white = white.reshape(b, self.T2 * nd, -1)
         white = math.sqrt(2.0) * np.concatenate([white.real, white.imag], axis=1)
         return white[:, :, :-1], white[:, :, -1]
 

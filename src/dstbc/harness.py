@@ -84,9 +84,12 @@ def worker_count() -> int:
     if not env:
         return max(1, os.cpu_count() or 1)
     try:
-        return max(1, int(env))
+        count = int(env)
     except ValueError:
-        raise ValueError(f"DSTBC_THREADS must be an integer, got {env!r}") from None
+        count = 0
+    if count < 1:
+        raise ValueError(f"DSTBC_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def modulation_set(name: str) -> SignalSet:

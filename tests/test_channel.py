@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstbc.channel import PowerConfig, RelayChannel, solve_lower
 from dstbc.construct import build, from_design
@@ -17,6 +19,7 @@ from tests.helpers import (
     satisfies_constraint,
 )
 from tests.test_acceptance import _sweep_codes
+from tests.test_construct import preset_codes
 from tests.test_decode import cn, decoders_of
 
 
@@ -195,7 +198,8 @@ class TestNoiseCovariance:
     def test_block_formula_oracle(self, nd):
         # the (l1, x, l2, y) block order of the matmul, against a loop per block
         rng = np.random.default_rng(17)
-        codes = [code for _, code in _sweep_codes()] + [_non_diagonal_bbh_code()]
+        codes = [code for _, code in _sweep_codes()] + [_non_diagonal_bbh_code(),
+                                                         _two_slot_bbh_code()]
         for code in codes:
             power = PowerConfig.balanced(code, 12.0)
             gm = cn(rng, 8, code.N, nd)
@@ -366,6 +370,15 @@ def _non_diagonal_bbh_code():
     return from_design(LinearDesign.from_weights(np.stack([a, 1j * a, b, 1j * b])))
 
 
+def _two_slot_bbh_code():
+    """_non_diagonal_bbh_code in slots 0-1 on z1, z2 over itself in slots
+    2-3 on z3, z4 (N = 2, T = 4): every B_j B_j^H is block-diagonal with
+    2-slot blocks, and B_0 B_0^H is not diagonal."""
+    w = _non_diagonal_bbh_code().design.weights
+    top, bottom = np.concatenate([w, 0 * w], axis=1), np.concatenate([0 * w, w], axis=1)
+    return from_design(LinearDesign.from_weights(np.concatenate([top, bottom])))
+
+
 def _gram(g, y):
     """[G y]'[G y] per trial, (b, K + 1, K + 1): all that the decoders read."""
     m = np.concatenate([g, y[:, :, None]], axis=2)
@@ -405,9 +418,13 @@ class TestRealifiedOracle:
         np.testing.assert_allclose(bbh[0], [[2, 1], [1, 1]])
         self._assert_gram_matches(code, np.random.default_rng(14), nd=3, trials=20)
 
+    def test_two_slot_bbh(self):
+        self._assert_gram_matches(_two_slot_bbh_code(), np.random.default_rng(23), nd=3, trials=20)
+
     def test_decisions_equal_oracle(self):
         rng = np.random.default_rng(18)
-        codes = list(_sweep_codes()) + [("non-diagonal-bbh", _non_diagonal_bbh_code())]
+        codes = list(_sweep_codes()) + [("non-diagonal-bbh", _non_diagonal_bbh_code()),
+                                        ("two-slot-bbh", _two_slot_bbh_code())]
         for tag, code in codes:
             (g, y), (g_ref, y_ref) = self._observe_both(code, rng, trials=256, P=5.0)
             for decoder, dec in decoders_of(code).items():
@@ -423,3 +440,35 @@ class TestRealifiedOracle:
         gm = cn(rng, 100, code.N, 2)
         np.testing.assert_array_equal(noise_bound(channel, gm, power),
                                       realified_noise_bound(channel, gm, power))
+
+
+class TestSlotBlocks:
+    """observe factors Gamma_c as T2/s slot blocks of size s*N_D, s the
+    smallest divisor of T2 whose aligned s x s blocks hold every Bbar_j Bbar_j^H."""
+
+    def test_block_size(self):
+        assert all(RelayChannel(code).s == 1 for _, code in _sweep_codes())
+        assert RelayChannel(_non_diagonal_bbh_code()).s == 2  # = T2
+        two_slot = RelayChannel(_two_slot_bbh_code())
+        assert (two_slot.s, two_slot.T2) == (2, 4)
+        np.testing.assert_allclose(two_slot.bbh[0], np.kron(np.eye(2), [[2, 1], [1, 1]]))
+
+
+@settings(deadline=None, max_examples=30)
+@given(code_s=st.one_of(preset_codes().map(lambda code: (code, 1)),
+                       st.just((_non_diagonal_bbh_code(), 2))),
+       nd=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_batched_observe_equals_batches_of_one(code_s, nd, seed):
+    # the (b*T2/s, s*N_D, ...) reshape must keep every trial's rows together
+    code, s = code_s
+    channel = RelayChannel(code)
+    assert channel.s == s
+    rng = np.random.default_rng(seed)
+    arrays = (rng.standard_normal((5, code.K)), cn(rng, 5, code.N), cn(rng, 5, code.N, nd),
+              cn(rng, 5, code.N, code.T1), cn(rng, 5, code.T2, nd))
+    power = PowerConfig.balanced(code, 10.0)
+    g, y = channel.observe(*arrays, power)
+    for i in range(5):
+        g1, y1 = channel.observe(*(a[i:i + 1] for a in arrays), power)
+        for batched, alone in ((g[i], g1[0]), (y[i], y1[0])):
+            assert np.linalg.norm(batched - alone) <= 1e-12 * np.linalg.norm(alone)

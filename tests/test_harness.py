@@ -327,6 +327,13 @@ class TestCsvAndConfig:
         with pytest.raises(ValueError, match="DSTBC_THREADS"):
             worker_count()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("DSTBC_THREADS", value)
+        with pytest.raises(ValueError,
+                           match=f"^DSTBC_THREADS must be a positive integer, got '{value}'$"):
+            worker_count()
+
 
 def test_modulation_set_parsing():
     assert modulation_set("pam8").size == 8
