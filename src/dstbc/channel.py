@@ -7,16 +7,13 @@ when j is in S), and the destination's N_D antennas observe
     Y = sqrt(rho) X(x) H + U,   rho = pi1*pi2*P^2 / (pi1*P + 1),
 
 with H = diag(fbar) Gmat and U colored by the forwarded relay noise. The
-module provides the physical simulation, the exact noise covariance and its
-whitening transform, and the real-valued equivalent model y' = G' x + u'.
+module provides the physical simulation, the exact noise covariance and the
+whitened model that the decoders read.
 
 The pipeline is batch-first: RelayChannel runs a chunk of trials along a
 leading axis, and a single trial is a batch of one.
 
-Whitening is done in the complex domain, realification after it; [Re; Im]
-stacks real parts over imaginary parts. The noise is proper, so the
-realified covariance is 1/2 realify(Gamma_c), with
-realify(M) = [[Re M, -Im M], [Im M, Re M]]. covariance returns Gamma_c in
+Whitening is done in the complex domain. covariance returns Gamma_c in
 column-major vec order; observe works in slot-major vec order, row t*N_D + l
 for slot t and antenna l. In that order Gamma_c is block-diagonal with T2/s
 blocks of size s*N_D, where s, fixed per code, is the smallest divisor of T2
@@ -25,12 +22,11 @@ Bbar_j Bbar_j^H. Presets have diagonal Bbar_j Bbar_j^H and s = 1; s = T2 is
 the whole matrix. One matmul of the relay gain products with those blocks of
 the Bbar_j Bbar_j^H builds them (_slot_blocks). Each block is the identity
 plus a PSD sum, so it has a Cholesky factor L whose pivots are at least 1,
-and W_c = blockdiag(L^-1) whitens Gamma_c. realify is a *-homomorphism, so
-sqrt(2) realify(W_c) whitens the realified covariance. observe returns the
-whitened model y = sqrt(2) [Re; Im](W_c vec(Y)),
-G = sqrt(2 rho) [Re; Im](W_c vec(A_i H)), vec slot-major. Any exact whitener
-gives the same [G y]'[G y], which is all the decoders read. W_c is applied
-by forward substitution on the L of each block (solve_lower).
+and W_c = blockdiag(L^-1) whitens Gamma_c; it is applied by forward
+substitution on the L of each block (solve_lower). observe returns one
+complex array W = [sqrt(2 rho) W_c vec(A_1 H) ... sqrt(2 rho) W_c vec(A_K H),
+sqrt(2) W_c vec(Y)], vec slot-major, whose real model decode states. Any
+exact whitener gives the same W^H W, which is all the decoders read.
 """
 
 from __future__ import annotations
@@ -165,9 +161,9 @@ class RelayChannel:
         blocks[:, np.arange(s * nd), np.arange(s * nd)] += 1.0
         return blocks
 
-    def observe(self, x, f, gm, v, w, power: PowerConfig):
-        """Transmit, then whiten: the real model (G (b, d, K), y (b, d)),
-        rows in slot-major vec order."""
+    def observe(self, x, f, gm, v, w, power: PowerConfig) -> np.ndarray:
+        """Transmit, then whiten: W (b, T2*N_D, K + 1), complex, rows in
+        slot-major vec order, the columns of G and then y (module docstring)."""
         y = self.transmit(x, f, gm, v, w, power)
         b, _, nd = y.shape
         # every A_k H by one (b*N_D, N) @ (N, T2*K) product, scaled into
@@ -175,13 +171,11 @@ class RelayChannel:
         ah = np.swapaxes(self.effective(f, gm), 1, 2).reshape(-1, self.N) @ self._weights_t
         cols = np.empty((b, self.T2, nd, self.K + 1), complex)
         np.multiply(ah.reshape(b, nd, self.T2, self.K).transpose(0, 2, 1, 3),
-                    math.sqrt(power.rho), out=cols[..., :-1])
-        cols[..., -1] = y
+                    math.sqrt(2.0 * power.rho), out=cols[..., :-1])
+        np.multiply(y, math.sqrt(2.0), out=cols[..., -1])
         blocks = self._slot_blocks(gm, power)
         white = solve_lower(np.linalg.cholesky(blocks), cols.reshape(*blocks.shape[:2], -1))
-        white = white.reshape(b, self.T2 * nd, -1)
-        white = math.sqrt(2.0) * np.concatenate([white.real, white.imag], axis=1)
-        return white[:, :, :-1], white[:, :, -1]
+        return white.reshape(b, self.T2 * nd, -1)
 
     def _check_shapes(self, **arrays) -> None:
         """Reject arrays that do not fit the code: f (b, N), gm (b, N, N_D),

@@ -161,15 +161,15 @@ def _cmd_selftest(args) -> int:
     rel = np.linalg.norm(draws.T @ draws.conj() / n - gamma) / np.linalg.norm(gamma)
     pseudo = np.linalg.norm(draws.T @ draws / n) / np.linalg.norm(gamma)  # proper: ~0
     results.append(("noise covariance oracle (20k draws)", bool(max(rel, pseudo) < 0.05)))
-    white = channel.observe(*noise)[1]
+    white = channel.observe(*noise)[:, :, -1]  # whitened noise: covariance 2I, proper
     eye = np.eye(white.shape[1])
-    rel = np.linalg.norm(white.T @ white / n - eye) / np.linalg.norm(eye)
+    cov, pseudo = (white.T @ m / (2 * n) for m in (white.conj(), white))
+    rel = max(np.linalg.norm(cov - eye), np.linalg.norm(pseudo)) / np.linalg.norm(eye)
     results.append(("whitened noise covariance is I (20k draws)", bool(rel < 0.05)))
 
-    failed = [name for name, ok in results if not ok]
     for name, ok in results:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-    return 1 if failed else 0
+    return 0 if all(ok for _, ok in results) else 1
 
 
 def main(argv=None) -> int:
@@ -178,19 +178,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_ERROR
+    commands = {"info": _cmd_info, "check": _cmd_check, "simulate": _cmd_simulate,
+                "selftest": _cmd_selftest}
     try:
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
+        return commands[args.command](args)
     except (ValueError, TypeError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

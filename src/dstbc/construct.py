@@ -319,8 +319,8 @@ def build(
     explicit set (with a full-diversity rotation of matching dimension);
     without one the code is still usable for structure and rate queries.
     """
-    if N % cod.Np:
-        raise ValueError(f"N = {N} is not a multiple of the COD width {cod.Np}")
+    if N < 1 or N % cod.Np:
+        raise ValueError(f"N must be a positive multiple of the COD width {cod.Np}, got {N}")
     L = N // cod.Np
     if not 1 <= lam <= L:
         raise ValueError(f"lam must be in 1..{L}, got {lam}")

@@ -1,4 +1,7 @@
-"""Group decoders for the whitened real model y = G x + n.
+"""Group decoders for the whitened real model y = G x + n, n white with unit
+variance per real dimension. decide reads it as one array W (b, d, K + 1):
+[Re W; Im W] = [G y] for the complex W of RelayChannel.observe, stacking real
+parts over imaginary parts, and W = [G y] for a real W.
 
 PIC decodes each group after projecting out the span of every other
 group's columns; PIC-SIC walks the groups in order, projecting out only
@@ -7,12 +10,12 @@ are the same decoders under the all-singleton refinement of the grouping,
 available when the group alphabets factor per coordinate. ML minimizes
 ||y - G x||^2 over the full product alphabet.
 
-The decoders read (G, y) only through the Gram matrix [G y]'[G y], formed
-once per chunk with its columns in the decoder's order. Every decoder takes
-one Cholesky factor of it, with 1 added to the y'y entry so that the factor
-exists when y lies in span(G). Its upper factor is [[R, z], [0, sqrt(rss + 1)]]
-with R'R = G'G, z = R^-T G'y and rss the part of y outside span(G), so
-||y - G x||^2 = ||z - R x||^2 + rss:
+The decoders read (G, y) only through the Gram matrix [G y]'[G y] = Re(W^H W),
+formed once per chunk and indexed into the decoder's column order. Every
+decoder takes one Cholesky factor of it, with 1 added to the y'y entry so
+that the factor exists when y lies in span(G). Its upper factor is
+[[R, z], [0, sqrt(rss + 1)]] with R'R = G'G, z = R^-T G'y and rss the part
+of y outside span(G), so ||y - G x||^2 = ||z - R x||^2 + rss:
 
 - PIC-SIC / ZF-SIC take the columns in reverse group order, so the leading
   columns of R belong to the groups decoded after the current one (Wübben
@@ -30,14 +33,16 @@ with R'R = G'G, z = R^-T G'y and rss the part of y outside span(G), so
   exact. Level k extends every survivor by each point of group k, adding
   its block row's term, and keeps the extensions inside the sphere. A
   level whose survivors pass _ML_SURVIVORS splits its trial block in two,
-  and each half goes on alone. The metric returned is ||y - G x||^2.
+  and each half goes on alone. The metric returned is ||y - G x||^2, read
+  off W as ||W_y - W_G x||^2.
 
 A Gram factor loses about eps * kappa(G)^2 in relative accuracy. A row whose
 smallest pivot of R is at most _PIVOT_TOL = 1e-4 times its largest has
 kappa(G) >= 1e4, so its factor keeps at most about 8 digits. Such rows, and
 every row of a chunk with no factor (numpy's batched factor fails as a
-whole), take the exact fallback. PIC and PIC-SIC project by SVD with a
-numerical-rank cut. ML runs the same search on the upper factor
+whole), take the exact fallback on their real model, the only rows that are
+realified. PIC and PIC-SIC project by SVD with a numerical-rank cut. ML runs
+the same search on the upper factor
 [[R, z], [0, +-sqrt(rss)]] of a QR of [G y], zero-padded to K + 1 rows so
 that R is square when G is wide; the search never inverts R, so a singular
 R is searched exactly. Its candidate is the MMSE-SIC decision (Wübben,
@@ -175,6 +180,11 @@ def _factor(gram):
     return c, diag.min(axis=1) > _PIVOT_TOL * diag.max(axis=1)
 
 
+def _realify(w):
+    """The real model [G y] of W: [Re W; Im W] if W is complex, else W."""
+    return np.concatenate([w.real, w.imag], axis=1) if np.iscomplexobj(w) else w
+
+
 def _rows(full, fast, exact):
     """The arrays of fast(rows) on the rows where full holds and of
     exact(rows) on the rest, merged by row; neither is called without rows."""
@@ -192,8 +202,8 @@ def _rows(full, fast, exact):
 class GroupDecoder:
     """One decoder's tables for one grouping, applied to chunks of trials.
 
-    decide(G (b, d, K), y (b, d)) returns each trial's point index and
-    metric per decode group. ZF flavours decode the singleton refinement;
+    decide(W (b, d, K + 1)) returns each trial's point index and metric per
+    decode group. ZF flavours decode the singleton refinement;
     group_indices maps their decisions back to the grouping's groups.
     """
 
@@ -211,8 +221,9 @@ class GroupDecoder:
         pic = decoder in ("pic", "zf")
         nulled = grouping.complement if pic else grouping.tail
         self.interference = [list(nulled(k)) for k in range(grouping.g)]
-        # Gram columns: PIC keeps G's order, SIC and ML take the groups in reverse
-        self.order = list(range(self.K)) if pic else [c for grp in self.groups[::-1] for c in grp]
+        # Gram columns: PIC keeps G's order, SIC and ML take the groups in reverse; y last
+        cols = list(range(self.K)) if pic else [c for grp in self.groups[::-1] for c in grp]
+        self.order = np.array(cols + [self.K])
         # PIC inverts the S_k blocks of one size in one call
         sizes = sorted({len(grp) for grp in self.groups})
         self.size_classes = [[k for k, grp in enumerate(self.groups) if len(grp) == m]
@@ -227,13 +238,13 @@ class GroupDecoder:
             self.strides = np.array([math.prod(self.sizes[k + 1:])
                                      for k in range(len(self.sizes))])
 
-    def decide(self, g: np.ndarray, y: np.ndarray):
-        if g.ndim != 3 or g.shape[2] != self.K:
-            raise ValueError(f"G must be (b, d, K) with K = {self.K} columns, got {g.shape}")
-        if y.shape != g.shape[:2]:
-            raise ValueError(f"y must be (b, d) matching the rows of G {g.shape}, got {y.shape}")
-        gy = np.concatenate([g[:, :, self.order], y[:, :, None]], axis=2)
-        gram = np.swapaxes(gy, 1, 2) @ gy
+    def decide(self, w: np.ndarray):
+        if w.ndim != 3 or w.shape[2] != self.K + 1:
+            raise ValueError(f"W must be (b, d, K + 1) with K = {self.K}: the columns of G, "
+                             f"then y; got {w.shape}")
+        o = self.order
+        wr, wi = w.real, w.imag  # Re(W^H W) by two real products, with no conjugate copy
+        gram = (np.swapaxes(wr, 1, 2) @ wr + np.swapaxes(wi, 1, 2) @ wi)[:, o[:, None], o]
         gram[:, -1, -1] += 1.0  # keeps the factor positive definite when y is in span(G)
         c, full = _factor(gram)  # c = [[R, z], [0, sqrt(rss + 1)]]
         r, z = c[:, :-1, :-1], c[:, :-1, -1]
@@ -241,12 +252,13 @@ class GroupDecoder:
         if self.decoder == "ml":
             (idx,) = _rows(
                 full, lambda t: (self._sphere(r[t], z[t], self._sic(r[t], z[t], 0.0)[0]),),
-                lambda t: (self._sphere_by_qr(gy[t], gram[t]),))
-            res = y - np.einsum("bdk,bk->bd", g, group_symbols(self.groups, self.sets, idx))
-            return idx, np.einsum("bd,bd->b", res, res)[:, None]
+                lambda t: (self._sphere_by_qr(_realify(w[t])[:, :, o], gram[t]),))
+            x = group_symbols(self.groups, self.sets, idx)
+            res = w[:, :, -1] - np.einsum("bdk,bk->bd", w[:, :, :-1], x)
+            return idx, np.einsum("bd,bd->b", res.conj(), res).real[:, None]
         solve = self._pic if self.decoder in ("pic", "zf") else self._sic
         return _rows(full, lambda t: solve(r[t], z[t], rss[t]),
-                     lambda t: self._projected(g[t], y[t]))
+                     lambda t: self._projected(_realify(w[t])))
 
     def _pic(self, r, z, rss):
         """Metric (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2 per group."""
@@ -286,8 +298,9 @@ class GroupDecoder:
             end = after
         return np.stack(idx, axis=1), np.stack(metric, axis=1)
 
-    def _projected(self, g, y):
-        """PIC / PIC-SIC by SVD projection: the exact fallback."""
+    def _projected(self, gy):
+        """PIC / PIC-SIC by SVD projection on the real [G y]: the exact fallback."""
+        g, y = gy[:, :, :-1], gy[:, :, -1]
         idx, metric = [], []
         sic = self.decoder.endswith("-sic")
         yk = y.copy() if sic else y
@@ -319,7 +332,7 @@ class GroupDecoder:
         indices (b, g). R is never inverted, so it may be singular. Among
         metrics equal as computed, the lowest product index wins."""
         b = r.shape[0]
-        x = group_symbols(self.groups, self.sets, cand)[:, self.order]
+        x = group_symbols(self.groups, self.sets, cand)[:, self.order[:-1]]
         res = z - np.einsum("bkl,bl->bk", r, x)
         cand_metric = np.einsum("bk,bk->b", res, res)
         radius = cand_metric * (1.0 + 1e-10)  # rounding must not prune the candidate itself

@@ -129,6 +129,11 @@ def _scan(chunks):
     return tested, min_ratio, None
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+
+
 def _scan_groups(code, criterion, interference_of, trials, rng):
     """Shared kernel of the PIC and PIC-SIC checks.
 
@@ -169,17 +174,17 @@ def check_pic(code: DstbcCode, trials: int = 1000,
     The analytic certificate is attached for grid-built codes with at most
     two layers, where the construction guarantees the PIC criterion.
     """
+    _check_trials(trials)
     rng = rng or np.random.default_rng(0)
     report = _scan_groups(code, "PIC", code.grouping.complement, trials, rng)
-    cert = None
-    if code.params is not None and code.params.n <= 2:
-        cert = cod_certificate(code)
-    return replace(report, analytic_certificate=cert)
+    two_layers = code.params is not None and code.params.n <= 2
+    return replace(report, analytic_certificate=cod_certificate(code) if two_layers else None)
 
 
 def check_pic_sic(code: DstbcCode, trials: int = 1000,
                   rng: np.random.Generator | None = None) -> CriterionReport:
     """Randomized PIC-SIC rank criterion; interference spans later groups only."""
+    _check_trials(trials)
     rng = rng or np.random.default_rng(0)
     report = _scan_groups(code, "PIC-SIC", code.grouping.tail, trials, rng)
     cert = cod_certificate(code) if code.params is not None else None
@@ -193,6 +198,7 @@ def check_zf(code: DstbcCode, trials: int = 1000,
     Tests all signed unit vectors (catching symbols whose lone weight is
     rank deficient) plus `trials` Gaussian draws.
     """
+    _check_trials(trials)
     rng = rng or np.random.default_rng(0)
     w = code.design.weights
     units = np.concatenate([np.eye(code.K), -np.eye(code.K)])
@@ -204,9 +210,7 @@ def check_zf(code: DstbcCode, trials: int = 1000,
             yield np.einsum("uk,ktn->utn", u_chunk, w), lambda i: Witness(None, None, u_chunk[i])
 
     tested, min_ratio, witness = _scan(chunks())
-    cert = None
-    if code.params is not None and code.params.lam == 1:
-        cert = cod_certificate(code)
+    cert = cod_certificate(code) if code.params is not None and code.params.lam == 1 else None
     return CriterionReport("ZF", witness is None, tested, min_ratio, witness, cert)
 
 
@@ -220,16 +224,11 @@ def cod_certificate(code: DstbcCode) -> bool:
     whenever any hypothesis cannot be established.
     """
     p = code.params
-    if p is None or code.group_sets is None:
-        return False
-    if not verify_cod(p.cod):
+    if p is None or code.group_sets is None or not verify_cod(p.cod):
         return False
     for s in code.group_sets:
-        if s.rotation is None or s.component_levels is None:
-            return False
-        if s.dim != p.lam:
-            return False
-        if not verify_rotation(s.rotation, s.component_levels):
+        if (s.rotation is None or s.component_levels is None or s.dim != p.lam
+                or not verify_rotation(s.rotation, s.component_levels)):
             return False
     w = code.design.weights
     mag = np.abs(w).sum(axis=0)  # (T2, N)
@@ -244,9 +243,7 @@ def cod_certificate(code: DstbcCode) -> bool:
         m = k // p.Kp
         for i in grp:
             rows, cols = np.nonzero(np.abs(w[i]) > 0)
-            if rows.size == 0:
-                return False
-            if np.any(rows // p.Tp - cols // p.Np != m):
+            if rows.size == 0 or np.any(rows // p.Tp - cols // p.Np != m):
                 return False
     return True
 

@@ -94,12 +94,12 @@ def worker_count() -> int:
 
 def modulation_set(name: str) -> SignalSet:
     """pamM for one-symbol groups, qamM (rotated) for two-symbol groups."""
-    name = name.lower()
-    if name.startswith("pam"):
-        return make_pam(int(name[3:]))
-    if name.startswith("qam"):
-        return make_rotated_qam(int(name[3:]), rotation_2d())
-    raise ValueError(f"unknown modulation {name!r} (use pamM or qamM)")
+    kind, order = name[:3].lower(), name[3:]
+    if kind not in ("pam", "qam") or not order.isdecimal():
+        raise ValueError(f"modulation must be pamM or qamM with M a number, got {name!r}")
+    if kind == "pam":
+        return make_pam(int(order))
+    return make_rotated_qam(int(order), rotation_2d())
 
 
 @dataclass(frozen=True)
@@ -239,9 +239,9 @@ class _Engine:
         x = group_symbols(self.groups, self.sets, tx_idx)
         return self.channel.observe(x, f, gm, v, w, power)
 
-    def _decide(self, g, yw):
+    def _decide(self, white):
         """Per-trial decoded group indices, in decode-group order."""
-        return self.dec.decide(g, yw)[0]
+        return self.dec.decide(white)[0]
 
     def _rx_group_indices(self, dec_idx):
         """Map decode-group decisions back to original-group point indices."""
@@ -250,8 +250,8 @@ class _Engine:
     def chunk_bit_errors(self, power: PowerConfig, key: int, lo: int, hi: int) -> np.ndarray:
         """Bit errors of trials lo..hi-1; key as for _draw_chunk."""
         tx_idx, f, gm, v, w = self._draw_chunk(key, lo, hi)
-        g, yw = self._observe(tx_idx, f, gm, v, w, power)
-        rx_idx = self._rx_group_indices(self._decide(g, yw))
+        white = self._observe(tx_idx, f, gm, v, w, power)
+        rx_idx = self._rx_group_indices(self._decide(white))
         errors = np.zeros(hi - lo, dtype=np.int64)
         for k, s in enumerate(self.sets):
             d = s.labels[tx_idx[:, k]] ^ s.labels[rx_idx[:, k]]

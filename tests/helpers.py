@@ -130,8 +130,9 @@ def reindex(c: CodProfile, symbol_indices, k_total: int) -> LinearDesign:
 
 # The realified route to the whitened model: realify the complex covariance
 # and the channel columns first, then whiten with a real eigh of size
-# 2*N_D*T2. RelayChannel.observe must give the same [G y]'[G y] and the
-# same decisions, and realified_noise_bound the verdicts of noise_bound.
+# 2*N_D*T2. The real model of RelayChannel.observe must give the same
+# [G y]'[G y] and the same decisions, and realified_noise_bound the verdicts
+# of noise_bound.
 
 def _whitener(gamma: np.ndarray):
     """Hermitian inverse square roots of a stack of covariances, and their
@@ -163,6 +164,17 @@ def _real_channel(weights: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
     m = np.moveaxis(ah, 3, 2).reshape(b, k, -1)
     gprime = math.sqrt(rho) * np.concatenate([m.real, m.imag], axis=2)
     return gprime.transpose(0, 2, 1)
+
+
+def real_model(w: np.ndarray):
+    """(G, y) of the real model [Re W; Im W] = [G y] of an observe output W."""
+    gy = np.concatenate([w.real, w.imag], axis=1)
+    return gy[:, :, :-1], gy[:, :, -1]
+
+
+def joined(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[G y] (b, d, K + 1), the one array that GroupDecoder.decide reads."""
+    return np.concatenate([g, y[..., None]], axis=2)
 
 
 def realified_observe(channel, x, f, gm, v, w, power):

@@ -12,14 +12,16 @@ from tests.helpers import (
     _realify_cov,
     _whitener,
     covariance_oracle,
+    joined,
     noise_bound,
     realified_noise_bound,
+    real_model,
     realified_observe,
     rvec,
     satisfies_constraint,
 )
 from tests.test_acceptance import _sweep_codes
-from tests.test_construct import preset_codes
+from tests.test_construct import preset_codes, preset_codes_with_modulation
 from tests.test_decode import cn, decoders_of
 
 
@@ -65,6 +67,17 @@ class TestPowerConfig:
         with pytest.raises(ValueError, match="pi1"):
             PowerConfig.balanced(code, 100.0, pi1)
         assert PowerConfig.balanced(code, 100.0, 2.4).pi2 > 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(code_modulation=preset_codes_with_modulation(), data=st.data())
+def test_balanced_split_meets_the_power_constraint(code_modulation, data):
+    code, _ = code_modulation
+    pi1 = data.draw(st.floats(0.0, (code.T1 + code.T2) / code.T1,
+                              exclude_min=True, exclude_max=True), label="pi1")
+    power = PowerConfig.balanced(code, data.draw(st.floats(1e-3, 1e6), label="P"), pi1)
+    # pi2 rounds to 0 when pi1 is within an ulp of the bound
+    assert power.pi2 >= 0 and satisfies_constraint(power, code)
 
 
 class TestEffectiveChannel:
@@ -308,9 +321,9 @@ class TestWhiten:
         code = _alamouti_code()
         power = PowerConfig.balanced(code, 10.0)
         f, gm = _fixed_gains(rng, code, 2, 30000)
-        _, draws = RelayChannel(code).observe(
+        _, draws = real_model(RelayChannel(code).observe(
             np.zeros((30000, 4)), f, gm, cn(rng, 30000, 2, code.T1), cn(rng, 30000, code.T2, 2), power
-        )
+        ))
         dim = draws.shape[1]
         emp = draws.T @ draws / draws.shape[0]
         rel = np.linalg.norm(emp - np.eye(dim)) / np.linalg.norm(np.eye(dim))
@@ -388,8 +401,9 @@ def _gram(g, y):
 class TestRealifiedOracle:
     """observe and noise_bound against the realified route of tests.helpers:
     realify first, then whiten with a real eigh of twice the size. The two
-    whiteners differ by an orthogonal factor on the left, so observe must
-    match the route in [G y]'[G y] and in every decoder's decisions."""
+    whiteners differ by an orthogonal factor on the left, so the real model
+    of observe must match the route in [G y]'[G y], and observe's complex W
+    must match it in every decoder's decisions."""
 
     def _observe_both(self, code, rng, nd=2, trials=4, P=30.0):
         channel = RelayChannel(code)
@@ -401,8 +415,8 @@ class TestRealifiedOracle:
         return channel.observe(*args), realified_observe(channel, *args)
 
     def _assert_gram_matches(self, code, rng, nd=2, trials=4):
-        (g, y), (g_ref, y_ref) = self._observe_both(code, rng, nd, trials)
-        gram, gram_ref = _gram(g, y), _gram(g_ref, y_ref)
+        w, (g_ref, y_ref) = self._observe_both(code, rng, nd, trials)
+        gram, gram_ref = _gram(*real_model(w)), _gram(g_ref, y_ref)
         rel = (np.linalg.norm(gram - gram_ref, axis=(1, 2))
                / np.linalg.norm(gram_ref, axis=(1, 2)))
         assert rel.max() < 1e-10
@@ -426,9 +440,9 @@ class TestRealifiedOracle:
         codes = list(_sweep_codes()) + [("non-diagonal-bbh", _non_diagonal_bbh_code()),
                                         ("two-slot-bbh", _two_slot_bbh_code())]
         for tag, code in codes:
-            (g, y), (g_ref, y_ref) = self._observe_both(code, rng, trials=256, P=5.0)
+            w, (g_ref, y_ref) = self._observe_both(code, rng, trials=256, P=5.0)
             for decoder, dec in decoders_of(code).items():
-                np.testing.assert_array_equal(dec.decide(g, y)[0], dec.decide(g_ref, y_ref)[0],
+                np.testing.assert_array_equal(dec.decide(w)[0], dec.decide(joined(g_ref, y_ref))[0],
                                               err_msg=f"{tag} {decoder}")
 
     @pytest.mark.parametrize("code", [_non_diagonal_bbh_code(), build(4, cod_alamouti(), 1, 2)],
@@ -467,8 +481,8 @@ def test_batched_observe_equals_batches_of_one(code_s, nd, seed):
     arrays = (rng.standard_normal((5, code.K)), cn(rng, 5, code.N), cn(rng, 5, code.N, nd),
               cn(rng, 5, code.N, code.T1), cn(rng, 5, code.T2, nd))
     power = PowerConfig.balanced(code, 10.0)
-    g, y = channel.observe(*arrays, power)
+    white = channel.observe(*arrays, power)
     for i in range(5):
-        g1, y1 = channel.observe(*(a[i:i + 1] for a in arrays), power)
-        for batched, alone in ((g[i], g1[0]), (y[i], y1[0])):
+        one = channel.observe(*(a[i:i + 1] for a in arrays), power)[0]
+        for batched, alone in ((white[i, :, :-1], one[:, :-1]), (white[i, :, -1], one[:, -1])):
             assert np.linalg.norm(batched - alone) <= 1e-12 * np.linalg.norm(alone)

@@ -40,6 +40,16 @@ class TestInfo:
         code, _, err = run(capsys, "info", "--preset", "bogus", "--N", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("modulation", ["pamx", "pam"])
+    def test_modulation_without_an_order_is_usage_error(self, capsys, modulation):
+        code, _, err = run(capsys, "info", "--preset", "example1", "--N", "2",
+                           "--modulation", modulation)
+        assert code == 2 and "modulation must be pamM or qamM" in err
+
+    def test_zero_relays_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "info", "--preset", "example1", "--N", "0")
+        assert code == 2 and "N must be a positive multiple" in err
+
 
 class TestCheck:
     def test_certified_pass(self, capsys):
@@ -66,6 +76,14 @@ class TestCheck:
         assert code == 1
         doc = json.loads(out)
         assert doc["passed"] is False and doc["witness"] is not None
+
+    def test_negative_trials_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--preset", "toeplitz", "--N", "2", "--n", "2",
+            "--trials", "-5", "--criterion", "all",
+        )
+        assert code == 2 and out == ""
+        assert "trials must be >= 0, got -5" in err
 
     def test_all_criteria(self, capsys):
         code, out, _ = run(

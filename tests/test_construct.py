@@ -22,6 +22,7 @@ from dstbc.construct import (
     rate_cspcu,
 )
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
+from dstbc.harness import modulation_set
 
 from tests.helpers import relay_form_consistent
 
@@ -67,6 +68,13 @@ class TestBuild:
     def test_rejects_indivisible_n(self):
         with pytest.raises(ValueError):
             build(3, cod_alamouti(), 1, 1)
+
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_rejects_non_positive_n(self, N):
+        # N = 0 used to pass the multiple check and fail on lam in 1..0
+        with pytest.raises(ValueError,
+                           match=f"^N must be a positive multiple of the COD width 2, got {N}$"):
+            build(N, cod_alamouti(), 1, 1)
 
     def test_rejects_lam_above_l(self):
         with pytest.raises(ValueError):
@@ -352,9 +360,25 @@ def preset_codes(draw):
     return preset(name, N, lam, n)
 
 
+# the modulations that fit a group of one or two symbols; larger groups have none
+_MODULATIONS = {1: ("pam2", "pam4", "pam8", "pam16"), 2: ("qam4", "qam16", "qam64")}
+
+
+@st.composite
+def preset_codes_with_modulation(draw):
+    """A preset code from preset_codes with a modulation that fits its groups
+    attached, and the modulation's name (None for groups of three or more)."""
+    code = draw(preset_codes())
+    names = _MODULATIONS.get(len(code.grouping.groups[0]), (None,))
+    modulation = draw(st.sampled_from(names))
+    return (code if modulation is None else code.with_sets(modulation_set(modulation)),
+            modulation)
+
+
 @settings(deadline=None, max_examples=40)
-@given(preset_codes())
-def test_preset_relay_form_and_json_round_trip(code):
+@given(preset_codes_with_modulation())
+def test_preset_relay_form_and_json_round_trip(code_modulation):
+    code, modulation = code_modulation
     form = code.relay_form
     assert relay_form_consistent(code.design, form, trials=5)
     back = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
@@ -363,3 +387,11 @@ def test_preset_relay_form_and_json_round_trip(code):
     assert back.relay_form.S == form.S and back.T1 == code.T1
     np.testing.assert_array_equal(back.relay_form.V, form.V)
     assert back.relay_form.pairing == form.pairing
+    if modulation is None:
+        return
+    # a design file plus the modulation, as resolve_code reads them
+    back = back.with_sets(modulation_set(modulation))
+    assert bits_per_channel_use(back) == bits_per_channel_use(code)
+    for s, s_ref in zip(back.group_sets, code.group_sets):
+        np.testing.assert_array_equal(s.points, s_ref.points)
+        np.testing.assert_array_equal(s.labels, s_ref.labels)

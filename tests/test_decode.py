@@ -18,7 +18,7 @@ from dstbc.decode import (
 )
 from dstbc.design import cod_alamouti, cod_trivial
 from dstbc.harness import modulation_set
-from tests.helpers import oracle_decide
+from tests.helpers import joined, oracle_decide, real_model
 
 
 def cn(rng, *shape):
@@ -26,9 +26,9 @@ def cn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def observed_problem(code, nd, P, rng, trials=1, noiseless=False):
-    """A batch of whitened relay observations; returns (G (b, d, K),
-    y (b, d), x0 (b, K)) with x0 drawn uniformly from the group alphabets."""
+def observed(code, nd, P, rng, trials=1, noiseless=False):
+    """A batch of whitened relay observations; returns observe's
+    W (b, d, K + 1) and x0 (b, K), drawn uniformly from the group alphabets."""
     power = PowerConfig.balanced(code, P)
     f, gm = cn(rng, trials, code.N), cn(rng, trials, code.N, nd)
     idx = np.stack([rng.integers(s.size, size=trials) for s in code.group_sets], axis=1)
@@ -36,14 +36,19 @@ def observed_problem(code, nd, P, rng, trials=1, noiseless=False):
     v, w = cn(rng, trials, code.N, code.T1), cn(rng, trials, code.T2, nd)
     if noiseless:
         v, w = 0 * v, 0 * w
-    g, y = RelayChannel(code).observe(x, f, gm, v, w, power)
-    return g, y, x
+    return RelayChannel(code).observe(x, f, gm, v, w, power), x
+
+
+def observed_problem(code, nd, P, rng, trials=1, noiseless=False):
+    """observed as the real model: (G (b, d, K), y (b, d), x0 (b, K))."""
+    w, x = observed(code, nd, P, rng, trials, noiseless)
+    return (*real_model(w), x)
 
 
 def x_hat(decoder, code, g, y):
     """One decoder's decisions on a batch, as symbol vectors (b, K)."""
     dec = GroupDecoder(decoder, code.grouping, code.group_sets)
-    return group_symbols(dec.groups, dec.sets, dec.decide(g, y)[0])
+    return group_symbols(dec.groups, dec.sets, dec.decide(joined(g, y))[0])
 
 
 def projector(cols):
@@ -91,7 +96,7 @@ class TestPic:
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(16, rotation_2d()))
         g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=100, noiseless=True)
         dec = GroupDecoder("pic", code.grouping, code.group_sets)
-        idx, metric = dec.decide(g, y)
+        idx, metric = dec.decide(joined(g, y))
         np.testing.assert_allclose(group_symbols(dec.groups, dec.sets, idx), x0)
         assert metric.max() < 1e-12
 
@@ -106,7 +111,7 @@ class TestPic:
         x0 = s.points[rng.integers(4, size=(50, 4)), 0]
         y = np.einsum("bdk,bk->bd", q, x0) + 0.05 * rng.standard_normal((50, 8))
         dec = GroupDecoder("pic", grouping, (s,) * 4)
-        xh = group_symbols(dec.groups, dec.sets, dec.decide(q, y)[0])
+        xh = group_symbols(dec.groups, dec.sets, dec.decide(joined(q, y))[0])
         # scalar oracle: project y onto each column, pick nearest level
         for t in range(50):
             scale = float(q[t, :, 0] @ q[t, :, 0])
@@ -141,7 +146,7 @@ class TestPicSic:
         code = build(6, cod_alamouti(), 2, 2, make_rotated_qam(16, rotation_2d()))
         g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=100, noiseless=True)
         dec = GroupDecoder("pic-sic", code.grouping, code.group_sets)
-        idx, metric = dec.decide(g, y)
+        idx, metric = dec.decide(joined(g, y))
         np.testing.assert_allclose(group_symbols(dec.groups, dec.sets, idx), x0)
         assert metric.max() < 1e-10
 
@@ -183,7 +188,7 @@ class TestZf:
         grouping = GroupingScheme(((0,),))
         g = rng.standard_normal((20, 4, 1))
         y = g[:, :, 0] * s.points[rng.integers(2, size=(20, 1)), 0] + 0.3 * rng.standard_normal((20, 4))
-        a, b, c = (GroupDecoder(d, grouping, (s,)).decide(g, y)[0]
+        a, b, c = (GroupDecoder(d, grouping, (s,)).decide(joined(g, y))[0]
                    for d in ("zf", "zf-sic", "ml"))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(b, c)
@@ -227,7 +232,7 @@ class TestDeterminism:
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
         g, y, _ = observed_problem(code, 2, 5.0, rng)
         dec = GroupDecoder("pic-sic", code.grouping, code.group_sets)
-        a, b = dec.decide(g, y), dec.decide(g, y)
+        a, b = dec.decide(joined(g, y)), dec.decide(joined(g, y))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -237,7 +242,7 @@ class TestDeterminism:
         grouping = GroupingScheme(((0,),))
         g, y = np.ones((1, 2, 1)), np.zeros((1, 2))
         for decoder in ("pic", "ml"):
-            assert GroupDecoder(decoder, grouping, (s,)).decide(g, y)[0].tolist() == [[0]]
+            assert GroupDecoder(decoder, grouping, (s,)).decide(joined(g, y))[0].tolist() == [[0]]
 
 
 class TestBoundaryChecks:
@@ -260,16 +265,20 @@ class TestBoundaryChecks:
     @pytest.mark.parametrize("decoder", ["pic", "zf-sic", "ml"])
     def test_g_column_count_rejected(self, decoder):
         code, dec = self._pam2_decoder(decoder)
-        with pytest.raises(ValueError, match="^G must be"):
-            dec.decide(np.ones((3, 8, code.K - 1)), np.ones((3, 8)))
-        with pytest.raises(ValueError, match="^G must be"):
-            dec.decide(np.ones((8, code.K)), np.ones(8))  # no trial axis
+        with pytest.raises(ValueError, match=r"^W must be \(b, d, K \+ 1\) with K = 4"):
+            dec.decide(np.ones((3, 8, code.K)))  # G one column short
+        with pytest.raises(ValueError, match="^W must be"):
+            dec.decide(np.ones((8, code.K + 1)))  # no trial axis
 
     @pytest.mark.parametrize("decoder", ["pic", "zf-sic", "ml"])
     def test_y_length_rejected(self, decoder):
+        # y is W's last column, so it always has G's rows; a W with a column
+        # too many is refused, and so is a y passed apart from G
         code, dec = self._pam2_decoder(decoder)
-        with pytest.raises(ValueError, match="^y must be"):
-            dec.decide(np.ones((3, 8, code.K)), np.ones((3, 9)))
+        with pytest.raises(ValueError, match="^W must be"):
+            dec.decide(np.ones((3, 8, code.K + 2)))
+        with pytest.raises(TypeError):
+            dec.decide(np.ones((3, 8, code.K)), np.ones((3, 8)))
 
 
 def decoders_of(code):
@@ -311,11 +320,15 @@ def qr_spy(monkeypatch):
 
 def duplicate_column(g, rows, src, dst, delta=0.0, rng=None):
     """G with column dst replaced by column src on the given rows, plus
-    delta times standard normal noise when delta is nonzero."""
+    delta times standard normal noise when delta is nonzero, in the real and
+    the imaginary part of a complex G."""
     g = g.copy()
     g[rows, :, dst] = g[rows, :, src]
     if delta:
-        g[rows, :, dst] += delta * rng.standard_normal((len(rows), g.shape[1]))
+        shape = (len(rows), g.shape[1])
+        g[rows, :, dst] += delta * rng.standard_normal(shape)
+        if np.iscomplexobj(g):
+            g[rows, :, dst] += 1j * delta * rng.standard_normal(shape)
     return g
 
 
@@ -347,7 +360,7 @@ class TestOracle:
                 shapes["d > K" if d > code.K else "d = K" if d == code.K else "d < K"] += 2
                 for P in (2.0, 1000.0):
                     g, y, _ = observed_problem(code, nd, P, rng, trials=256)
-                    idx, metric = dec.decide(g, y)
+                    idx, metric = dec.decide(joined(g, y))
                     o_idx, o_metric, n_ties = oracle_decide(
                         decoder, code.grouping, code.group_sets, g, y)
                     msg = f"{tag} N_D={nd} P={P}"
@@ -378,26 +391,34 @@ class TestOracle:
         # that a factor of the Gram matrix cannot resolve: at delta = 1e-6
         # only those 20 rows fall below the pivot tolerance and reach the
         # exact fallback, while at 0 and 1e-8 the Cholesky factor of the
-        # chunk fails and all 60 rows do.
+        # chunk fails and all 60 rows do. The same holds for the duplicate
+        # made on the complex W that observe returns, of which only the
+        # fallback rows are realified.
         code = make_code()
         assert 1 in code.grouping.groups[0] + code.grouping.groups[1]
         rng = np.random.default_rng(16)
-        g0, y, _ = observed_problem(code, 2, 20.0, rng, trials=60)
+        w0, _ = observed(code, 2, 20.0, rng, trials=60)
+        g0, y = real_model(w0)
         dec = GroupDecoder(decoder, code.grouping, code.group_sets)
         exact = qr_spy(monkeypatch) if decoder == "ml" else spy(monkeypatch, "_projected")
         for delta in (0.0, 1e-6, 1e-8):
             g = duplicate_column(g0, np.arange(0, 60, 3), 0, 1, delta, rng)
+            w = duplicate_column(w0, np.arange(0, 60, 3), 0, 1, delta, rng)
             if not delta:
                 assert (np.linalg.matrix_rank(g) < code.K).tolist() == [t % 3 == 0
                                                                         for t in range(60)]
-            exact.clear()
-            idx, metric = dec.decide(g, y)
-            fallback_rows = 20 if delta == 1e-6 else 60
-            assert sum(len(args[0]) for args in exact) == fallback_rows, f"delta={delta}"
-            o_idx, o_metric, _ = oracle_decide(decoder, code.grouping, code.group_sets, g, y)
-            np.testing.assert_array_equal(idx, o_idx, err_msg=f"delta={delta}")
-            np.testing.assert_allclose(metric, o_metric, rtol=1e-9, atol=1e-12,
-                                       err_msg=f"delta={delta}")
+            for form, wy, (gr, yr) in (("real", joined(g, y), (g, y)),
+                                       ("complex", w, real_model(w))):
+                msg = f"{form} delta={delta}"
+                exact.clear()
+                idx, metric = dec.decide(wy)
+                fallback_rows = 20 if delta == 1e-6 else 60
+                assert sum(len(args[0]) for args in exact) == fallback_rows, msg
+                o_idx, o_metric, _ = oracle_decide(decoder, code.grouping, code.group_sets,
+                                                   gr, yr)
+                np.testing.assert_array_equal(idx, o_idx, err_msg=msg)
+                np.testing.assert_allclose(metric, o_metric, rtol=1e-9, atol=1e-12,
+                                           err_msg=msg)
 
     @pytest.mark.parametrize("decoder", DECODERS)
     def test_rows_decode_as_batches_of_one(self, decoder, monkeypatch):
@@ -415,10 +436,11 @@ class TestOracle:
             # duplicated columns from row 10 on: the batches of up to 9 rows
             # decode from the factor, and the batch of 257 fails it as a whole
             g = duplicate_column(g, np.arange(10, 257, 10), 0, 1)
-            single = np.concatenate([dec.decide(g[t:t + 1], y[t:t + 1])[0] for t in range(257)])
+            gy = joined(g, y)
+            single = np.concatenate([dec.decide(gy[t:t + 1])[0] for t in range(257)])
             descents.clear()
             for n in sizes:
-                np.testing.assert_array_equal(dec.decide(g[:n], y[:n])[0], single[:n],
+                np.testing.assert_array_equal(dec.decide(gy[:n])[0], single[:n],
                                               err_msg=f"{make_code.__name__} batch of {n}")
             if decoder == "ml":  # one search per batch of 1-9, and more where a block split
                 assert len(descents) > len(sizes) - 1, make_code.__name__
@@ -437,7 +459,7 @@ class TestOracle:
         if budget:
             monkeypatch.setattr(decode, "_ML_SURVIVORS", budget)
         descents, exact = spy(monkeypatch, "_descend"), qr_spy(monkeypatch)
-        idx, metric = dec.decide(g, y)
+        idx, metric = dec.decide(joined(g, y))
         o_idx, o_metric, _ = oracle_decide("ml", code.grouping, code.group_sets, g, y)
         np.testing.assert_array_equal(idx, o_idx)
         np.testing.assert_allclose(metric, o_metric, rtol=1e-9)
@@ -485,7 +507,7 @@ def test_noiseless_recovery_every_decoder(problem):
     x = group_symbols(code.grouping.groups, code.group_sets, sent)
     f, gm = cn(rng, trials, code.N), cn(rng, trials, code.N, nd)
     v, w = np.zeros((trials, code.N, code.T1)), np.zeros((trials, code.T2, nd))
-    g, y = RelayChannel(code).observe(x, f, gm, v, w, PowerConfig.balanced(code, 10.0))
+    white = RelayChannel(code).observe(x, f, gm, v, w, PowerConfig.balanced(code, 10.0))
     for decoder, dec in decoders_of(code).items():
-        np.testing.assert_array_equal(dec.group_indices(dec.decide(g, y)[0]), sent,
+        np.testing.assert_array_equal(dec.group_indices(dec.decide(white)[0]), sent,
                                       err_msg=decoder)

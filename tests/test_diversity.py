@@ -294,6 +294,16 @@ class TestComplementTransform:
             complement_transform_selftest(1)
 
 
+@pytest.mark.parametrize("check", [check_pic, check_pic_sic, check_zf])
+def test_negative_trials_refused(check):
+    code = build(4, cod_alamouti(), 2, 1)
+    with pytest.raises(ValueError, match="^trials must be >= 0, got -5$"):
+        check(code, -5)
+    # no random draws is valid: the fixed combinations are still tested
+    report = check(code, 0)
+    assert report.samples_tested > 0 and report.coverage == 1.0
+
+
 def test_report_json_shape():
     r = check_pic_sic(build(2, cod_alamouti(), 1, 1), 20, np.random.default_rng(19))
     doc = r.to_dict()

@@ -111,8 +111,8 @@ class TestEngineCrossCheck:
             x = np.empty(code.K)
             for grp, s, idx in zip(code.grouping.groups, code.group_sets, tx_idx[0]):
                 x[list(grp)] = s.points[idx]
-            g, yw = channel.observe(x[None], f, gm, v, w, power)
-            x_hat = group_symbols(dec.groups, dec.sets, dec.decide(g, yw)[0])[0]
+            white = channel.observe(x[None], f, gm, v, w, power)
+            x_hat = group_symbols(dec.groups, dec.sets, dec.decide(white)[0])[0]
             errs = 0
             for k, (grp, s) in enumerate(zip(code.grouping.groups, code.group_sets)):
                 # nearest point: ZF decisions carry per-coordinate levels
@@ -333,6 +333,13 @@ class TestCsvAndConfig:
         with pytest.raises(ValueError,
                            match=f"^DSTBC_THREADS must be a positive integer, got '{value}'$"):
             worker_count()
+
+
+@pytest.mark.parametrize("name", ["pamx", "pam", "qam", "qam4x", "psk8"])
+def test_modulation_without_an_order_refused(name):
+    with pytest.raises(ValueError,
+                       match=f"^modulation must be pamM or qamM with M a number, got '{name}'$"):
+        modulation_set(name)
 
 
 def test_modulation_set_parsing():
