@@ -11,7 +11,9 @@ module provides the physical simulation, the exact noise covariance and the
 whitened model that the decoders read.
 
 The pipeline is batch-first: RelayChannel runs a chunk of trials along a
-leading axis, and a single trial is a batch of one.
+leading axis, and a single trial is a batch of one. observe can write W into
+a given array and the A_k H products into a Workspace that outlives the
+chunk, so that a run does not touch fresh pages on every chunk.
 
 Whitening is done in the complex domain. covariance returns Gamma_c in
 column-major vec order; observe works in slot-major vec order, row t*N_D + l
@@ -23,10 +25,11 @@ the whole matrix. One matmul of the relay gain products with those blocks of
 the Bbar_j Bbar_j^H builds them (_slot_blocks). Each block is the identity
 plus a PSD sum, so it has a Cholesky factor L whose pivots are at least 1,
 and W_c = blockdiag(L^-1) whitens Gamma_c; it is applied by forward
-substitution on the L of each block (solve_lower). observe returns one
-complex array W = [sqrt(2 rho) W_c vec(A_1 H) ... sqrt(2 rho) W_c vec(A_K H),
-sqrt(2) W_c vec(Y)], vec slot-major, whose real model decode states. Any
-exact whitener gives the same W^H W, which is all the decoders read.
+substitution on the L of each block (solve_lower), in place on the columns
+that observe writes. observe returns one complex array
+W = [sqrt(2 rho) W_c vec(A_1 H) ... sqrt(2 rho) W_c vec(A_K H), sqrt(2) W_c vec(Y)],
+vec slot-major, whose real model decode states. Any exact whitener gives
+the same W^H W, which is all the decoders read.
 """
 
 from __future__ import annotations
@@ -38,20 +41,38 @@ import numpy as np
 
 from .construct import DstbcCode, rate_cspcu
 
-__all__ = ["PowerConfig", "RelayChannel", "solve_lower"]
+__all__ = ["PowerConfig", "RelayChannel", "Workspace", "solve_lower"]
 
 
 def solve_lower(low: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """X with low X = c, for lower-triangular low (b, d, d) and c (b, d, m).
+    """Solve low X = c in place, for lower-triangular low (b, d, d) and c (b, d, m),
+    and return c, which now holds X.
 
     Forward substitution, one row of every trial at a time: numpy has no
-    batched triangular solve, and np.linalg.solve LU-factors low again.
-    Real or complex; c may be read-only or broadcast, and no input is written.
+    batched triangular solve, and np.linalg.solve LU-factors low again. Row i
+    of c feeds only row i of X, so each row is overwritten once it is solved.
+    Real or complex; c must be writable, with the dtype of the result.
     """
-    x = np.empty(c.shape, np.result_type(low, c))
     for i in range(low.shape[1]):
-        x[:, i] = (c[:, i] - (low[:, i, None, :i] @ x[:, :i])[:, 0]) / low[:, i, i, None]
-    return x
+        if i:  # row 0 has nothing to subtract, and x - 0 is x
+            c[:, i] -= (low[:, i, None, :i] @ c[:, :i])[:, 0]
+        c[:, i] /= low[:, i, i, None]
+    return c
+
+
+class Workspace:
+    """Named arrays kept from chunk to chunk: work(name, shape, dtype) returns
+    the first shape[0] trials of array `name`, made at its first request and
+    again when a longer one or another shape is asked for."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        a = self.arrays.get(name)
+        if a is None or len(a) < shape[0] or a.shape[1:] != shape[1:]:
+            a = self.arrays[name] = np.empty(shape, dtype)
+        return a[:shape[0]]
 
 
 @dataclass(frozen=True)
@@ -75,15 +96,16 @@ class PowerConfig:
     def balanced(cls, code: DstbcCode, P: float, pi1: float = 1.0) -> "PowerConfig":
         """Split satisfying pi1*T1 + pi2*R*T2 = T1 + T2; pi1 = 1 gives pi2 = 1/R.
 
-        Both phases need power, so pi1 must lie in (0, (T1 + T2)/T1).
+        Both phases need power, so pi1 must lie in (0, (T1 + T2)/T1), and pi2
+        as computed must be positive: an ulp below the bound it rounds to 0.
         """
-        r = rate_cspcu(code)
         t1, t2 = code.T1, code.T2
-        if not 0 < pi1 < (t1 + t2) / t1:
+        pi2 = (t1 + t2 - pi1 * t1) / (float(rate_cspcu(code)) * t2)
+        if not (pi1 > 0 and pi2 > 0):
             raise ValueError(
                 f"pi1 must lie in (0, {(t1 + t2) / t1:g}) for this code, got {pi1}"
             )
-        return cls(P, pi1, (t1 + t2 - pi1 * t1) / (float(r) * t2))
+        return cls(P, pi1, pi2)
 
 
 class RelayChannel:
@@ -161,21 +183,29 @@ class RelayChannel:
         blocks[:, np.arange(s * nd), np.arange(s * nd)] += 1.0
         return blocks
 
-    def observe(self, x, f, gm, v, w, power: PowerConfig) -> np.ndarray:
+    def observe(self, x, f, gm, v, w, power: PowerConfig, out=None, work=None) -> np.ndarray:
         """Transmit, then whiten: W (b, T2*N_D, K + 1), complex, rows in
-        slot-major vec order, the columns of G and then y (module docstring)."""
+        slot-major vec order, the columns of G and then y (module docstring).
+
+        W is written into out, a C-contiguous array of that shape and dtype,
+        and the A_k H products into the Workspace work; by default both are new."""
         y = self.transmit(x, f, gm, v, w, power)
         b, _, nd = y.shape
+        work = Workspace() if work is None else work
         # every A_k H by one (b*N_D, N) @ (N, T2*K) product, scaled into
         # slot-major rows (t, l) beside y: cols is (b, T2, N_D, K + 1)
-        ah = np.swapaxes(self.effective(f, gm), 1, 2).reshape(-1, self.N) @ self._weights_t
-        cols = np.empty((b, self.T2, nd, self.K + 1), complex)
+        ah = work("ah", (b, nd, self.T2 * self.K), complex)
+        np.matmul(np.swapaxes(self.effective(f, gm), 1, 2).reshape(-1, self.N),
+                  self._weights_t, out=ah.reshape(b * nd, -1))
+        if out is None:
+            out = np.empty((b, self.T2 * nd, self.K + 1), complex)
+        cols = out.reshape(b, self.T2, nd, self.K + 1)
         np.multiply(ah.reshape(b, nd, self.T2, self.K).transpose(0, 2, 1, 3),
                     math.sqrt(2.0 * power.rho), out=cols[..., :-1])
         np.multiply(y, math.sqrt(2.0), out=cols[..., -1])
         blocks = self._slot_blocks(gm, power)
         white = solve_lower(np.linalg.cholesky(blocks), cols.reshape(*blocks.shape[:2], -1))
-        return white.reshape(b, self.T2 * nd, -1)
+        return white.reshape(out.shape)
 
     def _check_shapes(self, **arrays) -> None:
         """Reject arrays that do not fit the code: f (b, N), gm (b, N, N_D),

@@ -263,7 +263,7 @@ class GroupDecoder:
     def _pic(self, r, z, rss):
         """Metric (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2 per group."""
         # R^-1 = (R'^-1)', by forward substitution on the lower factor R'
-        eye = np.broadcast_to(np.eye(self.K), r.shape)
+        eye = np.tile(np.eye(self.K), (r.shape[0], 1, 1))  # solved in place
         rinv = np.swapaxes(solve_lower(np.swapaxes(r, 1, 2), eye), 1, 2)
         xh = np.einsum("bkl,bl->bk", rinv, z)
         s_blocks = {}

@@ -20,6 +20,11 @@ Trials are processed in fixed-size chunks whose linear algebra is batched;
 per-trial results do not depend on the chunking, and chunks are always
 consumed in index order, so early stopping at max_bit_errors is
 deterministic for any worker count (DSTBC_THREADS).
+
+A run keeps one thread pool for all its SNR points. Each running chunk
+writes its hash words, A_k H products and W into a channel.Workspace that
+its engine keeps for the next chunk (a short chunk uses leading rows); no
+two running chunks, and no two engines, share one.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import PowerConfig, RelayChannel
+from .channel import PowerConfig, RelayChannel, Workspace
 from .constellation import SignalSet, make_pam, make_rotated_qam, rotation_2d
 from .construct import DstbcCode, code_from_dict, preset
 from .decode import DECODERS, GroupDecoder, group_symbols
@@ -54,16 +59,27 @@ __all__ = [
 _CHUNK = 256
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SALT, _MUL1, _MUL2 = 0xD1B54A32D192ED03, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def _mix_round(h, v):
-    """One SplitMix64 round absorbing v into state h. Works on Python ints
-    below 2**64 and on numpy uint64 arrays alike (the mask is a no-op on
-    uint64, whose arithmetic wraps)."""
-    z = ((h ^ v ^ 0xD1B54A32D192ED03) + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _mix_round(h: int, v: int) -> int:
+    """One SplitMix64 round absorbing v into state h, on Python ints below 2**64."""
+    z = ((h ^ v ^ _SALT) + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_round_into(h: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """_mix_round(h, v) for every v of the uint64 array z, written over z, with
+    t a scratch array of z's shape; uint64 arithmetic wraps, so needs no mask."""
+    z ^= np.uint64(h ^ _SALT)
+    z += np.uint64(_GOLDEN)
+    for shift, mul in ((30, _MUL1), (27, _MUL2)):
+        z ^= np.right_shift(z, shift, out=t)
+        z *= np.uint64(mul)
+    z ^= np.right_shift(z, 31, out=t)
+    return z
 
 
 def mix_seed(*vals: int) -> int:
@@ -190,7 +206,7 @@ class _Engine:
         self.decoder = decoder
         self.channel = RelayChannel(code)
         self.dec = GroupDecoder(decoder, code.grouping, code.group_sets)
-        self.T1, self.T2, self.N = code.T1, code.T2, code.N
+        self.T1, self.T2, self.N, self.K = code.T1, code.T2, code.N, code.K
         self.groups = code.grouping.groups
         self.sets = code.group_sets
         self.bits_per_group = [s.bits_per_point for s in self.sets]
@@ -201,20 +217,29 @@ class _Engine:
         self.gauss_shapes = ((self.N,), (self.N, nd), (self.N, self.T1), (self.T2, nd))
         self.gauss_splits = np.cumsum([math.prod(s) for s in self.gauss_shapes])
         self.stride = self.label_words + 2 * int(self.gauss_splits[-1])
+        self._slots = np.arange(self.stride, dtype=np.uint64)
+        # the Workspaces of the chunks not running now; a running chunk holds
+        # one (list.pop and list.append are atomic, so workers need no lock)
+        self._idle: list = []
 
     # -- draws ------------------------------------------------------------
-    def _words(self, key: int, lo: int, hi: int) -> np.ndarray:
+    def _words(self, key: int, lo: int, hi: int, work=None) -> np.ndarray:
         """Random words (hi - lo, stride): word s of trial i is
         mix_seed(master_seed, snr_index, i*stride + s) mod 2**64."""
-        counters = (np.arange(lo, hi, dtype=np.uint64)[:, None] * self.stride
-                    + np.arange(self.stride, dtype=np.uint64))
-        return _mix_round(key, counters)
+        work = Workspace() if work is None else work
+        shape = (hi - lo, self.stride)
+        words = work("words", shape, np.uint64)
+        np.multiply(np.arange(lo, hi, dtype=np.uint64)[:, None], np.uint64(self.stride),
+                    out=words)
+        words += self._slots
+        return _mix_round_into(key, words, work("shifted", shape, np.uint64))
 
-    def _draw_chunk(self, key: int, lo: int, hi: int):
+    def _draw_chunk(self, key: int, lo: int, hi: int, work=None):
         """Transmitted point indices (b, groups) and f, gm, v, w of trials
-        lo..hi-1, from the hash state key = mix_seed(master_seed, snr_index)."""
+        lo..hi-1, from the hash state key = mix_seed(master_seed, snr_index).
+        The hash words are written into the Workspace work if it is given."""
         b = hi - lo
-        words = self._words(key, lo, hi)
+        words = self._words(key, lo, hi, work)
         labels = words[:, :self.label_words]
         # 53-bit uniforms in [0, 1); u1 moves up one step into (0, 1]
         u = (words[:, self.label_words:] >> 11).astype(float) * 2.0**-53
@@ -235,9 +260,11 @@ class _Engine:
         return tx_idx, f, gm, v, w
 
     # -- physical channel + whitened model ---------------------------------
-    def _observe(self, tx_idx, f, gm, v, w, power: PowerConfig):
+    def _observe(self, tx_idx, f, gm, v, w, power: PowerConfig, work=None):
         x = group_symbols(self.groups, self.sets, tx_idx)
-        return self.channel.observe(x, f, gm, v, w, power)
+        b, _, nd = gm.shape
+        out = None if work is None else work("white", (b, self.T2 * nd, self.K + 1), complex)
+        return self.channel.observe(x, f, gm, v, w, power, out=out, work=work)
 
     def _decide(self, white):
         """Per-trial decoded group indices, in decode-group order."""
@@ -248,10 +275,18 @@ class _Engine:
         return self.dec.group_indices(dec_idx)
 
     def chunk_bit_errors(self, power: PowerConfig, key: int, lo: int, hi: int) -> np.ndarray:
-        """Bit errors of trials lo..hi-1; key as for _draw_chunk."""
-        tx_idx, f, gm, v, w = self._draw_chunk(key, lo, hi)
-        white = self._observe(tx_idx, f, gm, v, w, power)
-        rx_idx = self._rx_group_indices(self._decide(white))
+        """Bit errors of trials lo..hi-1; key as for _draw_chunk. The chunk
+        writes into an idle Workspace of this engine, or a new one."""
+        try:
+            work = self._idle.pop()
+        except IndexError:
+            work = Workspace()
+        try:
+            tx_idx, f, gm, v, w = self._draw_chunk(key, lo, hi, work)
+            white = self._observe(tx_idx, f, gm, v, w, power, work)
+            rx_idx = self._rx_group_indices(self._decide(white))
+        finally:
+            self._idle.append(work)
         errors = np.zeros(hi - lo, dtype=np.int64)
         for k, s in enumerate(self.sets):
             d = s.labels[tx_idx[:, k]] ^ s.labels[rx_idx[:, k]]
@@ -261,7 +296,7 @@ class _Engine:
 
 
 def _run_point(engine: _Engine, power: PowerConfig, snr_index: int,
-               config: ExperimentConfig, workers: int) -> dict:
+               config: ExperimentConfig, pool: ThreadPoolExecutor, workers: int) -> dict:
     n_chunks = (config.max_trials + _CHUNK - 1) // _CHUNK
     key = mix_seed(config.master_seed, snr_index)
 
@@ -282,24 +317,23 @@ def _run_point(engine: _Engine, power: PowerConfig, snr_index: int,
         return total_err, trials
 
     if workers <= 1:
-        counts_iter = (
-            engine.chunk_bit_errors(power, key, *bounds(c)) for c in range(n_chunks)
-        )
-        bit_errors, trials = consume(counts_iter)
+        bit_errors, trials = consume(
+            engine.chunk_bit_errors(power, key, *bounds(c)) for c in range(n_chunks))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            def ordered():
-                pending: deque = deque()
-                nxt = 0
-                while nxt < n_chunks or pending:
-                    while len(pending) < 2 * workers and nxt < n_chunks:
-                        pending.append(
-                            ex.submit(engine.chunk_bit_errors, power, key, *bounds(nxt))
-                        )
-                        nxt += 1
-                    yield pending.popleft().result()
+        pending: deque = deque()
 
-            bit_errors, trials = consume(ordered())
+        def ordered():
+            nxt = 0
+            while nxt < n_chunks or pending:
+                while len(pending) < 2 * workers and nxt < n_chunks:
+                    pending.append(pool.submit(engine.chunk_bit_errors, power, key,
+                                               *bounds(nxt)))
+                    nxt += 1
+                yield pending.popleft().result()
+
+        bit_errors, trials = consume(ordered())
+        for future in pending:  # prefetched past the stop: those not started never run
+            future.cancel()
     ber = bit_errors / (trials * engine.bits_per_cw)
     return {"trials": trials, "bit_errors": bit_errors, "ber": ber}
 
@@ -314,11 +348,14 @@ def run_ber(config: ExperimentConfig, code: DstbcCode | None = None) -> BerCurve
     workers = worker_count()
     t0 = time.time()
     points = []
-    for s_i, snr_db in enumerate(config.snr_grid_db):
-        power = PowerConfig.balanced(code, snr_db_to_power(snr_db), config.pi1)
-        pt = _run_point(engine, power, s_i, config, workers)
-        pt["snr_db"] = float(snr_db)
-        points.append(pt)
+    # one pool for the whole run: its threads, and the Workspaces they
+    # write into, serve every SNR point
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for s_i, snr_db in enumerate(config.snr_grid_db):
+            power = PowerConfig.balanced(code, snr_db_to_power(snr_db), config.pi1)
+            pt = _run_point(engine, power, s_i, config, pool, workers)
+            pt["snr_db"] = float(snr_db)
+            points.append(pt)
     return BerCurve(tuple(points), asdict(config), time.time() - t0)
 
 

@@ -259,3 +259,12 @@ def oracle_decide(decoder, grouping, sets, g, y):
         if sic:
             yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
     return idx, metric, ties
+
+
+def solve_lower_out_of_place(low, c):
+    """The out-of-place forward substitution that channel.solve_lower replaced,
+    kept as its bit-exact oracle: X with low X = c, nothing written."""
+    x = np.empty(c.shape, np.result_type(low, c))
+    for i in range(low.shape[1]):
+        x[:, i] = (c[:, i] - (low[:, i, None, :i] @ x[:, :i])[:, 0]) / low[:, i, i, None]
+    return x

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dstbc.channel import PowerConfig, RelayChannel, solve_lower
+from dstbc.channel import PowerConfig, RelayChannel, Workspace, solve_lower
 from dstbc.construct import build, from_design
 from dstbc.decode import group_symbols
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
@@ -19,6 +19,7 @@ from tests.helpers import (
     realified_observe,
     rvec,
     satisfies_constraint,
+    solve_lower_out_of_place,
 )
 from tests.test_acceptance import _sweep_codes
 from tests.test_construct import preset_codes, preset_codes_with_modulation
@@ -68,6 +69,16 @@ class TestPowerConfig:
             PowerConfig.balanced(code, 100.0, pi1)
         assert PowerConfig.balanced(code, 100.0, 2.4).pi2 > 0
 
+    def test_balanced_rejects_pi1_whose_pi2_rounds_to_zero(self):
+        # T1 = 12, T2 = 8: (T1 + T2)/T1 rounds up to 1.6666666666666667, so
+        # the pi1 an ulp below it is inside the interval, but T1 + T2 - pi1*T1
+        # rounds to 0 and the cooperation phase would get no power
+        code = build(4, cod_alamouti(), 2, 3)
+        assert (code.T1, code.T2) == (12, 8)
+        with pytest.raises(ValueError, match="pi1"):
+            PowerConfig.balanced(code, 100.0, 1.6666666666666665)
+        assert PowerConfig.balanced(code, 100.0, 1.666666666666666).pi2 > 0
+
 
 @settings(deadline=None, max_examples=60)
 @given(code_modulation=preset_codes_with_modulation(), data=st.data())
@@ -75,9 +86,13 @@ def test_balanced_split_meets_the_power_constraint(code_modulation, data):
     code, _ = code_modulation
     pi1 = data.draw(st.floats(0.0, (code.T1 + code.T2) / code.T1,
                               exclude_min=True, exclude_max=True), label="pi1")
-    power = PowerConfig.balanced(code, data.draw(st.floats(1e-3, 1e6), label="P"), pi1)
-    # pi2 rounds to 0 when pi1 is within an ulp of the bound
-    assert power.pi2 >= 0 and satisfies_constraint(power, code)
+    P = data.draw(st.floats(1e-3, 1e6), label="P")
+    if code.T1 + code.T2 - pi1 * code.T1 <= 0:  # an ulp below the bound pi2 rounds to 0
+        with pytest.raises(ValueError, match="pi1"):
+            PowerConfig.balanced(code, P, pi1)
+        return
+    power = PowerConfig.balanced(code, P, pi1)
+    assert power.pi2 > 0 and satisfies_constraint(power, code)
 
 
 class TestEffectiveChannel:
@@ -331,18 +346,20 @@ class TestWhiten:
 
 
 class TestSolveLower:
-    """Forward substitution against np.linalg.solve, inputs left unchanged."""
+    """In-place forward substitution against the out-of-place formula it
+    replaced (bit-equal) and np.linalg.solve; low is left unchanged."""
 
     @staticmethod
     def _assert_solves(low, c):
-        low_before, c_before = low.copy(), c.copy()
-        x = solve_lower(low, c)
-        ref = np.linalg.solve(low, c)
+        low_before = low.copy()
+        ref, old = np.linalg.solve(low, c), solve_lower_out_of_place(low, c)
+        x = c.copy()
+        assert solve_lower(low, x) is x
         assert x.shape == ref.shape and x.dtype == ref.dtype
+        assert x.tobytes() == old.tobytes()
         rel = np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         assert rel.max() < 1e-12
         np.testing.assert_array_equal(low, low_before)
-        np.testing.assert_array_equal(c, c_before)
 
     @pytest.mark.parametrize("nd", [1, 2, 4])
     def test_complex_covariance_factors(self, nd):
@@ -367,13 +384,28 @@ class TestSolveLower:
         low = np.linalg.cholesky(a @ np.swapaxes(a.conj(), 1, 2) + np.eye(d))
         self._assert_solves(low, cn(rng, 10, d, m))
 
-    def test_broadcast_read_only_identity(self):
+    def test_identity_in_place(self):
+        # the writable identity that PIC solves for R^-T
         rng = np.random.default_rng(22)
         g = rng.standard_normal((16, 12, 8))
         low = np.linalg.cholesky(np.swapaxes(g, 1, 2) @ g)
-        eye = np.broadcast_to(np.eye(8), low.shape)
-        assert not eye.flags.writeable
-        self._assert_solves(low, eye)
+        self._assert_solves(low, np.tile(np.eye(8), (16, 1, 1)))
+
+    def test_strided_right_hand_side(self):
+        # observe solves a view of its columns; the solve writes through it
+        rng = np.random.default_rng(23)
+        a = cn(rng, 8, 4, 4)
+        low = np.linalg.cholesky(a @ np.swapaxes(a.conj(), 1, 2) + np.eye(4))
+        whole = cn(rng, 8, 4, 7)
+        view = whole[:, :, 1:6]
+        expected = solve_lower_out_of_place(low, view)
+        solve_lower(low, view)
+        assert view.tobytes() == expected.tobytes()
+
+    def test_read_only_right_hand_side_refused(self):
+        low = np.eye(3)[None]
+        with pytest.raises(ValueError, match="read-only"):
+            solve_lower(low, np.broadcast_to(np.eye(3), (1, 3, 3)))
 
 
 def _non_diagonal_bbh_code():
@@ -454,6 +486,43 @@ class TestRealifiedOracle:
         gm = cn(rng, 100, code.N, 2)
         np.testing.assert_array_equal(noise_bound(channel, gm, power),
                                       realified_noise_bound(channel, gm, power))
+
+
+class TestObserveInto:
+    """observe writing into given arrays is byte-equal to observe on new ones."""
+
+    @staticmethod
+    def _arrays(code, nd, trials, seed=24):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((trials, code.K)), cn(rng, trials, code.N),
+                cn(rng, trials, code.N, nd), cn(rng, trials, code.N, code.T1),
+                cn(rng, trials, code.T2, nd))
+
+    @pytest.mark.parametrize("code", [build(4, cod_alamouti(), 2, 2), _non_diagonal_bbh_code()],
+                             ids=["crit9", "non-diagonal-bbh"])
+    def test_out_prefilled_with_nan(self, code):
+        channel, power = RelayChannel(code), PowerConfig.balanced(code, 10.0)
+        arrays = self._arrays(code, 2, 40)
+        fresh = channel.observe(*arrays, power)
+        buf = np.full(fresh.shape, np.nan + 1j * np.nan)
+        white = channel.observe(*arrays, power, out=buf)
+        assert np.shares_memory(white, buf)
+        assert buf.tobytes() == white.tobytes() == fresh.tobytes()
+
+    def test_workspace_reused_across_calls(self):
+        # arrays made for 16 trials serve 5 trials as a view of their leading
+        # rows; refilled with NaN between calls, they are overwritten
+        code = build(4, cod_alamouti(), 2, 2)
+        channel, power = RelayChannel(code), PowerConfig.balanced(code, 10.0)
+        work, buf = Workspace(), np.empty((16, code.T2 * 4, code.K + 1), complex)
+        for trials, seed in ((16, 25), (5, 26), (16, 27)):
+            arrays = self._arrays(code, 4, trials, seed)
+            for a in (*work.arrays.values(), buf):
+                a.fill(np.nan)
+            white = channel.observe(*arrays, power, out=buf[:trials], work=work)
+            assert np.shares_memory(white, buf)
+            assert white.tobytes() == channel.observe(*arrays, power).tobytes()
+        assert {name: len(a) for name, a in work.arrays.items()} == {"ah": 16}
 
 
 class TestSlotBlocks:

@@ -1,15 +1,18 @@
 import itertools
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dstbc.channel import PowerConfig, RelayChannel
+from dstbc.channel import PowerConfig, RelayChannel, Workspace
 from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
 from dstbc.construct import build, code_to_dict, from_design, GroupingScheme, preset
 from dstbc.decode import DECODERS, GroupDecoder, group_symbols
 from dstbc.design import cod_trivial
 from dstbc.harness import (
+    _CHUNK,
     BerCurve,
     ExperimentConfig,
     _Engine,
@@ -129,6 +132,79 @@ class TestEngineCrossCheck:
         wide = engine._draw_chunk(key, 0, 700)
         for part, whole in zip(engine._draw_chunk(key, lo, hi), wide):
             np.testing.assert_array_equal(part, whole[lo:hi])
+
+
+def _crit9_code():
+    return preset("alamouti", 4, 2, 2, modulation_set("qam4"))
+
+
+class TestWorkspaces:
+    """Chunks written into a reused Workspace equal chunks on new arrays."""
+
+    def test_full_and_tail_chunks_through_one_workspace(self):
+        code = _crit9_code()
+        engine, power = _Engine(code, "pic-sic", 4), PowerConfig.balanced(code, 4.0)
+        key, work = mix_seed(5, 0), Workspace()
+        for lo, hi in ((0, _CHUNK), (_CHUNK, _CHUNK + 88), (2 * _CHUNK, 3 * _CHUNK)):
+            for a in work.arrays.values():
+                a.view(np.uint8).fill(0xFF)  # NaN in the float arrays: stale data must not leak
+            drawn, fresh = engine._draw_chunk(key, lo, hi, work), engine._draw_chunk(key, lo, hi)
+            for a, b in zip(drawn, fresh):
+                assert a.tobytes() == b.tobytes()
+            white = engine._observe(*drawn, power, work)
+            assert np.shares_memory(white, work.arrays["white"])
+            assert white.tobytes() == engine._observe(*fresh, power).tobytes()
+        assert {len(a) for a in work.arrays.values()} == {_CHUNK}
+
+    def test_chunk_bit_errors_reuse_the_engine_workspace(self):
+        code = _crit9_code()
+        engine, power = _Engine(code, "pic", 4), PowerConfig.balanced(code, 4.0)
+        key = mix_seed(6, 0)
+        for lo, hi in ((0, _CHUNK), (_CHUNK, _CHUNK + 88), (0, _CHUNK)):
+            alone = _Engine(code, "pic", 4).chunk_bit_errors(power, key, lo, hi)
+            np.testing.assert_array_equal(engine.chunk_bit_errors(power, key, lo, hi), alone)
+        assert len(engine._idle) == 1
+
+    def test_concurrent_chunks_never_share_a_workspace(self):
+        # more threads than cores, switching every microsecond: a Workspace
+        # written by two running chunks at once would corrupt their counts
+        code = _pam2_code()
+        engine, power, key = _Engine(code, "pic-sic", 2), PowerConfig.balanced(code, 2.0), 11
+        bounds = [(lo, lo + 64) for lo in range(0, 64 * 24, 64)]
+        reference = _Engine(code, "pic-sic", 2)
+        expected = [reference.chunk_bit_errors(power, key, lo, hi) for lo, hi in bounds]
+        assert sum(e.sum() for e in expected) > 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as ex:
+                futures = [ex.submit(engine.chunk_bit_errors, power, key, lo, hi)
+                           for lo, hi in bounds]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+        assert 1 <= len(engine._idle) == len({id(w) for w in engine._idle}) <= 6
+
+    def test_interleaved_engines_equal_separate_runs(self, monkeypatch):
+        monkeypatch.setenv("DSTBC_THREADS", "2")
+        configs = [small_config(snr_grid_db=(4.0, 8.0), max_trials=700, max_bit_errors=60),
+                   small_config(preset="alamouti", N=4, lam=2, n=2, modulation="qam4", nd=4,
+                                decoder="ml", snr_grid_db=(6.0,), max_trials=600)]
+        separate = [run_ber(cfg).to_csv() for cfg in configs]
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            together = list(ex.map(lambda cfg: run_ber(cfg).to_csv(), configs))
+        assert together == separate
+        # chunk by chunk, alternating between two engines of different codes
+        codes, decoders, nds = (_pam2_code(), _crit9_code()), ("pic-sic", "ml"), (2, 4)
+        engines = [_Engine(*args) for args in zip(codes, decoders, nds)]
+        key = mix_seed(7, 0)
+        for lo, hi in ((0, _CHUNK), (_CHUNK, _CHUNK + 40)):
+            for engine, args in zip(engines, zip(codes, decoders, nds)):
+                power = PowerConfig.balanced(args[0], 4.0)
+                alone = _Engine(*args).chunk_bit_errors(power, key, lo, hi)
+                np.testing.assert_array_equal(engine.chunk_bit_errors(power, key, lo, hi), alone)
 
 
 class TestCounterDraws:

@@ -2,8 +2,9 @@
 
 Prints a line per run_ber(...).to_csv() over the three BER benchmark
 configurations, the criterion-9 one at 0 and 12 dB, the same code at
-N_D = 1 (2*N_D*T2 < K), a square one (2*N_D*T2 = K) and a design file whose
-B_0 B_0^H is not diagonal (the noise covariance has cross-slot terms), for
+N_D = 1 (2*N_D*T2 < K), a square one (2*N_D*T2 = K), a design file whose
+B_0 B_0^H is not diagonal (the noise covariance has cross-slot terms) and
+the criterion-9 code at a trial cap that ends in a short chunk, for
 every decoder and master_seed 0 and 1. A decoder a code refuses prints the
 hash of its message instead. Two checkouts decode alike when their outputs are equal:
 
@@ -41,6 +42,8 @@ CONFIGS = {
     "crit9-nd1": (("alamouti", 4, 2, 2), "qam4", 1, (0, 12), 512, 10**9),
     "square-pam4": (("alamouti", 2, 1, 1), "pam4", 1, (0, 10, 20, 30), 4096, 400),
     "non-diagonal-bbh": ("design", "pam4", 2, (0, 10, 20), 2048, 400),
+    # 600 = 2*256 + 88 trials: the last chunk of each point is a short one
+    "crit9-tail-chunk": (("alamouti", 4, 2, 2), "qam4", 4, (3, 9), 600, 10**9),
 }
 
 
