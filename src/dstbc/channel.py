@@ -11,9 +11,10 @@ module provides the physical simulation, the exact noise covariance and the
 whitened model that the decoders read.
 
 The pipeline is batch-first: RelayChannel runs a chunk of trials along a
-leading axis, and a single trial is a batch of one. observe can write W into
-a given array and the A_k H products into a Workspace that outlives the
-chunk, so that a run does not touch fresh pages on every chunk.
+leading axis, and a single trial is a batch of one; shapes(nd) gives each
+input's per-trial shape. observe writes the A_k H products and W into a
+Workspace, which the BER engine keeps per thread from chunk to chunk, so
+that a run does not touch fresh pages on every chunk.
 
 Whitening is done in the complex domain. covariance returns Gamma_c in
 column-major vec order; observe works in slot-major vec order, row t*N_D + l
@@ -111,9 +112,9 @@ class PowerConfig:
 class RelayChannel:
     """The relay pipeline of one code, batched over a leading trial axis.
 
-    Shapes per chunk of b trials: symbols x (b, K), source-to-relay gains
-    f (b, N), relay-to-destination gains gm (b, N, N_D), relay noise
-    v (b, N, T1) and destination noise w (b, T2, N_D).
+    The inputs of a chunk of b trials, each (b, *shapes(N_D)[name]):
+    symbols x, source-to-relay gains f, relay-to-destination gains gm,
+    relay noise v and destination noise w.
     """
 
     def __init__(self, code: DstbcCode):
@@ -183,12 +184,12 @@ class RelayChannel:
         blocks[:, np.arange(s * nd), np.arange(s * nd)] += 1.0
         return blocks
 
-    def observe(self, x, f, gm, v, w, power: PowerConfig, out=None, work=None) -> np.ndarray:
+    def observe(self, x, f, gm, v, w, power: PowerConfig, work=None) -> np.ndarray:
         """Transmit, then whiten: W (b, T2*N_D, K + 1), complex, rows in
         slot-major vec order, the columns of G and then y (module docstring).
 
-        W is written into out, a C-contiguous array of that shape and dtype,
-        and the A_k H products into the Workspace work; by default both are new."""
+        The A_k H products and W are written into the Workspace work, by
+        default a new one; W is its array "white"."""
         y = self.transmit(x, f, gm, v, w, power)
         b, _, nd = y.shape
         work = Workspace() if work is None else work
@@ -197,23 +198,24 @@ class RelayChannel:
         ah = work("ah", (b, nd, self.T2 * self.K), complex)
         np.matmul(np.swapaxes(self.effective(f, gm), 1, 2).reshape(-1, self.N),
                   self._weights_t, out=ah.reshape(b * nd, -1))
-        if out is None:
-            out = np.empty((b, self.T2 * nd, self.K + 1), complex)
-        cols = out.reshape(b, self.T2, nd, self.K + 1)
+        white = work("white", (b, self.T2 * nd, self.K + 1), complex)
+        cols = white.reshape(b, self.T2, nd, self.K + 1)
         np.multiply(ah.reshape(b, nd, self.T2, self.K).transpose(0, 2, 1, 3),
                     math.sqrt(2.0 * power.rho), out=cols[..., :-1])
         np.multiply(y, math.sqrt(2.0), out=cols[..., -1])
         blocks = self._slot_blocks(gm, power)
-        white = solve_lower(np.linalg.cholesky(blocks), cols.reshape(*blocks.shape[:2], -1))
-        return white.reshape(out.shape)
+        solved = solve_lower(np.linalg.cholesky(blocks), cols.reshape(*blocks.shape[:2], -1))
+        return solved.reshape(white.shape)
+
+    def shapes(self, nd: int) -> dict:
+        """Per-trial shapes of the inputs x, f, gm, v and w for N_D = nd."""
+        return {"x": (self.K,), "f": (self.N,), "gm": (self.N, nd),
+                "v": (self.N, self.T1), "w": (self.T2, nd)}
 
     def _check_shapes(self, **arrays) -> None:
-        """Reject arrays that do not fit the code: f (b, N), gm (b, N, N_D),
-        x (b, K), v (b, N, T1) and w (b, T2, N_D), with N_D taken from gm
-        and the trial count b from the first array given."""
-        nd = arrays["gm"].shape[-1] if "gm" in arrays else None
-        dims = {"f": (self.N,), "gm": (self.N, nd), "x": (self.K,),
-                "v": (self.N, self.T1), "w": (self.T2, nd)}
+        """Reject arrays whose shapes are not (b, *shapes(N_D)[name]), with
+        N_D taken from gm and the trial count b from the first array given."""
+        dims = self.shapes(arrays["gm"].shape[-1] if "gm" in arrays else None)
         first = next(iter(arrays))
         for name, a in arrays.items():
             want = dims[name]

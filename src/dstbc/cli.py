@@ -93,6 +93,8 @@ def _cmd_info(args) -> int:
 
 def _cmd_check(args) -> int:
     code = resolve_code(args)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     checks = {"pic": check_pic, "pic-sic": check_pic_sic, "zf": check_zf}
     names = list(checks) if args.criterion == "all" else [args.criterion]

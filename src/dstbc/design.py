@@ -139,10 +139,26 @@ def design_to_dict(d: LinearDesign) -> dict:
 
 
 def design_from_dict(doc: dict) -> LinearDesign:
-    w = np.array(
-        [[[complex(re, im) for re, im in row] for row in mat] for mat in doc["weights"]]
-    )
-    d = LinearDesign(int(doc["T"]), int(doc["N"]), int(doc["K"]), w)
+    """Inverse of design_to_dict; a malformed document raises a ValueError
+    that names the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a design document must be a JSON object, got {type(doc).__name__}")
+    for field in ("T", "N", "K", "weights"):
+        if field not in doc:
+            raise ValueError(f"design document has no field {field!r}")
+    for field in ("T", "N", "K"):
+        if type(doc[field]) is not int or doc[field] < 1:
+            raise ValueError(f"design field {field!r} must be a positive integer, "
+                             f"got {doc[field]!r}")
+    t, n, k = doc["T"], doc["N"], doc["K"]
+    try:
+        w = np.array(doc["weights"])
+    except ValueError:  # ragged nesting
+        w = np.empty(0)
+    if w.dtype.kind not in "iuf" or w.shape != (k, t, n, 2):
+        raise ValueError(f"design field 'weights' must hold K x T x N = {k} x {t} x {n} "
+                         "[re, im] pairs of numbers")
+    d = LinearDesign(t, n, k, np.ascontiguousarray(w, float).view(complex)[..., 0])
     if not independent_weights(d):
         raise ValueError("design weights are linearly dependent over R")
     return d

@@ -21,17 +21,19 @@ per-trial results do not depend on the chunking, and chunks are always
 consumed in index order, so early stopping at max_bit_errors is
 deterministic for any worker count (DSTBC_THREADS).
 
-A run keeps one thread pool for all its SNR points. Each running chunk
-writes its hash words, A_k H products and W into a channel.Workspace that
-its engine keeps for the next chunk (a short chunk uses leading rows); no
-two running chunks, and no two engines, share one.
+A run keeps one thread pool for all its SNR points. An engine keeps one
+channel.Workspace per thread, into which each chunk writes its hash words,
+A_k H products and W (a short chunk uses leading rows). A thread runs one
+chunk at a time, so no two running chunks, and no two engines, share one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -90,6 +92,11 @@ def mix_seed(*vals: int) -> int:
     return h
 
 
+def _is_a(value, kind) -> bool:
+    """value is a kind (numbers.Real, numbers.Integral) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def snr_db_to_power(snr_db: float) -> float:
     """Plot axis convention: SNR(dB) = 10 log10(P), unit-variance noises."""
     return 10.0 ** (snr_db / 10.0)
@@ -137,7 +144,18 @@ class ExperimentConfig:
     pi1: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        grid = self.snr_grid_db
+        if not (isinstance(grid, (list, tuple, np.ndarray))
+                and all(_is_a(s, numbers.Real) for s in grid)):
+            raise ValueError(f"snr_grid_db must be a list of numbers, got {grid!r}")
+        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
+        for name in ("N", "lam", "n", "nd", "max_trials", "max_bit_errors", "master_seed"):
+            value = getattr(self, name)
+            if not (_is_a(value, numbers.Integral)
+                    or value is None and name in ("N", "lam", "n")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not _is_a(self.pi1, numbers.Real):
+            raise ValueError(f"pi1 must be a number, got {self.pi1!r}")
 
     def validate(self) -> None:
         if self.decoder not in DECODERS:
@@ -152,6 +170,8 @@ class ExperimentConfig:
             raise ValueError("max_trials and max_bit_errors must be >= 1")
         if self.nd < 1:
             raise ValueError("nd must be >= 1")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if (self.preset is None) == (self.design_file is None):
             raise ValueError("give exactly one of preset or design_file")
 
@@ -159,6 +179,9 @@ class ExperimentConfig:
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
         with open(path) as f:
             doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, "
+                             f"got {type(doc).__name__}")
         doc.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**doc)
 
@@ -206,7 +229,6 @@ class _Engine:
         self.decoder = decoder
         self.channel = RelayChannel(code)
         self.dec = GroupDecoder(decoder, code.grouping, code.group_sets)
-        self.T1, self.T2, self.N, self.K = code.T1, code.T2, code.N, code.K
         self.groups = code.grouping.groups
         self.sets = code.group_sets
         self.bits_per_group = [s.bits_per_point for s in self.sets]
@@ -214,13 +236,12 @@ class _Engine:
         # random words per trial: the label words, then (u1, u2) for each
         # complex Gaussian of f, gm, v and w, in that order
         self.label_words = -(-self.bits_per_cw // 64)
-        self.gauss_shapes = ((self.N,), (self.N, nd), (self.N, self.T1), (self.T2, nd))
+        shapes = self.channel.shapes(nd)
+        self.gauss_shapes = [shapes[name] for name in ("f", "gm", "v", "w")]
         self.gauss_splits = np.cumsum([math.prod(s) for s in self.gauss_shapes])
         self.stride = self.label_words + 2 * int(self.gauss_splits[-1])
         self._slots = np.arange(self.stride, dtype=np.uint64)
-        # the Workspaces of the chunks not running now; a running chunk holds
-        # one (list.pop and list.append are atomic, so workers need no lock)
-        self._idle: list = []
+        self._local = threading.local()  # .work: this thread's Workspace
 
     # -- draws ------------------------------------------------------------
     def _words(self, key: int, lo: int, hi: int, work=None) -> np.ndarray:
@@ -262,9 +283,7 @@ class _Engine:
     # -- physical channel + whitened model ---------------------------------
     def _observe(self, tx_idx, f, gm, v, w, power: PowerConfig, work=None):
         x = group_symbols(self.groups, self.sets, tx_idx)
-        b, _, nd = gm.shape
-        out = None if work is None else work("white", (b, self.T2 * nd, self.K + 1), complex)
-        return self.channel.observe(x, f, gm, v, w, power, out=out, work=work)
+        return self.channel.observe(x, f, gm, v, w, power, work)
 
     def _decide(self, white):
         """Per-trial decoded group indices, in decode-group order."""
@@ -276,17 +295,13 @@ class _Engine:
 
     def chunk_bit_errors(self, power: PowerConfig, key: int, lo: int, hi: int) -> np.ndarray:
         """Bit errors of trials lo..hi-1; key as for _draw_chunk. The chunk
-        writes into an idle Workspace of this engine, or a new one."""
-        try:
-            work = self._idle.pop()
-        except IndexError:
-            work = Workspace()
-        try:
-            tx_idx, f, gm, v, w = self._draw_chunk(key, lo, hi, work)
-            white = self._observe(tx_idx, f, gm, v, w, power, work)
-            rx_idx = self._rx_group_indices(self._decide(white))
-        finally:
-            self._idle.append(work)
+        writes into this engine's Workspace for the calling thread."""
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = Workspace()
+        tx_idx, f, gm, v, w = self._draw_chunk(key, lo, hi, work)
+        white = self._observe(tx_idx, f, gm, v, w, power, work)
+        rx_idx = self._rx_group_indices(self._decide(white))
         errors = np.zeros(hi - lo, dtype=np.int64)
         for k, s in enumerate(self.sets):
             d = s.labels[tx_idx[:, k]] ^ s.labels[rx_idx[:, k]]

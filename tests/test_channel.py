@@ -489,7 +489,7 @@ class TestRealifiedOracle:
 
 
 class TestObserveInto:
-    """observe writing into given arrays is byte-equal to observe on new ones."""
+    """observe writing into a held Workspace is byte-equal to observe on a new one."""
 
     @staticmethod
     def _arrays(code, nd, trials, seed=24):
@@ -500,13 +500,15 @@ class TestObserveInto:
 
     @pytest.mark.parametrize("code", [build(4, cod_alamouti(), 2, 2), _non_diagonal_bbh_code()],
                              ids=["crit9", "non-diagonal-bbh"])
-    def test_out_prefilled_with_nan(self, code):
+    def test_white_prefilled_with_nan(self, code):
         channel, power = RelayChannel(code), PowerConfig.balanced(code, 10.0)
         arrays = self._arrays(code, 2, 40)
         fresh = channel.observe(*arrays, power)
-        buf = np.full(fresh.shape, np.nan + 1j * np.nan)
-        white = channel.observe(*arrays, power, out=buf)
-        assert np.shares_memory(white, buf)
+        work = Workspace()
+        buf = work("white", fresh.shape, complex)
+        buf.fill(np.nan + 1j * np.nan)
+        white = channel.observe(*arrays, power, work)
+        assert np.shares_memory(white, work.arrays["white"])
         assert buf.tobytes() == white.tobytes() == fresh.tobytes()
 
     def test_workspace_reused_across_calls(self):
@@ -514,15 +516,15 @@ class TestObserveInto:
         # rows; refilled with NaN between calls, they are overwritten
         code = build(4, cod_alamouti(), 2, 2)
         channel, power = RelayChannel(code), PowerConfig.balanced(code, 10.0)
-        work, buf = Workspace(), np.empty((16, code.T2 * 4, code.K + 1), complex)
+        work = Workspace()
         for trials, seed in ((16, 25), (5, 26), (16, 27)):
             arrays = self._arrays(code, 4, trials, seed)
-            for a in (*work.arrays.values(), buf):
+            for a in work.arrays.values():
                 a.fill(np.nan)
-            white = channel.observe(*arrays, power, out=buf[:trials], work=work)
-            assert np.shares_memory(white, buf)
+            white = channel.observe(*arrays, power, work=work)
+            assert np.shares_memory(white, work.arrays["white"])
             assert white.tobytes() == channel.observe(*arrays, power).tobytes()
-        assert {name: len(a) for name, a in work.arrays.items()} == {"ah": 16}
+        assert {name: len(a) for name, a in work.arrays.items()} == {"ah": 16, "white": 16}
 
 
 class TestSlotBlocks:

@@ -85,6 +85,11 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "trials must be >= 0, got -5" in err
 
+    def test_negative_seed_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "check", "--preset", "toeplitz", "--N", "2", "--n", "2",
+                             "--trials", "5", "--seed", "-1")
+        assert code == 2 and out == "" and "--seed must be a non-negative integer" in err
+
     def test_all_criteria(self, capsys):
         code, out, _ = run(
             capsys, "check", "--preset", "toeplitz", "--N", "2", "--n", "2",
@@ -158,11 +163,61 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("doc,named", [
+        ([1], "must hold a JSON object"),
+        ({"snr_grid_db": 5}, "snr_grid_db must be a list of numbers"),
+        ({"snr_grid_db": [10, "12"]}, "snr_grid_db must be a list of numbers"),
+        ({"max_trials": "10"}, "max_trials must be an integer"),
+        ({"nd": 1.5}, "nd must be an integer"),
+        ({"master_seed": True}, "master_seed must be an integer"),
+        ({"pi1": "1"}, "pi1 must be a number"),
+    ], ids=["list", "grid-number", "grid-string", "max_trials-string", "nd-float",
+            "seed-bool", "pi1-string"])
+    def test_malformed_config_is_usage_error(self, capsys, tmp_path, doc, named):
+        base = dict(preset="toeplitz", N=2, n=2, modulation="pam2", snr_grid_db=[10.0],
+                    max_trials=20)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base | doc if isinstance(doc, dict) else doc))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == "" and named in err
+        if not isinstance(doc, dict):
+            assert str(path) in err
+
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, seed):
+        code, out, err = run(
+            capsys, "simulate", "--preset", "toeplitz", "--N", "2", "--n", "2",
+            "--snr-start", "10", "--snr-stop", "10", "--trials", "20", "--seed", seed,
+        )
+        assert code == 2 and out == "" and f"master_seed must lie in [0, 2**64), got {seed}" in err
+
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"preset": "toeplitz", "N": 2, "bogus_key": 1}))
         code, _, err = run(capsys, "simulate", "--config", str(path))
         assert code == 2
+
+
+_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]  # one 2 x 2 weight as [re, im] pairs
+
+
+@pytest.mark.parametrize("doc,named", [
+    ([1, 2], "must be a JSON object"),
+    ({"T": 2, "N": 2, "weights": [_PAIRS]}, "no field 'K'"),
+    ({"T": 2, "N": 2, "K": 1}, "no field 'weights'"),
+    ({"T": "2", "N": 2, "K": 1, "weights": [_PAIRS]}, "field 'T'"),
+    ({"T": 2, "N": 0, "K": 1, "weights": [_PAIRS]}, "field 'N'"),
+    ({"T": 2, "N": 2, "K": 1, "weights": [[[1, 0]]]}, "field 'weights'"),
+    ({"T": 2, "N": 2, "K": 1, "weights": [[[1, 0], [0, 0]], [[0, 0]]]}, "field 'weights'"),
+    ({"T": 2, "N": 2, "K": 1, "weights": [[[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]]},
+     "field 'weights'"),
+], ids=["list", "no-K", "no-weights", "T-string", "N-zero", "weights-short",
+        "weights-ragged", "weights-string"])
+def test_malformed_design_file_is_usage_error(capsys, tmp_path, doc, named):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "info", "--design-file", str(path))
+    assert code == 2 and out == "" and named in err
 
 
 def test_design_file_round_trip_via_cli(capsys, tmp_path):

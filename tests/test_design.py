@@ -119,6 +119,16 @@ def test_json_round_trip(tmp_path):
     assert (back.T, back.N, back.K) == (d.T, d.N, d.K)
 
 
+def test_loaded_weights_bit_identical_to_complex_of_each_pair():
+    # signed zeros, integers and full-precision floats load as complex(re, im)
+    rng = np.random.default_rng(3)
+    pairs = rng.standard_normal((4, 2, 2, 2)).tolist()
+    pairs[0][0][0], pairs[1][1][1] = [-0.0, 1], [0.0, -0.0]
+    doc = {"T": 2, "N": 2, "K": 4, "weights": pairs}
+    expected = np.array([[[complex(re, im) for re, im in row] for row in mat] for mat in pairs])
+    assert design_from_dict(json.loads(json.dumps(doc))).weights.tobytes() == expected.tobytes()
+
+
 def test_file_round_trip(tmp_path):
     d = cod_alamouti().design
     path = tmp_path / "design.json"

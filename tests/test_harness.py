@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -133,13 +134,46 @@ class TestEngineCrossCheck:
         for part, whole in zip(engine._draw_chunk(key, lo, hi), wide):
             np.testing.assert_array_equal(part, whole[lo:hi])
 
+    @pytest.mark.parametrize("nd", [1, 3])
+    def test_channel_shapes_fit_draws_and_checks(self, nd):
+        # RelayChannel.shapes is the one statement of the per-trial input
+        # shapes: the engine draws them and _check_shapes enforces them
+        code = _crit9_code()
+        engine = _Engine(code, "pic", nd)
+        shapes = engine.channel.shapes(nd)
+        assert shapes == {"x": (code.K,), "f": (code.N,), "gm": (code.N, nd),
+                          "v": (code.N, code.T1), "w": (code.T2, nd)}
+        tx_idx, *drawn = engine._draw_chunk(mix_seed(8, 0), 0, 5)
+        arrays = dict(x=group_symbols(engine.groups, engine.sets, tx_idx),
+                      **dict(zip(("f", "gm", "v", "w"), drawn)))
+        assert {name: a.shape for name, a in arrays.items()} == {
+            name: (5, *shape) for name, shape in shapes.items()}
+        engine.channel._check_shapes(**arrays)
+        for name, shape in shapes.items():
+            bad = np.zeros((5, shape[0] + 1, *shape[1:]), complex)
+            with pytest.raises(ValueError, match=f"^{name} must have"):
+                engine.channel._check_shapes(**dict(arrays, **{name: bad}))
+
 
 def _crit9_code():
     return preset("alamouti", 4, 2, 2, modulation_set("qam4"))
 
 
+def _record_workspaces(engine) -> list:
+    """(thread ident, Workspace) of each chunk that engine draws from now on."""
+    seen, draw = [], engine._draw_chunk
+
+    def recording(key, lo, hi, work=None):
+        seen.append((threading.get_ident(), work))
+        return draw(key, lo, hi, work)
+
+    engine._draw_chunk = recording
+    return seen
+
+
 class TestWorkspaces:
-    """Chunks written into a reused Workspace equal chunks on new arrays."""
+    """Chunks written into a reused Workspace equal chunks on new arrays; an
+    engine keeps one Workspace per thread."""
 
     def test_full_and_tail_chunks_through_one_workspace(self):
         code = _crit9_code()
@@ -159,17 +193,19 @@ class TestWorkspaces:
     def test_chunk_bit_errors_reuse_the_engine_workspace(self):
         code = _crit9_code()
         engine, power = _Engine(code, "pic", 4), PowerConfig.balanced(code, 4.0)
-        key = mix_seed(6, 0)
+        key, seen = mix_seed(6, 0), _record_workspaces(engine)
         for lo, hi in ((0, _CHUNK), (_CHUNK, _CHUNK + 88), (0, _CHUNK)):
             alone = _Engine(code, "pic", 4).chunk_bit_errors(power, key, lo, hi)
             np.testing.assert_array_equal(engine.chunk_bit_errors(power, key, lo, hi), alone)
-        assert len(engine._idle) == 1
+        assert len(seen) == 3 and all(work is engine._local.work for _, work in seen)
+        assert {len(a) for a in engine._local.work.arrays.values()} == {_CHUNK}
 
     def test_concurrent_chunks_never_share_a_workspace(self):
         # more threads than cores, switching every microsecond: a Workspace
         # written by two running chunks at once would corrupt their counts
         code = _pam2_code()
         engine, power, key = _Engine(code, "pic-sic", 2), PowerConfig.balanced(code, 2.0), 11
+        seen = _record_workspaces(engine)
         bounds = [(lo, lo + 64) for lo in range(0, 64 * 24, 64)]
         reference = _Engine(code, "pic-sic", 2)
         expected = [reference.chunk_bit_errors(power, key, lo, hi) for lo, hi in bounds]
@@ -185,7 +221,13 @@ class TestWorkspaces:
             sys.setswitchinterval(interval)
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
-        assert 1 <= len(engine._idle) == len({id(w) for w in engine._idle}) <= 6
+        # each thread reused its one Workspace, and no two threads shared one
+        per_thread = {}
+        for thread, work in seen:
+            per_thread.setdefault(thread, set()).add(id(work))
+        assert len(seen) == 24 and 2 <= len(per_thread) <= 6
+        assert all(len(ids) == 1 for ids in per_thread.values())
+        assert len(set.union(*per_thread.values())) == len(per_thread)
 
     def test_interleaved_engines_equal_separate_runs(self, monkeypatch):
         monkeypatch.setenv("DSTBC_THREADS", "2")
@@ -391,6 +433,25 @@ class TestCsvAndConfig:
             small_config(decoder="magic").validate()
         with pytest.raises(ValueError):
             small_config(preset=None).validate()
+
+    def test_master_seed_outside_64_bits_rejected(self):
+        # mix_seed reads 64 bits, so 2**64 would repeat seed 0 and -1 seed 2**64 - 1
+        for seed in (0, 2**64 - 1):
+            small_config(master_seed=seed).validate()
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+                small_config(master_seed=seed).validate()
+
+    @pytest.mark.parametrize("field,value", [("snr_grid_db", 5.0), ("snr_grid_db", ["5"]),
+                                             ("max_bit_errors", 2.0), ("N", "2"),
+                                             ("pi1", None)])
+    def test_wrong_field_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            small_config(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = small_config(snr_grid_db=np.array([4.0, 8.0]), max_trials=np.int64(50))
+        assert cfg.snr_grid_db == (4.0, 8.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_snr_grid_rejected(self, bad):
