@@ -487,8 +487,32 @@ def code_to_dict(code: DstbcCode) -> dict:
     return doc
 
 
+def _index_list(value) -> bool:
+    return isinstance(value, list) and all(type(i) is int for i in value)
+
+
+def _covers(lists, k: int) -> bool:
+    """lists is a list of index lists holding each of 0..k-1 exactly once."""
+    return (isinstance(lists, list) and all(_index_list(g) for g in lists)
+            and sorted(i for g in lists for i in g) == list(range(k)))
+
+
 def code_from_dict(doc: dict) -> DstbcCode:
+    """Inverse of code_to_dict; a malformed field raises a ValueError that
+    names it."""
     design = design_from_dict(doc)
+    k = design.K
+    checks = {
+        "grouping": (lambda v: _covers(v, k) and all(g == sorted(g) for g in v),
+                     f"a partition of the symbols 0..{k - 1} into ascending lists"),
+        "pairing": (lambda v: _covers(v, k) and all(len(pq) == 2 for pq in v),
+                    f"a list of [p, q] pairs holding each symbol 0..{k - 1} once"),
+        "S": (_index_list, "a list of relay column indices"),
+        "T1": (lambda v: type(v) is int, "an integer"),
+    }
+    for field, (ok, what) in checks.items():
+        if field in doc and not ok(doc[field]):
+            raise ValueError(f"code field {field!r} must be {what}, got {doc[field]!r}")
     grouping = None
     if "grouping" in doc:
         grouping = GroupingScheme(tuple(tuple(g) for g in doc["grouping"]))
@@ -498,6 +522,6 @@ def code_from_dict(doc: dict) -> DstbcCode:
     if code.relay_form is not None:
         if "S" in doc and frozenset(doc["S"]) != code.relay_form.S:
             raise ValueError("stored S disagrees with the conjugation scan")
-        if "T1" in doc and int(doc["T1"]) != code.relay_form.T1:
+        if "T1" in doc and doc["T1"] != code.relay_form.T1:
             raise ValueError("stored T1 disagrees with the conjugation scan")
     return code

@@ -16,10 +16,10 @@ uniforms, sqrt(-ln u1) exp(2 pi i u2) with u1 in (0, 1], which is CN(0, 1).
 Every draw is a pure function of (master_seed, p, i), so results are
 reproducible and independent of how trials are scheduled.
 
-Trials are processed in fixed-size chunks whose linear algebra is batched;
-per-trial results do not depend on the chunking, and chunks are always
-consumed in index order, so early stopping at max_bit_errors is
-deterministic for any worker count (DSTBC_THREADS).
+Trials are processed in chunks, sized per engine from its words per trial,
+whose linear algebra is batched; per-trial results do not depend on the
+chunking, and chunks are always consumed in index order, so early stopping
+at max_bit_errors is deterministic for any worker count (DSTBC_THREADS).
 
 A run keeps one thread pool for all its SNR points. An engine keeps one
 channel.Workspace per thread, into which each chunk writes its hash words,
@@ -58,7 +58,6 @@ __all__ = [
     "worker_count",
 ]
 
-_CHUNK = 256
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SALT, _MUL1, _MUL2 = 0xD1B54A32D192ED03, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
@@ -149,6 +148,10 @@ class ExperimentConfig:
                 and all(_is_a(s, numbers.Real) for s in grid)):
             raise ValueError(f"snr_grid_db must be a list of numbers, got {grid!r}")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
+        for name in ("decoder", "preset", "design_file", "modulation"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or value is None and name != "decoder"):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         for name in ("N", "lam", "n", "nd", "max_trials", "max_bit_errors", "master_seed"):
             value = getattr(self, name)
             if not (_is_a(value, numbers.Integral)
@@ -241,6 +244,11 @@ class _Engine:
         self.gauss_splits = np.cumsum([math.prod(s) for s in self.gauss_shapes])
         self.stride = self.label_words + 2 * int(self.gauss_splits[-1])
         self._slots = np.arange(self.stride, dtype=np.uint64)
+        # trials per chunk: the largest power of two whose hash words fit in
+        # 2**15 (256 KiB), and at least 256
+        self.chunk = 256
+        while 2 * self.chunk * self.stride <= 2**15:
+            self.chunk *= 2
         self._local = threading.local()  # .work: this thread's Workspace
 
     # -- draws ------------------------------------------------------------
@@ -312,12 +320,12 @@ class _Engine:
 
 def _run_point(engine: _Engine, power: PowerConfig, snr_index: int,
                config: ExperimentConfig, pool: ThreadPoolExecutor, workers: int) -> dict:
-    n_chunks = (config.max_trials + _CHUNK - 1) // _CHUNK
+    n_chunks = -(-config.max_trials // engine.chunk)
     key = mix_seed(config.master_seed, snr_index)
 
     def bounds(chunk: int):
-        lo = chunk * _CHUNK
-        return lo, min(lo + _CHUNK, config.max_trials)
+        lo = chunk * engine.chunk
+        return lo, min(lo + engine.chunk, config.max_trials)
 
     def consume(counts_iter):
         total_err, trials = 0, 0

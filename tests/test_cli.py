@@ -171,8 +171,13 @@ class TestSimulate:
         ({"nd": 1.5}, "nd must be an integer"),
         ({"master_seed": True}, "master_seed must be an integer"),
         ({"pi1": "1"}, "pi1 must be a number"),
+        ({"modulation": 4}, "modulation must be a string"),
+        ({"decoder": None}, "decoder must be a string"),
+        ({"preset": ["toeplitz"]}, "preset must be a string"),
+        ({"design_file": 1}, "design_file must be a string"),
     ], ids=["list", "grid-number", "grid-string", "max_trials-string", "nd-float",
-            "seed-bool", "pi1-string"])
+            "seed-bool", "pi1-string", "modulation-int", "decoder-null", "preset-list",
+            "design_file-int"])
     def test_malformed_config_is_usage_error(self, capsys, tmp_path, doc, named):
         base = dict(preset="toeplitz", N=2, n=2, modulation="pam2", snr_grid_db=[10.0],
                     max_trials=20)
@@ -218,6 +223,28 @@ def test_malformed_design_file_is_usage_error(capsys, tmp_path, doc, named):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "info", "--design-file", str(path))
     assert code == 2 and out == "" and named in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("grouping", 5), ("grouping", [[0, 1], [2]]), ("grouping", [[1, 0], [2], [3]]),
+    ("S", 3), ("S", [0, 1.0]), ("T1", "x"), ("T1", True), ("pairing", [[0]]),
+    ("pairing", [[0, 1], [1, 2]]),
+], ids=["grouping-int", "grouping-missing-symbol", "grouping-descending", "S-int",
+        "S-float", "T1-string", "T1-bool", "pairing-single", "pairing-repeat"])
+def test_malformed_code_field_is_usage_error(capsys, tmp_path, field, value):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_dict(build(2, cod_trivial(), 1, 2)) | {field: value}))
+    code, out, err = run(capsys, "info", "--design-file", str(path))
+    assert code == 2 and out == "" and f"code field {field!r} must be" in err
+
+
+@pytest.mark.parametrize("field,value", [("grouping", [[0, 1], [2, 3]]),
+                                         ("pairing", [[1, 0], [3, 2]])])
+def test_well_formed_code_field_accepted(capsys, tmp_path, field, value):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_dict(build(2, cod_trivial(), 1, 2)) | {field: value}))
+    code, _, _ = run(capsys, "info", "--design-file", str(path))
+    assert code == 0
 
 
 def test_design_file_round_trip_via_cli(capsys, tmp_path):

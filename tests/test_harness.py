@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dstbc.channel import PowerConfig, RelayChannel, Workspace
 from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
@@ -13,7 +15,6 @@ from dstbc.construct import build, code_to_dict, from_design, GroupingScheme, pr
 from dstbc.decode import DECODERS, GroupDecoder, group_symbols
 from dstbc.design import cod_trivial
 from dstbc.harness import (
-    _CHUNK,
     BerCurve,
     ExperimentConfig,
     _Engine,
@@ -24,6 +25,7 @@ from dstbc.harness import (
     snr_db_to_power,
     worker_count,
 )
+from tests.test_construct import _MODULATIONS, preset_codes_with_modulation
 
 
 def small_config(**kw):
@@ -178,8 +180,8 @@ class TestWorkspaces:
     def test_full_and_tail_chunks_through_one_workspace(self):
         code = _crit9_code()
         engine, power = _Engine(code, "pic-sic", 4), PowerConfig.balanced(code, 4.0)
-        key, work = mix_seed(5, 0), Workspace()
-        for lo, hi in ((0, _CHUNK), (_CHUNK, _CHUNK + 88), (2 * _CHUNK, 3 * _CHUNK)):
+        key, work, c = mix_seed(5, 0), Workspace(), engine.chunk
+        for lo, hi in ((0, c), (c, c + 88), (2 * c, 3 * c)):
             for a in work.arrays.values():
                 a.view(np.uint8).fill(0xFF)  # NaN in the float arrays: stale data must not leak
             drawn, fresh = engine._draw_chunk(key, lo, hi, work), engine._draw_chunk(key, lo, hi)
@@ -188,17 +190,17 @@ class TestWorkspaces:
             white = engine._observe(*drawn, power, work)
             assert np.shares_memory(white, work.arrays["white"])
             assert white.tobytes() == engine._observe(*fresh, power).tobytes()
-        assert {len(a) for a in work.arrays.values()} == {_CHUNK}
+        assert {len(a) for a in work.arrays.values()} == {c}
 
     def test_chunk_bit_errors_reuse_the_engine_workspace(self):
         code = _crit9_code()
         engine, power = _Engine(code, "pic", 4), PowerConfig.balanced(code, 4.0)
-        key, seen = mix_seed(6, 0), _record_workspaces(engine)
-        for lo, hi in ((0, _CHUNK), (_CHUNK, _CHUNK + 88), (0, _CHUNK)):
+        key, seen, c = mix_seed(6, 0), _record_workspaces(engine), engine.chunk
+        for lo, hi in ((0, c), (c, c + 88), (0, c)):
             alone = _Engine(code, "pic", 4).chunk_bit_errors(power, key, lo, hi)
             np.testing.assert_array_equal(engine.chunk_bit_errors(power, key, lo, hi), alone)
         assert len(seen) == 3 and all(work is engine._local.work for _, work in seen)
-        assert {len(a) for a in engine._local.work.arrays.values()} == {_CHUNK}
+        assert {len(a) for a in engine._local.work.arrays.values()} == {c}
 
     def test_concurrent_chunks_never_share_a_workspace(self):
         # more threads than cores, switching every microsecond: a Workspace
@@ -242,11 +244,91 @@ class TestWorkspaces:
         codes, decoders, nds = (_pam2_code(), _crit9_code()), ("pic-sic", "ml"), (2, 4)
         engines = [_Engine(*args) for args in zip(codes, decoders, nds)]
         key = mix_seed(7, 0)
-        for lo, hi in ((0, _CHUNK), (_CHUNK, _CHUNK + 40)):
+        for first in (True, False):
             for engine, args in zip(engines, zip(codes, decoders, nds)):
+                c = engine.chunk
+                lo, hi = (0, c) if first else (c, c + 40)
                 power = PowerConfig.balanced(args[0], 4.0)
                 alone = _Engine(*args).chunk_bit_errors(power, key, lo, hi)
                 np.testing.assert_array_equal(engine.chunk_bit_errors(power, key, lo, hi), alone)
+
+
+@st.composite
+def chunked_runs(draw):
+    """A small run_ber config over a random preset code, modulation, decoder,
+    seed and SNR grid, a chunk size to run it with in place of the engine's,
+    and a worker count."""
+    name = draw(st.sampled_from(["alamouti", "scalar", "toeplitz", "scalar-full",
+                                 "single-complex"]))
+    N = draw(st.sampled_from([2] if name == "scalar-full" else [2, 4]))
+    lam = draw(st.integers(1, N // 2)) if name in ("alamouti", "scalar") else None
+    n = draw(st.integers(1, 2))
+    group_size = len(preset(name, N, lam, n).grouping.groups[0])
+    chunk = draw(st.sampled_from([1, 7, 256, 512, 1000]) | st.integers(2, 1100))
+    config = ExperimentConfig(
+        decoder=draw(st.sampled_from(DECODERS)), preset=name, N=N, lam=lam, n=n,
+        modulation=draw(st.sampled_from(_MODULATIONS[group_size])),
+        nd=draw(st.integers(1, 2)),
+        snr_grid_db=sorted(draw(st.sets(st.sampled_from([0, 5, 10, 15]), min_size=1,
+                                        max_size=2))),
+        # at most 40 chunks per point, so a chunk of one trial stays cheap
+        max_trials=draw(st.integers(1, min(1100, 40 * chunk))),
+        max_bit_errors=draw(st.integers(1, 300)),
+        master_seed=draw(st.integers(0, 2**64 - 1)))
+    return config, chunk, draw(st.sampled_from([1, 2]))
+
+
+class TestChunkSize:
+    """An engine's chunk size follows from its words per trial, and run_ber's
+    output does not depend on it."""
+
+    @pytest.mark.parametrize("spec,modulation,nd,stride,chunk", [
+        (("scalar", 2, 1, 2), "pam2", 2, 33, 512),
+        (("alamouti", 8, 1, 3), "pam8", 1, 153, 256),
+        (("alamouti", 4, 2, 2), "qam4", 4, 153, 256),
+        (("alamouti", 4, 2, 2), "qam4", 1, 93, 256),
+    ], ids=["pam2", "pam8", "crit9", "crit9-nd1"])
+    def test_benchmark_configurations(self, spec, modulation, nd, stride, chunk):
+        engine = _Engine(preset(*spec, modulation_set(modulation)), "pic-sic", nd)
+        assert (engine.stride, engine.chunk) == (stride, chunk)
+
+    @settings(deadline=None, max_examples=40)
+    @given(code_modulation=preset_codes_with_modulation(), nd=st.integers(1, 4))
+    def test_largest_power_of_two_under_the_word_cap(self, code_modulation, nd):
+        code, modulation = code_modulation
+        assume(modulation is not None)
+        engine = _Engine(code, "pic", nd)
+        c = engine.chunk
+        assert c >= 256 and c & (c - 1) == 0
+        assert c == 256 or c * engine.stride <= 2**15
+        assert 2 * c * engine.stride > 2**15
+
+    @settings(deadline=None, max_examples=30)
+    @given(chunked_runs())
+    def test_csv_equal_across_chunk_sizes(self, run):
+        config, chunk, workers = run
+        init, chunk_bit_errors = _Engine.__init__, _Engine.chunk_bit_errors
+        bounds = []
+
+        def sized_init(self, *args):
+            init(self, *args)
+            self.chunk = chunk
+
+        def recording(self, power, key, lo, hi):
+            bounds.append((lo, hi))
+            return chunk_bit_errors(self, power, key, lo, hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("DSTBC_THREADS", str(workers))
+            try:
+                expected = run_ber(config).to_csv()
+            except ValueError:  # a decoder or modulation the code refuses
+                assume(False)
+            mp.setattr(_Engine, "__init__", sized_init)
+            mp.setattr(_Engine, "chunk_bit_errors", recording)
+            assert run_ber(config).to_csv() == expected
+        assert bounds[0] == (0, min(chunk, config.max_trials))
+        assert all(hi - lo <= chunk for lo, hi in bounds)
 
 
 class TestCounterDraws:
@@ -444,7 +526,9 @@ class TestCsvAndConfig:
 
     @pytest.mark.parametrize("field,value", [("snr_grid_db", 5.0), ("snr_grid_db", ["5"]),
                                              ("max_bit_errors", 2.0), ("N", "2"),
-                                             ("pi1", None)])
+                                             ("pi1", None), ("modulation", 4),
+                                             ("decoder", None), ("preset", 3),
+                                             ("design_file", ["code.json"])])
     def test_wrong_field_type_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             small_config(**{field: value})

@@ -3,10 +3,11 @@
 Prints a line per run_ber(...).to_csv() over the three BER benchmark
 configurations, the criterion-9 one at 0 and 12 dB, the same code at
 N_D = 1 (2*N_D*T2 < K), a square one (2*N_D*T2 = K), a design file whose
-B_0 B_0^H is not diagonal (the noise covariance has cross-slot terms) and
-the criterion-9 code at a trial cap that ends in a short chunk, for
-every decoder and master_seed 0 and 1. A decoder a code refuses prints the
-hash of its message instead. Two checkouts decode alike when their outputs are equal:
+B_0 B_0^H is not diagonal (the noise covariance has cross-slot terms), and
+the criterion-9 (256-trial chunks) and criterion-8 (512-trial chunks) codes
+at trial caps that end in a short chunk, for every decoder and master_seed
+0 and 1. A decoder a code refuses prints the hash of its message instead.
+Two checkouts decode alike when their outputs are equal:
 
     DSTBC_THREADS=1 python3 tools/csv_gate.py > a.txt
     DSTBC_THREADS=2 python3 tools/csv_gate.py > b.txt
@@ -44,6 +45,9 @@ CONFIGS = {
     "non-diagonal-bbh": ("design", "pam4", 2, (0, 10, 20), 2048, 400),
     # 600 = 2*256 + 88 trials: the last chunk of each point is a short one
     "crit9-tail-chunk": (("alamouti", 4, 2, 2), "qam4", 4, (3, 9), 600, 10**9),
+    # 1300 = 2*512 + 276: the low point stops inside a 512-trial chunk and
+    # the high one ends in a short chunk
+    "pam2-tail-chunk": (("scalar", 2, 1, 2), "pam2", 2, (2, 14), 1300, 400),
 }
 
 
