@@ -18,6 +18,7 @@ conjugate of it, for the columns in S).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -231,6 +232,13 @@ def _consecutive_pairs(params: BuildParams) -> list:
     return pairs
 
 
+def _checked_pairing(pairing, k: int) -> tuple:
+    pairing = tuple((int(p), int(q)) for p, q in pairing)
+    if sorted([i for pq in pairing for i in pq]) != list(range(k)):
+        raise ValueError("pairing must cover each symbol exactly once")
+    return pairing
+
+
 def extract_relay_form(design: LinearDesign, pairing=None) -> ConjugateLinearForm:
     """Factor a conjugate-linear design into (V, {B_j}, S).
 
@@ -245,9 +253,7 @@ def extract_relay_form(design: LinearDesign, pairing=None) -> ConjugateLinearFor
         if design.K % 2:
             raise NotConjugateLinear("odd symbol count admits no pairing")
         pairing = [(2 * t, 2 * t + 1) for t in range(design.K // 2)]
-    pairing = tuple((int(p), int(q)) for p, q in pairing)
-    if sorted([i for pq in pairing for i in pq]) != list(range(design.K)):
-        raise ValueError("pairing must cover each symbol exactly once")
+    pairing = _checked_pairing(pairing, design.K)
 
     w = design.weights
     n, t1 = design.N, len(pairing)
@@ -491,34 +497,41 @@ def _index_list(value) -> bool:
     return isinstance(value, list) and all(type(i) is int for i in value)
 
 
-def _covers(lists, k: int) -> bool:
-    """lists is a list of index lists holding each of 0..k-1 exactly once."""
-    return (isinstance(lists, list) and all(_index_list(g) for g in lists)
-            and sorted(i for g in lists for i in g) == list(range(k)))
+@contextmanager
+def _field(name: str):
+    """Re-raise a ValueError with the code field it is about named."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"code field {name!r}: {e}") from None
 
 
 def code_from_dict(doc: dict) -> DstbcCode:
     """Inverse of code_to_dict; a malformed field raises a ValueError that
     names it."""
     design = design_from_dict(doc)
-    k = design.K
-    checks = {
-        "grouping": (lambda v: _covers(v, k) and all(g == sorted(g) for g in v),
-                     f"a partition of the symbols 0..{k - 1} into ascending lists"),
-        "pairing": (lambda v: _covers(v, k) and all(len(pq) == 2 for pq in v),
-                    f"a list of [p, q] pairs holding each symbol 0..{k - 1} once"),
+    types = {
+        "grouping": (lambda v: isinstance(v, list) and all(map(_index_list, v)),
+                     "a list of index lists"),
+        "pairing": (lambda v: isinstance(v, list)
+                    and all(_index_list(pq) and len(pq) == 2 for pq in v),
+                    "a list of [p, q] index pairs"),
         "S": (_index_list, "a list of relay column indices"),
         "T1": (lambda v: type(v) is int, "an integer"),
     }
-    for field, (ok, what) in checks.items():
+    for field, (ok, what) in types.items():
         if field in doc and not ok(doc[field]):
             raise ValueError(f"code field {field!r} must be {what}, got {doc[field]!r}")
-    grouping = None
-    if "grouping" in doc:
-        grouping = GroupingScheme(tuple(tuple(g) for g in doc["grouping"]))
-    code = from_design(design, grouping)
-    if "pairing" in doc and code.relay_form is None:
-        code = replace(code, relay_form=_relay_form_or_none(design, doc["pairing"]))
+    with _field("grouping"):
+        grouping = None
+        if "grouping" in doc:
+            grouping = GroupingScheme(tuple(tuple(g) for g in doc["grouping"]))
+        code = from_design(design, grouping)
+    if "pairing" in doc:
+        with _field("pairing"):
+            pairing = _checked_pairing(doc["pairing"], design.K)
+        if code.relay_form is None:
+            code = replace(code, relay_form=_relay_form_or_none(design, pairing))
     if code.relay_form is not None:
         if "S" in doc and frozenset(doc["S"]) != code.relay_form.S:
             raise ValueError("stored S disagrees with the conjugation scan")

@@ -244,11 +244,9 @@ class _Engine:
         self.gauss_splits = np.cumsum([math.prod(s) for s in self.gauss_shapes])
         self.stride = self.label_words + 2 * int(self.gauss_splits[-1])
         self._slots = np.arange(self.stride, dtype=np.uint64)
-        # trials per chunk: the largest power of two whose hash words fit in
-        # 2**15 (256 KiB), and at least 256
-        self.chunk = 256
-        while 2 * self.chunk * self.stride <= 2**15:
-            self.chunk *= 2
+        # trials per chunk: 512 when their hash words fit in 2**15 (256 KiB),
+        # else 256; larger chunks raised peak RSS past its bound on pam2
+        self.chunk = 512 if 512 * self.stride <= 2**15 else 256
         self._local = threading.local()  # .work: this thread's Workspace
 
     # -- draws ------------------------------------------------------------

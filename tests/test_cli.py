@@ -235,7 +235,7 @@ def test_malformed_code_field_is_usage_error(capsys, tmp_path, field, value):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(code_to_dict(build(2, cod_trivial(), 1, 2)) | {field: value}))
     code, out, err = run(capsys, "info", "--design-file", str(path))
-    assert code == 2 and out == "" and f"code field {field!r} must be" in err
+    assert code == 2 and out == "" and f"code field {field!r}" in err
 
 
 @pytest.mark.parametrize("field,value", [("grouping", [[0, 1], [2, 3]]),
