@@ -23,7 +23,7 @@ from . import __version__
 from .channel import PowerConfig, RelayChannel
 from .construct import bits_per_channel_use, build, preset_names, rate_cspcu
 from .decode import DECODERS
-from .design import cod_alamouti, cod_trivial, evaluate, verify_cod
+from .design import cod_alamouti, cod_trivial, evaluate, require, verify_cod
 from .diversity import check_pic, check_pic_sic, check_zf
 from .harness import ExperimentConfig, resolve_code, run_ber
 
@@ -93,8 +93,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_check(args) -> int:
     code = resolve_code(args)
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    require(args.seed >= 0, "--seed", "be a non-negative integer", args.seed)
     rng = np.random.default_rng(args.seed)
     checks = {"pic": check_pic, "pic-sic": check_pic_sic, "zf": check_zf}
     names = list(checks) if args.criterion == "all" else [args.criterion]
@@ -112,13 +111,14 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
     )
     if args.snr_start is not None or args.snr_stop is not None:
-        if args.snr_start is None or args.snr_stop is None:
-            raise ValueError("--snr-start and --snr-stop go together")
+        require(args.snr_start is not None and args.snr_stop is not None,
+                "--snr-start and --snr-stop", "be given together", (args.snr_start, args.snr_stop))
+        for flag, value in (("--snr-start", args.snr_start), ("--snr-stop", args.snr_stop)):
+            require(np.isfinite(value), flag, "be finite", value)
         step = 1.0 if args.snr_step is None else args.snr_step
-        if not step > 0:
-            raise ValueError(f"--snr-step must be positive, got {step:g}")
-        if args.snr_stop < args.snr_start:
-            raise ValueError("SNR grid must be ascending: --snr-stop is below --snr-start")
+        require(step > 0, "--snr-step", "be positive", step)
+        require(args.snr_stop >= args.snr_start, "--snr-stop",
+                f"be at least --snr-start {args.snr_start:g}", args.snr_stop)
         grid = []
         s = args.snr_start
         while s <= args.snr_stop + 1e-9:

@@ -18,7 +18,6 @@ conjugate of it, for the columns in S).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .design import (
     design_from_dict,
     design_to_dict,
     independent_weights,
+    require,
 )
 
 __all__ = [
@@ -325,13 +325,11 @@ def build(
     explicit set (with a full-diversity rotation of matching dimension);
     without one the code is still usable for structure and rate queries.
     """
-    if N < 1 or N % cod.Np:
-        raise ValueError(f"N must be a positive multiple of the COD width {cod.Np}, got {N}")
+    require(N >= 1 and N % cod.Np == 0, "N",
+            f"be a positive multiple of the COD width {cod.Np}", N)
     L = N // cod.Np
-    if not 1 <= lam <= L:
-        raise ValueError(f"lam must be in 1..{L}, got {lam}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require(1 <= lam <= L, "lam", f"be in 1..{L}", lam)
+    require(n >= 1, "n", "be >= 1", n)
     kp, tp, npp = cod.Kp, cod.Tp, cod.Np
     K = lam * n * kp
     T2 = (n + L - 1) * tp
@@ -416,45 +414,14 @@ def from_design(
     return code
 
 
-# named constructions; aliases keep CLI spellings short
-def _preset_alamouti(N: int, lam: int | None, n: int, group_set=None) -> DstbcCode:
-    lam = 1 if lam is None else lam
-    return build(N, cod_alamouti(), lam, n, group_set)
-
-
-def _preset_scalar(N: int, lam: int | None, n: int, group_set=None) -> DstbcCode:
-    lam = 1 if lam is None else lam
-    return build(N, cod_trivial(), lam, n, group_set)
-
-
-def _preset_toeplitz(N: int, lam: int | None, n: int, group_set=None) -> DstbcCode:
-    if lam not in (None, 1):
-        raise ValueError("the toeplitz preset fixes lam = 1")
-    return build(N, cod_trivial(), 1, n, group_set)
-
-
-def _preset_scalar_full(N: int, lam: int | None, n: int, group_set=None) -> DstbcCode:
-    if lam is not None and lam != N:
-        raise ValueError("the scalar-full preset fixes lam = N")
-    return build(N, cod_trivial(), N, n, group_set)
-
-
-def _preset_single_complex(N: int, lam: int | None, n: int, group_set=None) -> DstbcCode:
-    if lam not in (None, 2):
-        raise ValueError("the single-complex preset fixes lam = 2")
-    if N == 2:
-        return build(2, cod_trivial(), 2, n, group_set)
-    if N == 4:
-        return build(4, cod_alamouti(), 2, n, group_set)
-    raise ValueError("the single-complex preset exists for N = 2 or 4")
-
-
+# named constructions, each the COD it builds from for N relays; aliases
+# keep CLI spellings short
 _PRESETS = {
-    "alamouti": _preset_alamouti,
-    "scalar": _preset_scalar,
-    "toeplitz": _preset_toeplitz,
-    "scalar-full": _preset_scalar_full,
-    "single-complex": _preset_single_complex,
+    "alamouti": lambda N: cod_alamouti(),
+    "scalar": lambda N: cod_trivial(),
+    "toeplitz": lambda N: cod_trivial(),
+    "scalar-full": lambda N: cod_trivial(),
+    "single-complex": lambda N: cod_trivial() if N == 2 else cod_alamouti(),
 }
 _ALIASES = {
     "example1": "alamouti",
@@ -476,9 +443,12 @@ def preset(
     group_set: SignalSet | None = None,
 ) -> DstbcCode:
     key = _ALIASES.get(name, name)
-    if key not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
-    return _PRESETS[key](N, lam, n, group_set)
+    require(key in _PRESETS, "preset", f"be one of {', '.join(preset_names())}", name)
+    fixed = {"toeplitz": 1, "scalar-full": N, "single-complex": 2}.get(key)  # the others: any lam
+    require(fixed is None or lam in (None, fixed), "lam", f"be {fixed} for the {key} preset", lam)
+    require(N in (2, 4) or key != "single-complex", "N", f"be 2 or 4 for the {key} preset", N)
+    lam = (1 if lam is None else lam) if fixed is None else fixed
+    return build(N, _PRESETS[key](N), lam, n, group_set)
 
 
 def code_to_dict(code: DstbcCode) -> dict:
@@ -493,48 +463,37 @@ def code_to_dict(code: DstbcCode) -> dict:
     return doc
 
 
-def _index_list(value) -> bool:
-    return isinstance(value, list) and all(type(i) is int for i in value)
-
-
-@contextmanager
-def _field(name: str):
-    """Re-raise a ValueError with the code field it is about named."""
-    try:
-        yield
-    except ValueError as e:
-        raise ValueError(f"code field {name!r}: {e}") from None
+def _partition(lists, k: int) -> bool:
+    """lists is a list of integer lists that together hold 0..k-1 once each."""
+    if not (isinstance(lists, list) and all(isinstance(v, list) for v in lists)):
+        return False
+    flat = [i for v in lists for i in v]
+    return all(type(i) is int for i in flat) and sorted(flat) == list(range(k))
 
 
 def code_from_dict(doc: dict) -> DstbcCode:
     """Inverse of code_to_dict; a malformed field raises a ValueError that
     names it."""
     design = design_from_dict(doc)
-    types = {
-        "grouping": (lambda v: isinstance(v, list) and all(map(_index_list, v)),
-                     "a list of index lists"),
-        "pairing": (lambda v: isinstance(v, list)
-                    and all(_index_list(pq) and len(pq) == 2 for pq in v),
-                    "a list of [p, q] index pairs"),
-        "S": (_index_list, "a list of relay column indices"),
-        "T1": (lambda v: type(v) is int, "an integer"),
-    }
-    for field, (ok, what) in types.items():
-        if field in doc and not ok(doc[field]):
-            raise ValueError(f"code field {field!r} must be {what}, got {doc[field]!r}")
-    with _field("grouping"):
-        grouping = None
-        if "grouping" in doc:
-            grouping = GroupingScheme(tuple(tuple(g) for g in doc["grouping"]))
-        code = from_design(design, grouping)
-    if "pairing" in doc:
-        with _field("pairing"):
-            pairing = _checked_pairing(doc["pairing"], design.K)
-        if code.relay_form is None:
-            code = replace(code, relay_form=_relay_form_or_none(design, pairing))
-    if code.relay_form is not None:
-        if "S" in doc and frozenset(doc["S"]) != code.relay_form.S:
-            raise ValueError("stored S disagrees with the conjugation scan")
-        if "T1" in doc and doc["T1"] != code.relay_form.T1:
-            raise ValueError("stored T1 disagrees with the conjugation scan")
+    k = design.K
+    groups = doc.get("grouping", [[i] for i in range(k)])
+    require(_partition(groups, k) and all(g == sorted(g) for g in groups),
+            "code field 'grouping'", f"be ascending index lists that partition 0..{k - 1}", groups)
+    pairing = doc.get("pairing")
+    require("pairing" not in doc or _partition(pairing, k) and all(len(pq) == 2 for pq in pairing),
+            "code field 'pairing'", f"be [p, q] index pairs that cover 0..{k - 1} once each",
+            pairing)
+    s, t1 = doc.get("S", []), doc.get("T1", 0)
+    require(isinstance(s, list) and all(type(j) is int for j in s), "code field 'S'",
+            "be a list of relay column indices", s)
+    require(type(t1) is int, "code field 'T1'", "be an integer", t1)
+    code = from_design(design, GroupingScheme(tuple(map(tuple, groups))))
+    if pairing is not None and code.relay_form is None:
+        code = replace(code, relay_form=_relay_form_or_none(design, pairing))
+    form = code.relay_form
+    if form is not None:
+        require(frozenset(doc.get("S", form.S)) == form.S, "code field 'S'",
+                f"match the conjugation scan's {sorted(form.S)}", s)
+        require(doc.get("T1", form.T1) == form.T1, "code field 'T1'",
+                f"match the conjugation scan's {form.T1}", t1)
     return code

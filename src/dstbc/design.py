@@ -23,9 +23,21 @@ __all__ = [
     "verify_cod",
     "design_to_dict",
     "design_from_dict",
+    "require",
 ]
 
 _COD_TOL = 1e-12
+
+
+def require(ok, name: str, what: str, value) -> None:
+    """The one check on input from outside the program (configs, code files,
+    CLI flags, the environment): unless ok, raise a ValueError reading
+    "<name> must <what>, got <value!r>", the value's repr cut to 200 chars."""
+    if not ok:
+        text = repr(value)
+        if len(text) > 200:
+            text = text[:197] + "..."
+        raise ValueError(f"{name} must {what}, got {text}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +56,8 @@ class LinearDesign:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=complex)
-        if w.shape != (self.K, self.T, self.N):
-            raise ValueError(
-                f"weights must have shape ({self.K}, {self.T}, {self.N}), got {w.shape}"
-            )
+        require(w.shape == (self.K, self.T, self.N), "weights",
+                f"have shape {(self.K, self.T, self.N)}", w.shape)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -141,24 +151,21 @@ def design_to_dict(d: LinearDesign) -> dict:
 def design_from_dict(doc: dict) -> LinearDesign:
     """Inverse of design_to_dict; a malformed document raises a ValueError
     that names the field."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a design document must be a JSON object, got {type(doc).__name__}")
+    require(isinstance(doc, dict), "a design document", "be a JSON object", type(doc).__name__)
     for field in ("T", "N", "K", "weights"):
-        if field not in doc:
-            raise ValueError(f"design document has no field {field!r}")
+        require(field in doc, f"design field {field!r}", "be present", list(doc))
     for field in ("T", "N", "K"):
-        if type(doc[field]) is not int or doc[field] < 1:
-            raise ValueError(f"design field {field!r} must be a positive integer, "
-                             f"got {doc[field]!r}")
+        require(type(doc[field]) is int and doc[field] >= 1, f"design field {field!r}",
+                "be a positive integer", doc[field])
     t, n, k = doc["T"], doc["N"], doc["K"]
     try:
         w = np.array(doc["weights"])
     except ValueError:  # ragged nesting
         w = np.empty(0)
-    if w.dtype.kind not in "iuf" or w.shape != (k, t, n, 2):
-        raise ValueError(f"design field 'weights' must hold K x T x N = {k} x {t} x {n} "
-                         "[re, im] pairs of numbers")
+    require(w.dtype.kind in "iuf" and w.shape == (k, t, n, 2) and np.isfinite(w).all(),
+            "design field 'weights'",
+            f"hold K x T x N = {k} x {t} x {n} [re, im] pairs of finite numbers", doc["weights"])
     d = LinearDesign(t, n, k, np.ascontiguousarray(w, float).view(complex)[..., 0])
-    if not independent_weights(d):
-        raise ValueError("design weights are linearly dependent over R")
+    require(independent_weights(d), "design field 'weights'",
+            "be linearly independent over R", doc["weights"])
     return d

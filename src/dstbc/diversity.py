@@ -23,7 +23,7 @@ import numpy as np
 
 from .constellation import difference_set, verify_rotation
 from .construct import DstbcCode, drop_relays
-from .design import verify_cod
+from .design import require, verify_cod
 
 __all__ = [
     "Witness",
@@ -129,9 +129,10 @@ def _scan(chunks):
     return tested, min_ratio, None
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+def _checked_rng(trials: int, rng: np.random.Generator | None) -> np.random.Generator:
+    """rng, or a seed-0 generator if it is None, once trials is refused if negative."""
+    require(trials >= 0, "trials", "be >= 0", trials)
+    return rng or np.random.default_rng(0)
 
 
 def _scan_groups(code, criterion, interference_of, trials, rng):
@@ -174,8 +175,7 @@ def check_pic(code: DstbcCode, trials: int = 1000,
     The analytic certificate is attached for grid-built codes with at most
     two layers, where the construction guarantees the PIC criterion.
     """
-    _check_trials(trials)
-    rng = rng or np.random.default_rng(0)
+    rng = _checked_rng(trials, rng)
     report = _scan_groups(code, "PIC", code.grouping.complement, trials, rng)
     two_layers = code.params is not None and code.params.n <= 2
     return replace(report, analytic_certificate=cod_certificate(code) if two_layers else None)
@@ -184,8 +184,7 @@ def check_pic(code: DstbcCode, trials: int = 1000,
 def check_pic_sic(code: DstbcCode, trials: int = 1000,
                   rng: np.random.Generator | None = None) -> CriterionReport:
     """Randomized PIC-SIC rank criterion; interference spans later groups only."""
-    _check_trials(trials)
-    rng = rng or np.random.default_rng(0)
+    rng = _checked_rng(trials, rng)
     report = _scan_groups(code, "PIC-SIC", code.grouping.tail, trials, rng)
     cert = cod_certificate(code) if code.params is not None else None
     return replace(report, analytic_certificate=cert)
@@ -198,8 +197,7 @@ def check_zf(code: DstbcCode, trials: int = 1000,
     Tests all signed unit vectors (catching symbols whose lone weight is
     rank deficient) plus `trials` Gaussian draws.
     """
-    _check_trials(trials)
-    rng = rng or np.random.default_rng(0)
+    rng = _checked_rng(trials, rng)
     w = code.design.weights
     units = np.concatenate([np.eye(code.K), -np.eye(code.K)])
     u_draws = np.concatenate([units, rng.standard_normal((trials, code.K))])
@@ -259,9 +257,8 @@ def relay_failure_sweep(
     At most 64 drop subsets are checked per size a; the surviving design has
     N - a columns, so the rank target shrinks accordingly.
     """
-    if max_drop >= code.N:
-        raise ValueError("cannot drop all relays")
-    rng = rng or np.random.default_rng(0)
+    require(max_drop < code.N, "max_drop", f"be below N = {code.N}", max_drop)
+    rng = _checked_rng(trials, rng)
     reports = []
     for a in range(max_drop + 1):
         subsets = list(itertools.combinations(range(code.N), a))

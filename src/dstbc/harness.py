@@ -37,7 +37,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .channel import PowerConfig, RelayChannel, Workspace
 from .constellation import SignalSet, make_pam, make_rotated_qam, rotation_2d
 from .construct import DstbcCode, code_from_dict, preset
 from .decode import DECODERS, GroupDecoder, group_symbols
+from .design import require
 
 __all__ = [
     "ExperimentConfig",
@@ -109,16 +110,15 @@ def worker_count() -> int:
         count = int(env)
     except ValueError:
         count = 0
-    if count < 1:
-        raise ValueError(f"DSTBC_THREADS must be a positive integer, got {env!r}")
+    require(count >= 1, "DSTBC_THREADS", "be a positive integer", env)
     return count
 
 
 def modulation_set(name: str) -> SignalSet:
     """pamM for one-symbol groups, qamM (rotated) for two-symbol groups."""
     kind, order = name[:3].lower(), name[3:]
-    if kind not in ("pam", "qam") or not order.isdecimal():
-        raise ValueError(f"modulation must be pamM or qamM with M a number, got {name!r}")
+    require(kind in ("pam", "qam") and order.isdecimal(), "modulation",
+            "be pamM or qamM with M a number", name)
     if kind == "pam":
         return make_pam(int(order))
     return make_rotated_qam(int(order), rotation_2d())
@@ -144,47 +144,39 @@ class ExperimentConfig:
 
     def __post_init__(self):
         grid = self.snr_grid_db
-        if not (isinstance(grid, (list, tuple, np.ndarray))
-                and all(_is_a(s, numbers.Real) for s in grid)):
-            raise ValueError(f"snr_grid_db must be a list of numbers, got {grid!r}")
+        require(isinstance(grid, (list, tuple, np.ndarray))
+                and all(_is_a(s, numbers.Real) for s in grid),
+                "snr_grid_db", "be a list of numbers", grid)
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
         for name in ("decoder", "preset", "design_file", "modulation"):
             value = getattr(self, name)
-            if not (isinstance(value, str) or value is None and name != "decoder"):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+            require(isinstance(value, str) or value is None and name != "decoder",
+                    name, "be a string", value)
         for name in ("N", "lam", "n", "nd", "max_trials", "max_bit_errors", "master_seed"):
             value = getattr(self, name)
-            if not (_is_a(value, numbers.Integral)
-                    or value is None and name in ("N", "lam", "n")):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not _is_a(self.pi1, numbers.Real):
-            raise ValueError(f"pi1 must be a number, got {self.pi1!r}")
+            require(_is_a(value, numbers.Integral) or value is None and name in ("N", "lam", "n"),
+                    name, "be an integer", value)
+        require(_is_a(self.pi1, numbers.Real), "pi1", "be a number", self.pi1)
 
     def validate(self) -> None:
-        if self.decoder not in DECODERS:
-            raise ValueError(f"decoder must be one of {DECODERS}")
-        if not self.snr_grid_db:
-            raise ValueError("SNR grid is empty")
-        if not all(math.isfinite(s) for s in self.snr_grid_db):
-            raise ValueError("SNR grid values must be finite")
-        if list(self.snr_grid_db) != sorted(self.snr_grid_db):
-            raise ValueError("SNR grid must be ascending")
-        if self.max_trials < 1 or self.max_bit_errors < 1:
-            raise ValueError("max_trials and max_bit_errors must be >= 1")
-        if self.nd < 1:
-            raise ValueError("nd must be >= 1")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
-        if (self.preset is None) == (self.design_file is None):
-            raise ValueError("give exactly one of preset or design_file")
+        grid = self.snr_grid_db
+        require(self.decoder in DECODERS, "decoder", f"be one of {', '.join(DECODERS)}",
+                self.decoder)
+        require(grid and all(map(math.isfinite, grid)) and list(grid) == sorted(grid),
+                "snr_grid_db", "be a non-empty ascending list of finite numbers", grid)
+        for name in ("max_trials", "max_bit_errors", "nd"):
+            require(getattr(self, name) >= 1, name, "be >= 1", getattr(self, name))
+        require(0 <= self.master_seed <= _MASK64, "master_seed", "lie in [0, 2**64)",
+                self.master_seed)
+        require((self.preset is None) != (self.design_file is None),
+                "exactly one of preset and design_file", "be given",
+                (self.preset, self.design_file))
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
-        with open(path) as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict):
-            raise ValueError(f"config file {path} must hold a JSON object, "
-                             f"got {type(doc).__name__}")
+        doc = _load_json(path, "config file")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        require(not unknown, f"config file {path}", "hold only ExperimentConfig fields", unknown)
         doc.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**doc)
 
@@ -208,18 +200,27 @@ class BerCurve:
             f.write(self.to_csv())
 
 
+def _load_json(path, what: str) -> dict:
+    """The JSON object in the file at path; a refusal names the file as what."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except ValueError as e:  # not JSON, or not text
+            require(False, f"{what} {path}", "hold valid JSON", str(e))
+    require(isinstance(doc, dict), f"{what} {path}", "hold a JSON object", type(doc).__name__)
+    return doc
+
+
 def resolve_code(spec) -> DstbcCode:
     """The code named by spec, an ExperimentConfig or parsed CLI arguments:
     a preset (with N, lam, n) or a design file, plus an optional modulation."""
-    if (spec.preset is None) == (spec.design_file is None):
-        raise ValueError("give exactly one of preset or design_file")
+    require((spec.preset is None) != (spec.design_file is None),
+            "exactly one of preset and design_file", "be given", (spec.preset, spec.design_file))
     gset = modulation_set(spec.modulation) if spec.modulation else None
     if spec.design_file is not None:
-        with open(spec.design_file) as f:
-            code = code_from_dict(json.load(f))
+        code = code_from_dict(_load_json(spec.design_file, "design file"))
         return code if gset is None else code.with_sets(gset)
-    if spec.N is None:
-        raise ValueError("preset codes need N")
+    require(spec.N is not None, "N", "be given with a preset", spec.N)
     return preset(spec.preset, spec.N, spec.lam, 1 if spec.n is None else spec.n, gset)
 
 

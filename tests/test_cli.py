@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -123,6 +124,18 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert "--snr-step must be positive" in err
 
+    @pytest.mark.parametrize("flag,grid", [
+        ("--snr-stop", ["--snr-start", "0", "--snr-stop", "inf"]),
+        ("--snr-start", ["--snr-start=-inf", "--snr-stop", "0"]),
+        ("--snr-start", ["--snr-start", "nan", "--snr-stop", "2"]),
+        ("--snr-stop", ["--snr-start", "0", "--snr-stop", "nan"]),
+    ], ids=["stop-inf", "start-minus-inf", "start-nan", "stop-nan"])
+    def test_non_finite_snr_flag_is_usage_error(self, capsys, flag, grid):
+        # an infinite bound once never left the grid loop
+        code, out, err = run(capsys, "simulate", "--preset", "toeplitz", "--N", "2", "--n", "2",
+                             *grid, "--trials", "10")
+        assert code == 2 and out == "" and f"{flag} must be finite" in err
+
     def test_small_run_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"
         code, _, _ = run(
@@ -165,6 +178,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("doc,named", [
         ([1], "must hold a JSON object"),
+        ('{"preset": "toeplitz",}', "must hold valid JSON"),
         ({"snr_grid_db": 5}, "snr_grid_db must be a list of numbers"),
         ({"snr_grid_db": [10, "12"]}, "snr_grid_db must be a list of numbers"),
         ({"max_trials": "10"}, "max_trials must be an integer"),
@@ -175,14 +189,16 @@ class TestSimulate:
         ({"decoder": None}, "decoder must be a string"),
         ({"preset": ["toeplitz"]}, "preset must be a string"),
         ({"design_file": 1}, "design_file must be a string"),
-    ], ids=["list", "grid-number", "grid-string", "max_trials-string", "nd-float",
+    ], ids=["list", "syntax", "grid-number", "grid-string", "max_trials-string", "nd-float",
             "seed-bool", "pi1-string", "modulation-int", "decoder-null", "preset-list",
             "design_file-int"])
     def test_malformed_config_is_usage_error(self, capsys, tmp_path, doc, named):
         base = dict(preset="toeplitz", N=2, n=2, modulation="pam2", snr_grid_db=[10.0],
                     max_trials=20)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(base | doc if isinstance(doc, dict) else doc))
+        if isinstance(doc, dict):
+            doc = base | doc
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run(capsys, "simulate", "--config", str(path))
         assert code == 2 and out == "" and named in err
         if not isinstance(doc, dict):
@@ -207,22 +223,28 @@ _PAIRS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]  # one 2 x 2 weight as [re, im] pa
 
 
 @pytest.mark.parametrize("doc,named", [
-    ([1, 2], "must be a JSON object"),
-    ({"T": 2, "N": 2, "weights": [_PAIRS]}, "no field 'K'"),
-    ({"T": 2, "N": 2, "K": 1}, "no field 'weights'"),
+    ([1, 2], "must hold a JSON object"),
+    ('{"T": 2, x}', "must hold valid JSON"),
+    ({"T": 2, "N": 2, "weights": [_PAIRS]}, "design field 'K' must be present"),
+    ({"T": 2, "N": 2, "K": 1}, "design field 'weights' must be present"),
     ({"T": "2", "N": 2, "K": 1, "weights": [_PAIRS]}, "field 'T'"),
     ({"T": 2, "N": 0, "K": 1, "weights": [_PAIRS]}, "field 'N'"),
     ({"T": 2, "N": 2, "K": 1, "weights": [[[1, 0]]]}, "field 'weights'"),
     ({"T": 2, "N": 2, "K": 1, "weights": [[[1, 0], [0, 0]], [[0, 0]]]}, "field 'weights'"),
     ({"T": 2, "N": 2, "K": 1, "weights": [[[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]]},
      "field 'weights'"),
-], ids=["list", "no-K", "no-weights", "T-string", "N-zero", "weights-short",
-        "weights-ragged", "weights-string"])
+    *[({"T": 2, "N": 2, "K": 1, "weights": [[[[1, 0], [0, 0]], [[0, 0], [bad, 0]]]]},
+       "design field 'weights' must hold K x T x N = 1 x 2 x 2 [re, im] pairs of finite numbers")
+      for bad in (float("nan"), float("inf"), -float("inf"))],
+], ids=["list", "syntax", "no-K", "no-weights", "T-string", "N-zero", "weights-short",
+        "weights-ragged", "weights-string", "weights-nan", "weights-inf", "weights-minus-inf"])
 def test_malformed_design_file_is_usage_error(capsys, tmp_path, doc, named):
     path = tmp_path / "design.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, "info", "--design-file", str(path))
     assert code == 2 and out == "" and named in err
+    if not isinstance(doc, dict):
+        assert str(path) in err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -245,6 +267,68 @@ def test_well_formed_code_field_accepted(capsys, tmp_path, field, value):
     path.write_text(json.dumps(code_to_dict(build(2, cod_trivial(), 1, 2)) | {field: value}))
     code, _, _ = run(capsys, "info", "--design-file", str(path))
     assert code == 0
+
+
+_CFG = dict(preset="toeplitz", N=2, n=2, modulation="pam2", snr_grid_db=[10.0], max_trials=20)
+_TOEPLITZ = ("--preset", "toeplitz", "--N", "2", "--n", "2")
+_GRID = ("--snr-start", "10", "--snr-stop", "10", "--trials", "20")
+_CODE = code_to_dict(build(2, cod_trivial(), 1, 2))
+# id: (argv with FILE for the input file, the file's document or text, environment, the
+# name the refusal starts with)
+_REFUSALS = {
+    "config-nd": (("simulate", "--config", "FILE"), _CFG | {"nd": 1.5}, {}, "nd"),
+    "config-pi1": (("simulate", "--config", "FILE"), _CFG | {"pi1": "1"}, {}, "pi1"),
+    "config-grid": (("simulate", "--config", "FILE"), _CFG | {"snr_grid_db": []}, {},
+                    "snr_grid_db"),
+    "config-errors": (("simulate", "--config", "FILE"), _CFG | {"max_bit_errors": 0}, {},
+                      "max_bit_errors"),
+    "config-decoder": (("simulate", "--config", "FILE"), _CFG | {"decoder": "magic"}, {},
+                       "decoder"),
+    "config-source": (("simulate", "--config", "FILE"), _CFG | {"preset": None}, {},
+                      "exactly one of preset and design_file"),
+    "config-modulation": (("simulate", "--config", "FILE"), _CFG | {"modulation": "psk8"}, {},
+                          "modulation"),
+    "config-key": (("simulate", "--config", "FILE"), _CFG | {"bogus": 1}, {}, "config file FILE"),
+    "config-list": (("simulate", "--config", "FILE"), [1], {}, "config file FILE"),
+    "config-syntax": (("simulate", "--config", "FILE"), "{", {}, "config file FILE"),
+    "design-weights": (("info", "--design-file", "FILE"), {"T": 2, "N": 2, "K": 1}, {},
+                       "design field 'weights'"),
+    "design-T": (("info", "--design-file", "FILE"), {"T": 0, "N": 2, "K": 1, "weights": []}, {},
+                 "design field 'T'"),
+    "design-syntax": (("info", "--design-file", "FILE"), "[", {}, "design file FILE"),
+    "code-grouping": (("info", "--design-file", "FILE"), _CODE | {"grouping": [[1, 0], [2], [3]]},
+                      {}, "code field 'grouping'"),
+    "code-pairing": (("info", "--design-file", "FILE"), _CODE | {"pairing": [[0]]}, {},
+                     "code field 'pairing'"),
+    "code-S": (("info", "--design-file", "FILE"), _CODE | {"S": [0]}, {}, "code field 'S'"),
+    "code-T1": (("info", "--design-file", "FILE"), _CODE | {"T1": 3}, {}, "code field 'T1'"),
+    "flag-N": (("info", "--preset", "example1", "--N", "3"), None, {}, "N"),
+    "flag-lambda": (("info", *_TOEPLITZ, "--lambda", "2"), None, {}, "lam"),
+    "flag-preset": (("info", "--preset", "bogus", "--N", "2"), None, {}, "preset"),
+    "check-trials": (("check", *_TOEPLITZ, "--trials", "-5"), None, {}, "trials"),
+    "check-seed": (("check", *_TOEPLITZ, "--seed", "-1"), None, {}, "--seed"),
+    "flag-snr-pair": (("simulate", *_TOEPLITZ, "--snr-start", "10"), None, {},
+                      "--snr-start and --snr-stop"),
+    "flag-snr-step": (("simulate", *_TOEPLITZ, *_GRID, "--snr-step", "0"), None, {}, "--snr-step"),
+    "flag-snr-start": (("simulate", *_TOEPLITZ, "--snr-start", "inf", "--snr-stop", "10"), None,
+                       {}, "--snr-start"),
+    "flag-seed": (("simulate", *_TOEPLITZ, *_GRID, "--seed", "-1"), None, {}, "master_seed"),
+    "env-threads": (("simulate", *_TOEPLITZ, *_GRID), None, {"DSTBC_THREADS": "0"},
+                    "DSTBC_THREADS"),
+}
+
+
+@pytest.mark.parametrize("argv,doc,env,name", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_refusal_reads_name_must_what_got_value(capsys, monkeypatch, tmp_path, argv, doc, env,
+                                                name):
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert re.match(f"error: {re.escape(name.replace('FILE', str(path)))} must .*, got .", err)
 
 
 def test_design_file_round_trip_via_cli(capsys, tmp_path):

@@ -269,13 +269,16 @@ class TestPresets:
     @pytest.mark.parametrize(
         "name,N,lam,match",
         [
-            ("toeplitz", 4, 2, "fixes lam = 1"),
-            ("scalar-full", 3, 2, "fixes lam = N"),
-            ("scalar-full", 3, 4, "fixes lam = N"),
-            ("single-complex", 4, 1, "fixes lam = 2"),
-            ("single-complex", 2, 3, "fixes lam = 2"),
-            ("single-complex", 3, None, "N = 2 or 4"),
+            ("toeplitz", 4, 2, "^lam must be 1 for the toeplitz preset, got 2$"),
+            ("scalar-full", 3, 2, "^lam must be 3 for the scalar-full preset, got 2$"),
+            ("scalar-full", 3, 4, "^lam must be 3 for the scalar-full preset, got 4$"),
+            ("single-complex", 4, 1, "^lam must be 2 for the single-complex preset, got 1$"),
+            ("single-complex", 2, 3, "^lam must be 2 for the single-complex preset, got 3$"),
+            ("single-complex", 3, None, "^N must be 2 or 4 for the single-complex preset, got 3$"),
         ],
+        ids=["toeplitz-4-2-fixes lam = 1", "scalar-full-3-2-fixes lam = N",
+             "scalar-full-3-4-fixes lam = N", "single-complex-4-1-fixes lam = 2",
+             "single-complex-2-3-fixes lam = 2", "single-complex-3-None-N = 2 or 4"],
     )
     def test_lam_refusals(self, name, N, lam, match):
         with pytest.raises(ValueError, match=match):

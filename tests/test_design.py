@@ -11,6 +11,7 @@ from dstbc.design import (
     design_to_dict,
     evaluate,
     independent_weights,
+    require,
     verify_cod,
 )
 
@@ -140,3 +141,10 @@ def test_load_rejects_dependent_weights():
     dep = LinearDesign.from_weights(np.stack([np.eye(2) + 0j, np.eye(2) + 0j]))
     with pytest.raises(ValueError):
         design_from_dict(design_to_dict(dep))
+
+
+def test_require_cuts_a_long_value():
+    require(True, "x", "be anything", "a" * 500)
+    with pytest.raises(ValueError) as e:
+        require(False, "x", "be short", "a" * 500)
+    assert str(e.value) == "x must be short, got '" + "a" * 196 + "..."
