@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .diversity import check_pic, check_pic_sic, check_zf
 from .harness import ExperimentConfig, resolve_code, run_ber
 
 USAGE_ERROR = 2
+MAX_SNR_POINTS = 10_000  # the most points an --snr-start/stop/step grid may have
 
 
 def _add_code_args(p: argparse.ArgumentParser) -> None:
@@ -62,9 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snr-start", type=float)
     p_sim.add_argument("--snr-stop", type=float)
     p_sim.add_argument("--snr-step", type=float)
-    p_sim.add_argument("--trials", type=int, help="max trials per SNR point")
-    p_sim.add_argument("--max-errors", type=int, help="early-stop bit error count")
-    p_sim.add_argument("--seed", type=int)
+    # dest: the ExperimentConfig field each flag sets
+    p_sim.add_argument("--trials", dest="max_trials", type=int, help="max trials per SNR point")
+    p_sim.add_argument("--max-errors", dest="max_bit_errors", type=int,
+                       help="early-stop bit error count")
+    p_sim.add_argument("--seed", dest="master_seed", type=int)
     p_sim.add_argument("--out", help="CSV output path (default stdout)")
     p_sim.add_argument("--config", help="JSON config file; flags override")
 
@@ -103,32 +107,29 @@ def _cmd_check(args) -> int:
     return 0 if all(r["passed"] for r in reports) else 1
 
 
+def _snr_grid(start, stop, step) -> tuple:
+    """start, start + step, ... up to stop + 1e-9 dB, each rounded to 9 decimals;
+    the count is checked against MAX_SNR_POINTS before any point is made."""
+    require(start is not None and stop is not None, "--snr-start and --snr-stop",
+            "be given together", (start, stop))
+    step = 1.0 if step is None else step
+    for flag, value in (("--snr-start", start), ("--snr-stop", stop)):
+        require(math.isfinite(value), flag, "be finite", value)
+    require(0 < step < math.inf, "--snr-step", "be positive and finite", step)
+    require(stop >= start, "--snr-stop", f"be at least --snr-start {start:g}", stop)
+    span = (stop - start + 1e-9) / step  # inf for a step of 5e-324: floor would raise
+    require(span < MAX_SNR_POINTS, "--snr-step",
+            f"give at most {MAX_SNR_POINTS} points from --snr-start to --snr-stop", step)
+    return tuple(round(start + i * step, 9) for i in range(math.floor(span) + 1))
+
+
 def _cmd_simulate(args) -> int:
-    overrides = dict(
-        decoder=args.decoder, preset=args.preset, design_file=args.design_file,
-        N=args.N, lam=args.lam, n=args.n, modulation=args.modulation, nd=args.nd,
-        max_trials=args.trials, max_bit_errors=args.max_errors,
-        master_seed=args.seed,
-    )
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if getattr(args, f.name, None) is not None}
     if args.snr_start is not None or args.snr_stop is not None:
-        require(args.snr_start is not None and args.snr_stop is not None,
-                "--snr-start and --snr-stop", "be given together", (args.snr_start, args.snr_stop))
-        for flag, value in (("--snr-start", args.snr_start), ("--snr-stop", args.snr_stop)):
-            require(np.isfinite(value), flag, "be finite", value)
-        step = 1.0 if args.snr_step is None else args.snr_step
-        require(step > 0, "--snr-step", "be positive", step)
-        require(args.snr_stop >= args.snr_start, "--snr-stop",
-                f"be at least --snr-start {args.snr_start:g}", args.snr_stop)
-        grid = []
-        s = args.snr_start
-        while s <= args.snr_stop + 1e-9:
-            grid.append(round(s, 9))
-            s += step
-        overrides["snr_grid_db"] = tuple(grid)
-    if args.config is not None:
-        cfg = ExperimentConfig.from_json(args.config, **overrides)
-    else:
-        cfg = replace(ExperimentConfig(), **{k: v for k, v in overrides.items() if v is not None})
+        overrides["snr_grid_db"] = _snr_grid(args.snr_start, args.snr_stop, args.snr_step)
+    cfg = (ExperimentConfig(**overrides) if args.config is None
+           else ExperimentConfig.from_json(args.config, **overrides))
     curve = run_ber(cfg)
     if args.out:
         curve.write_csv(args.out)

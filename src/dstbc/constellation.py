@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .design import require
+
 __all__ = [
     "SignalSet",
     "RotationMatrix",
@@ -21,6 +23,7 @@ __all__ = [
     "identity_rotation",
     "verify_rotation",
     "difference_set",
+    "modulation_set",
 ]
 
 # Mean energy target per real dimension (a complex super-symbol x_p + i*x_q
@@ -192,3 +195,13 @@ def difference_set(s: SignalSet) -> np.ndarray:
     d = pts[:, None, :] - pts[None, :, :]
     d = d.reshape(-1, s.dim)
     return np.unique(np.round(d, 12), axis=0)
+
+
+def modulation_set(name: str) -> SignalSet:
+    """pamM for one-symbol groups, qamM (rotated) for two-symbol groups."""
+    kind, order = name[:3].lower(), name[3:]
+    require(kind in ("pam", "qam") and order.isdecimal(), "modulation",
+            "be pamM or qamM with M a number", name)
+    if kind == "pam":
+        return make_pam(int(order))
+    return make_rotated_qam(int(order), rotation_2d())

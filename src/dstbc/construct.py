@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constellation import SignalSet, make_pam, make_rotated_qam, rotation_2d
+from .constellation import SignalSet, modulation_set
 from .design import (
     CodProfile,
     LinearDesign,
@@ -206,12 +206,8 @@ class DstbcCode:
 
 
 def default_group_set(lam: int) -> SignalSet | None:
-    """Smallest standard alphabet for a group of lam real symbols."""
-    if lam == 1:
-        return make_pam(2)
-    if lam == 2:
-        return make_rotated_qam(4, rotation_2d())
-    return None
+    """Smallest standard alphabet for a group of lam real symbols, if any."""
+    return modulation_set(("pam2", "qam4")[lam - 1]) if lam in (1, 2) else None
 
 
 def _consecutive_pairs(params: BuildParams) -> list:

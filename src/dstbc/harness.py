@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .channel import PowerConfig, RelayChannel, Workspace
-from .constellation import SignalSet, make_pam, make_rotated_qam, rotation_2d
+from .constellation import modulation_set
 from .construct import DstbcCode, code_from_dict, preset
 from .decode import DECODERS, GroupDecoder, group_symbols
 from .design import require
@@ -114,19 +114,10 @@ def worker_count() -> int:
     return count
 
 
-def modulation_set(name: str) -> SignalSet:
-    """pamM for one-symbol groups, qamM (rotated) for two-symbol groups."""
-    kind, order = name[:3].lower(), name[3:]
-    require(kind in ("pam", "qam") and order.isdecimal(), "modulation",
-            "be pamM or qamM with M a number", name)
-    if kind == "pam":
-        return make_pam(int(order))
-    return make_rotated_qam(int(order), rotation_2d())
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce a BER run; JSON-serializable as-is."""
+    """Everything needed to reproduce a BER run, checked when built;
+    JSON-serializable as-is."""
 
     decoder: str = "pic-sic"
     preset: str | None = None
@@ -147,7 +138,8 @@ class ExperimentConfig:
         require(isinstance(grid, (list, tuple, np.ndarray))
                 and all(_is_a(s, numbers.Real) for s in grid),
                 "snr_grid_db", "be a list of numbers", grid)
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
+        grid = tuple(float(s) for s in grid)
+        object.__setattr__(self, "snr_grid_db", grid)
         for name in ("decoder", "preset", "design_file", "modulation"):
             value = getattr(self, name)
             require(isinstance(value, str) or value is None and name != "decoder",
@@ -157,9 +149,6 @@ class ExperimentConfig:
             require(_is_a(value, numbers.Integral) or value is None and name in ("N", "lam", "n"),
                     name, "be an integer", value)
         require(_is_a(self.pi1, numbers.Real), "pi1", "be a number", self.pi1)
-
-    def validate(self) -> None:
-        grid = self.snr_grid_db
         require(self.decoder in DECODERS, "decoder", f"be one of {', '.join(DECODERS)}",
                 self.decoder)
         require(grid and all(map(math.isfinite, grid)) and list(grid) == sorted(grid),
@@ -363,7 +352,6 @@ def _run_point(engine: _Engine, power: PowerConfig, snr_index: int,
 def run_ber(config: ExperimentConfig, code: DstbcCode | None = None) -> BerCurve:
     """Monte-Carlo BER over the SNR grid; see the module docstring for the
     trial protocol and determinism guarantees."""
-    config.validate()
     if code is None:
         code = resolve_code(config)
     engine = _Engine(code, config.decoder, config.nd)

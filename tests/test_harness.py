@@ -506,21 +506,21 @@ class TestCsvAndConfig:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            small_config(snr_grid_db=()).validate()
+            small_config(snr_grid_db=())
         with pytest.raises(ValueError):
-            small_config(snr_grid_db=(10.0, 5.0)).validate()
+            small_config(snr_grid_db=(10.0, 5.0))
         with pytest.raises(ValueError):
-            small_config(decoder="magic").validate()
+            small_config(decoder="magic")
         with pytest.raises(ValueError):
-            small_config(preset=None).validate()
+            small_config(preset=None)
 
     def test_master_seed_outside_64_bits_rejected(self):
         # mix_seed reads 64 bits, so 2**64 would repeat seed 0 and -1 seed 2**64 - 1
         for seed in (0, 2**64 - 1):
-            small_config(master_seed=seed).validate()
+            small_config(master_seed=seed)
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
-                small_config(master_seed=seed).validate()
+                small_config(master_seed=seed)
 
     @pytest.mark.parametrize("field,value", [("snr_grid_db", 5.0), ("snr_grid_db", ["5"]),
                                              ("max_bit_errors", 2.0), ("N", "2"),
@@ -538,7 +538,7 @@ class TestCsvAndConfig:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_snr_grid_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            small_config(snr_grid_db=(0.0, bad)).validate()
+            small_config(snr_grid_db=(0.0, bad))
 
     @pytest.mark.parametrize("value", ["two", "1.5"])
     def test_non_integer_thread_count_rejected(self, monkeypatch, value):
