@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import DstbcCode, rate_cspcu
+from .design import require
 
 __all__ = ["PowerConfig", "RelayChannel", "Workspace", "solve_lower"]
 
@@ -102,10 +103,7 @@ class PowerConfig:
         """
         t1, t2 = code.T1, code.T2
         pi2 = (t1 + t2 - pi1 * t1) / (float(rate_cspcu(code)) * t2)
-        if not (pi1 > 0 and pi2 > 0):
-            raise ValueError(
-                f"pi1 must lie in (0, {(t1 + t2) / t1:g}) for this code, got {pi1}"
-            )
+        require(pi1 > 0 and pi2 > 0, "pi1", f"lie in (0, {(t1 + t2) / t1:g}) for this code", pi1)
         return cls(P, pi1, pi2)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .channel import PowerConfig, RelayChannel
 from .construct import bits_per_channel_use, build, preset_names, rate_cspcu
-from .decode import DECODERS
+from .decode import DECODERS, GroupDecoder
 from .design import cod_alamouti, cod_trivial, evaluate, require, verify_cod
 from .diversity import check_pic, check_pic_sic, check_zf
 from .harness import ExperimentConfig, resolve_code, run_ber
@@ -130,7 +130,16 @@ def _cmd_simulate(args) -> int:
         overrides["snr_grid_db"] = _snr_grid(args.snr_start, args.snr_stop, args.snr_step)
     cfg = (ExperimentConfig(**overrides) if args.config is None
            else ExperimentConfig.from_json(args.config, **overrides))
-    curve = run_ber(cfg)
+    code = resolve_code(cfg)
+    require(code.relay_form is not None, "design_file",
+            "hold a code with a relay form (conjugate-linear columns)", cfg.design_file)
+    require(code.group_sets is not None, "modulation",
+            "be given for groups with no default alphabet (over 2 symbols)", cfg.modulation)
+    try:  # the decoder's own refusals, named; run_ber builds it again
+        GroupDecoder(cfg.decoder, code.grouping, code.group_sets)
+    except ValueError as e:
+        require(False, "decoder", f"suit the code ({e})", cfg.decoder)
+    curve = run_ber(cfg, code)
     if args.out:
         curve.write_csv(args.out)
         print(f"wrote {args.out} ({len(curve.points)} points, "

@@ -4,10 +4,12 @@ PAM/QAM component alphabets with Gray bit labels, full-diversity rotations
 for multidimensional groups, and difference sets. All alphabets are
 normalized to a mean energy of 1/2 per real dimension, so that a pair of
 real symbols forming one complex symbol carries unit mean energy.
+modulation_set maps the names pamM and qamM to the standard alphabets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,10 +200,12 @@ def difference_set(s: SignalSet) -> np.ndarray:
 
 
 def modulation_set(name: str) -> SignalSet:
-    """pamM for one-symbol groups, qamM (rotated) for two-symbol groups."""
+    """pamM for one-symbol groups, qamM (rotated) for two-symbol groups: the
+    standard alphabets, named as --modulation and ExperimentConfig take them."""
     kind, order = name[:3].lower(), name[3:]
     require(kind in ("pam", "qam") and order.isdecimal(), "modulation",
             "be pamM or qamM with M a number", name)
-    if kind == "pam":
-        return make_pam(int(order))
-    return make_rotated_qam(int(order), rotation_2d())
+    m = int(order)
+    require(m >= 2 and m & (m - 1) == 0 and (kind == "pam" or math.isqrt(m) ** 2 == m),
+            "modulation", "be pamM with M in 2, 4, 8, ... or qamM with M in 4, 16, 64, ...", name)
+    return make_pam(m) if kind == "pam" else make_rotated_qam(m, rotation_2d())

@@ -166,8 +166,7 @@ class ExperimentConfig:
         doc = _load_json(path, "config file")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         require(not unknown, f"config file {path}", "hold only ExperimentConfig fields", unknown)
-        doc.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**doc)
+        return cls(**doc | overrides)
 
 
 @dataclass(frozen=True)
@@ -208,9 +207,15 @@ def resolve_code(spec) -> DstbcCode:
     gset = modulation_set(spec.modulation) if spec.modulation else None
     if spec.design_file is not None:
         code = code_from_dict(_load_json(spec.design_file, "design file"))
-        return code if gset is None else code.with_sets(gset)
-    require(spec.N is not None, "N", "be given with a preset", spec.N)
-    return preset(spec.preset, spec.N, spec.lam, 1 if spec.n is None else spec.n, gset)
+    else:
+        require(spec.N is not None, "N", "be given with a preset", spec.N)
+        code = preset(spec.preset, spec.N, spec.lam, 1 if spec.n is None else spec.n)
+    if gset is None:
+        return code
+    sizes = "/".join(map(str, sorted({len(g) for g in code.grouping.groups})))
+    require(sizes == str(gset.dim), "modulation",
+            f"fit the code's group size {sizes} (pamM fits 1, qamM 2)", spec.modulation)
+    return code.with_sets(gset)
 
 
 class _Engine:

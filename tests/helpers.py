@@ -16,6 +16,17 @@ from dstbc.design import (
 )
 
 
+def accumulated_snr_grid(start: float, stop: float, step: float) -> tuple:
+    """The flag grid as a loop that adds step while the sum is at most
+    stop + 1e-9 dB, each point rounded to 9 decimals: the oracle of the
+    CLI's counted grid."""
+    grid, s = [], start
+    while s <= stop + 1e-9:
+        grid.append(round(s, 9))
+        s += step
+    return tuple(grid)
+
+
 def codeword_column(form: ConjugateLinearForm, j: int, z: np.ndarray) -> np.ndarray:
     """Column j of the codeword that the super-symbols z give under form."""
     if j in form.S:

@@ -2,10 +2,13 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dstbc.cli import main
+from dstbc.cli import MAX_SNR_POINTS, _snr_grid, main
 from dstbc.construct import build, code_to_dict
 from dstbc.design import cod_trivial
+from tests.helpers import accumulated_snr_grid
 
 
 def run(capsys, *argv):
@@ -135,6 +138,22 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--preset", "toeplitz", "--N", "2", "--n", "2",
                              *grid, "--trials", "10")
         assert code == 2 and out == "" and f"{flag} must be finite" in err
+
+    # grids as flags give them: start and step in hundredths of a dB, stop on a
+    # grid point, off it, or 1e-12 dB around a point
+    @settings(deadline=None, max_examples=300)
+    @given(start=st.integers(-4000, 4000), step=st.integers(1, 1000), points=st.integers(0, 500),
+           past=st.integers(0, 999), nudge=st.sampled_from([0.0, 1e-12, -1e-12]))
+    def test_counted_grid_equals_accumulated_grid(self, start, step, points, past, nudge):
+        stop = (start + points * step + past % step) / 100
+        start, step = start / 100, step / 100
+        stop = max(start, stop + nudge)
+        assert _snr_grid(start, stop, step) == accumulated_snr_grid(start, stop, step)
+
+    def test_grid_point_bound(self):
+        assert len(_snr_grid(0.0, MAX_SNR_POINTS - 1.0, 1.0)) == MAX_SNR_POINTS
+        with pytest.raises(ValueError, match=f"^--snr-step must give at most {MAX_SNR_POINTS} "):
+            _snr_grid(0.0, float(MAX_SNR_POINTS), 1.0)
 
     def test_small_run_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"
@@ -272,6 +291,7 @@ def test_well_formed_code_field_accepted(capsys, tmp_path, field, value):
 _CFG = dict(preset="toeplitz", N=2, n=2, modulation="pam2", snr_grid_db=[10.0], max_trials=20)
 _TOEPLITZ = ("--preset", "toeplitz", "--N", "2", "--n", "2")
 _GRID = ("--snr-start", "10", "--snr-stop", "10", "--trials", "20")
+_EXAMPLE1_LAM2 = ("--preset", "example1", "--N", "4", "--lambda", "2")
 _CODE = code_to_dict(build(2, cod_trivial(), 1, 2))
 # id: (argv with FILE for the input file, the file's document or text, environment, the
 # name the refusal starts with)
@@ -315,6 +335,24 @@ _REFUSALS = {
     "flag-seed": (("simulate", *_TOEPLITZ, *_GRID, "--seed", "-1"), None, {}, "master_seed"),
     "env-threads": (("simulate", *_TOEPLITZ, *_GRID), None, {"DSTBC_THREADS": "0"},
                     "DSTBC_THREADS"),
+    "config-pi1-range": (("simulate", "--config", "FILE"), _CFG | {"pi1": 5}, {}, "pi1"),
+    **{f"flag-modulation-{m}": (("info", "--preset", "example1", "--N", "2", "--modulation", m),
+                                None, {}, "modulation") for m in ("pam3", "pam1", "qam8")},
+    "flag-modulation-qam4-lam1": (("info", *_TOEPLITZ, "--modulation", "qam4"), None, {},
+                                  "modulation"),
+    "flag-modulation-pam2-lam2": (("info", *_EXAMPLE1_LAM2, "--modulation", "pam2"), None, {},
+                                  "modulation"),
+    "design-no-alphabet": (("simulate", "--design-file", "FILE", *_GRID),
+                           _CODE | {"grouping": [[0, 1, 2], [3]]}, {}, "modulation"),
+    "design-no-relay-form": (("simulate", "--design-file", "FILE", *_GRID),
+                             {"T": 1, "N": 1, "K": 1, "weights": [[[[1, 0]]]]}, {}, "design_file"),
+    "flag-decoder-zf-rotated": (("simulate", *_EXAMPLE1_LAM2, "--modulation", "qam4",
+                                 "--decoder", "zf", *_GRID), None, {}, "decoder"),
+    "flag-decoder-ml-cap": (("simulate", *_TOEPLITZ, "--modulation", "pam64", "--decoder", "ml",
+                             *_GRID), None, {}, "decoder"),
+    **{f"flag-snr-step-{step}": (("simulate", *_TOEPLITZ, "--snr-start", "2", "--snr-stop", "14",
+                                  "--snr-step", step), None, {}, "--snr-step")
+       for step in ("1e-300", "5e-324")},
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dstbc import harness
 from dstbc.constellation import (
     RotationMatrix,
     SignalSet,
@@ -8,9 +9,11 @@ from dstbc.constellation import (
     identity_rotation,
     make_pam,
     make_rotated_qam,
+    modulation_set,
     rotation_2d,
     verify_rotation,
 )
+from dstbc.construct import default_group_set
 
 
 class TestPam:
@@ -133,3 +136,30 @@ def test_signal_set_rejects_duplicate_points():
 def test_signal_set_rejects_bad_labels():
     with pytest.raises(ValueError):
         SignalSet(1, np.array([[1.0], [-1.0]]), 1, np.array([0, 2]))
+
+
+class TestModulationSet:
+    @pytest.mark.parametrize("name,dim,size", [("pam2", 1, 2), ("PAM8", 1, 8), ("qam4", 2, 4),
+                                               ("qam16", 2, 16), ("qam64", 2, 64)])
+    def test_standard_alphabets(self, name, dim, size):
+        s = modulation_set(name)
+        assert (s.dim, s.size) == (dim, size)
+
+    @pytest.mark.parametrize("name", ["pam0", "pam1", "pam3", "pam6", "qam1", "qam2", "qam8",
+                                      "qam32"])
+    def test_order_refused_naming_modulation(self, name):
+        with pytest.raises(ValueError, match=f"^modulation must be pamM with M in 2, 4, 8, "
+                                             rf"\.\.\. or qamM with M in 4, 16, 64, \.\.\., "
+                                             f"got '{name}'$"):
+            modulation_set(name)
+
+    def test_default_group_sets_are_the_smallest_standard_alphabets(self):
+        for lam, name in ((1, "pam2"), (2, "qam4")):
+            got, want = default_group_set(lam), modulation_set(name)
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.labels, want.labels)
+        assert default_group_set(3) is None
+
+    def test_harness_reexports_it(self):
+        # the benchmark imports it from dstbc.harness
+        assert harness.modulation_set is modulation_set

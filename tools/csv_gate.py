@@ -7,7 +7,11 @@ B_0 B_0^H is not diagonal (the noise covariance has cross-slot terms), and
 the criterion-9 (256-trial chunks) and criterion-8 (512-trial chunks) codes
 at trial caps that end in a short chunk, for every decoder and master_seed
 0 and 1. A decoder a code refuses prints the hash of its message instead.
-Two checkouts decode alike when their outputs are equal:
+Then a line per `dstbc simulate` stdout and exit code, for the
+ber-sweep-pam2 flags (SNR 2 to 14 dB in steps of 3) and a fractional-step
+grid, at master_seed 0 and 1: these pin the flag-to-config mapping and the
+SNR grid builder. That is 94 lines. Two checkouts decode alike when their
+outputs are equal:
 
     DSTBC_THREADS=1 python3 tools/csv_gate.py > a.txt
     DSTBC_THREADS=2 python3 tools/csv_gate.py > b.txt
@@ -16,7 +20,9 @@ Two checkouts decode alike when their outputs are equal:
 The dstbc imported is the one under src/ next to this script.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -26,6 +32,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from dstbc import cli  # noqa: E402
 from dstbc.construct import code_to_dict, from_design  # noqa: E402
 from dstbc.decode import DECODERS  # noqa: E402
 from dstbc.design import LinearDesign  # noqa: E402
@@ -49,6 +56,21 @@ CONFIGS = {
     # the high one ends in a short chunk
     "pam2-tail-chunk": (("scalar", 2, 1, 2), "pam2", 2, (2, 14), 1300, 400),
 }
+
+# name: simulate flags, less --seed; the first are those of the benchmark's
+# ber-sweep-pam2, the second a grid whose accumulated steps overshoot 2.9 dB
+_PAM2 = ("--preset", "scalar", "--N", "2", "--lambda", "1", "--n", "2", "--modulation", "pam2",
+         "--nd", "2", "--decoder", "pic-sic")
+CLI_RUNS = {
+    "cli-ber-sweep-pam2": (*_PAM2, "--snr-start", "2", "--snr-stop", "14", "--snr-step", "3",
+                           "--trials", "16384", "--max-errors", "400"),
+    "cli-fractional-step": (*_PAM2, "--snr-start", "0.5", "--snr-stop", "2.9", "--snr-step",
+                            "0.3", "--trials", "300", "--max-errors", "50"),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def non_diagonal_bbh_code():
@@ -76,8 +98,13 @@ def main() -> int:
                         out, kind = run_ber(cfg).to_csv(), "csv"
                     except ValueError as e:
                         out, kind = str(e), "refused"
-                    digest = hashlib.sha256(out.encode()).hexdigest()
-                    print(f"{name} {decoder} seed={seed} {kind} {digest}", flush=True)
+                    print(f"{name} {decoder} seed={seed} {kind} {sha256(out)}", flush=True)
+    for name, argv in CLI_RUNS.items():
+        for seed in (0, 1):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["simulate", *argv, "--seed", str(seed)])
+            print(f"{name} seed={seed} exit={code} {sha256(out.getvalue())}", flush=True)
     return 0
 
 
