@@ -116,8 +116,8 @@ class RelayChannel:
     """
 
     def __init__(self, code: DstbcCode):
-        if code.relay_form is None:
-            raise ValueError("code has no relay form; cannot simulate")
+        require(code.relay_form is not None, "design_file",
+                "hold a code with a relay form (conjugate-linear columns) to simulate", None)
         form = code.relay_form
         self.V = form.V
         self.relay_mats = np.stack([form.relay_matrix(j) for j in range(code.N)])

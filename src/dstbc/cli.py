@@ -112,14 +112,16 @@ def _snr_grid(start, stop, step) -> tuple:
     the count is checked against MAX_SNR_POINTS before any point is made."""
     require(start is not None and stop is not None, "--snr-start and --snr-stop",
             "be given together", (start, stop))
+    # the bound names the flag given: the step, or the stop when the step is the default
+    bound_flag, bound_value = ("--snr-stop", stop) if step is None else ("--snr-step", step)
     step = 1.0 if step is None else step
     for flag, value in (("--snr-start", start), ("--snr-stop", stop)):
         require(math.isfinite(value), flag, "be finite", value)
     require(0 < step < math.inf, "--snr-step", "be positive and finite", step)
     require(stop >= start, "--snr-stop", f"be at least --snr-start {start:g}", stop)
     span = (stop - start + 1e-9) / step  # inf for a step of 5e-324: floor would raise
-    require(span < MAX_SNR_POINTS, "--snr-step",
-            f"give at most {MAX_SNR_POINTS} points from --snr-start to --snr-stop", step)
+    require(span < MAX_SNR_POINTS, bound_flag,
+            f"give at most {MAX_SNR_POINTS} points from --snr-start to --snr-stop", bound_value)
     return tuple(round(start + i * step, 9) for i in range(math.floor(span) + 1))
 
 
@@ -131,14 +133,11 @@ def _cmd_simulate(args) -> int:
     cfg = (ExperimentConfig(**overrides) if args.config is None
            else ExperimentConfig.from_json(args.config, **overrides))
     code = resolve_code(cfg)
-    require(code.relay_form is not None, "design_file",
-            "hold a code with a relay form (conjugate-linear columns)", cfg.design_file)
-    require(code.group_sets is not None, "modulation",
-            "be given for groups with no default alphabet (over 2 symbols)", cfg.modulation)
-    try:  # the decoder's own refusals, named; run_ber builds it again
-        GroupDecoder(cfg.decoder, code.grouping, code.group_sets)
-    except ValueError as e:
-        require(False, "decoder", f"suit the code ({e})", cfg.decoder)
+    if code.group_sets is not None:  # else run_ber names the missing modulation
+        try:  # the decoder's own refusals, named; run_ber builds it again
+            GroupDecoder(cfg.decoder, code.grouping, code.group_sets)
+        except ValueError as e:
+            require(False, "decoder", f"suit the code ({e})", cfg.decoder)
     curve = run_ber(cfg, code)
     if args.out:
         curve.write_csv(args.out)

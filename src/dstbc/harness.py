@@ -166,7 +166,7 @@ class ExperimentConfig:
         doc = _load_json(path, "config file")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         require(not unknown, f"config file {path}", "hold only ExperimentConfig fields", unknown)
-        return cls(**doc | overrides)
+        return cls(**doc | {k: v for k, v in overrides.items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,8 @@ class _Engine:
     """Chunk-batched transmission/decoding pipeline for one (code, decoder)."""
 
     def __init__(self, code: DstbcCode, decoder: str, nd: int):
-        if code.group_sets is None:
-            raise ValueError("code has no signal sets; pick a modulation")
+        require(code.group_sets is not None, "modulation",
+                "be given for groups with no default alphabet (over 2 symbols)", None)
         self.decoder = decoder
         self.channel = RelayChannel(code)
         self.dec = GroupDecoder(decoder, code.grouping, code.group_sets)

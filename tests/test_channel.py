@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstbc.channel import PowerConfig, RelayChannel, Workspace, solve_lower
-from dstbc.construct import build, from_design
+from dstbc.construct import build, code_from_dict, from_design
 from dstbc.decode import group_symbols
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
 from tests.helpers import (
@@ -117,6 +117,12 @@ class TestEffectiveChannel:
             for j in range(4):
                 fj = f[b, j].conj() if j in code.relay_form.S else f[b, j]
                 np.testing.assert_allclose(h[b, j], fj * gm[b, j])
+
+    def test_code_without_relay_form_rejected(self):
+        # one real symbol alone: `info` reports no conjugate-linear relay form
+        code = code_from_dict({"T": 1, "N": 1, "K": 1, "weights": [[[[1, 0]]]]})
+        with pytest.raises(ValueError, match="^design_file must hold a code with a relay form"):
+            RelayChannel(code)
 
     def test_relay_count_mismatch_rejected(self):
         code = build(4, cod_alamouti(), 1, 2)

@@ -154,6 +154,9 @@ class TestSimulate:
         assert len(_snr_grid(0.0, MAX_SNR_POINTS - 1.0, 1.0)) == MAX_SNR_POINTS
         with pytest.raises(ValueError, match=f"^--snr-step must give at most {MAX_SNR_POINTS} "):
             _snr_grid(0.0, float(MAX_SNR_POINTS), 1.0)
+        # with the step left at its default of 1 dB, the bound names the stop
+        with pytest.raises(ValueError, match=f"^--snr-stop must give at most {MAX_SNR_POINTS} "):
+            _snr_grid(0.0, float(MAX_SNR_POINTS), None)
 
     def test_small_run_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"
@@ -353,6 +356,8 @@ _REFUSALS = {
     **{f"flag-snr-step-{step}": (("simulate", *_TOEPLITZ, "--snr-start", "2", "--snr-stop", "14",
                                   "--snr-step", step), None, {}, "--snr-step")
        for step in ("1e-300", "5e-324")},
+    "flag-snr-stop-bound": (("simulate", *_TOEPLITZ, "--snr-start", "0", "--snr-stop", "20000"),
+                            None, {}, "--snr-stop"),
 }
 
 

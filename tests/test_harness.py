@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from dstbc.channel import PowerConfig, RelayChannel, Workspace
 from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
-from dstbc.construct import build, code_to_dict, from_design, GroupingScheme, preset
+from dstbc.construct import (
+    build, code_from_dict, code_to_dict, from_design, GroupingScheme, preset,
+)
 from dstbc.decode import DECODERS, GroupDecoder, group_symbols
 from dstbc.design import cod_trivial
 from dstbc.harness import (
@@ -503,6 +505,19 @@ class TestCsvAndConfig:
         loaded = ExperimentConfig.from_json(path, master_seed=99, decoder="zf-sic")
         assert loaded.master_seed == 99 and loaded.decoder == "zf-sic"
         assert loaded.N == cfg.N
+
+    def test_none_override_keeps_file_value(self, tmp_path):
+        # an override of None means "not given": the file's pam2 stands
+        cfg = small_config()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.__dict__ | {"snr_grid_db": [10.0]}))
+        assert ExperimentConfig.from_json(path, modulation=None, master_seed=None) == cfg
+
+    def test_run_ber_names_missing_modulation(self):
+        # a group of three symbols has no default alphabet
+        doc = code_to_dict(build(2, cod_trivial(), 1, 2)) | {"grouping": [[0, 1, 2], [3]]}
+        with pytest.raises(ValueError, match="^modulation must be given for groups with no "):
+            run_ber(small_config(), code_from_dict(doc))
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
