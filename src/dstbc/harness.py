@@ -36,7 +36,7 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -311,45 +311,36 @@ class _Engine:
         return errors
 
 
-def _run_point(engine: _Engine, power: PowerConfig, snr_index: int,
-               config: ExperimentConfig, pool: ThreadPoolExecutor, workers: int) -> dict:
-    n_chunks = -(-config.max_trials // engine.chunk)
-    key = mix_seed(config.master_seed, snr_index)
+def _now(fn, *args) -> Future:
+    """fn(*args) run in the calling thread, as a finished Future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
-    def bounds(chunk: int):
-        lo = chunk * engine.chunk
-        return lo, min(lo + engine.chunk, config.max_trials)
 
-    def consume(counts_iter):
-        total_err, trials = 0, 0
-        for counts in counts_iter:
-            cum = total_err + np.cumsum(counts)
-            hit = np.nonzero(cum >= config.max_bit_errors)[0]
-            if hit.size:
-                stop = int(hit[0])
-                return int(cum[stop]), trials + stop + 1
-            total_err = int(cum[-1])
-            trials += counts.size
-        return total_err, trials
-
-    if workers <= 1:
-        bit_errors, trials = consume(
-            engine.chunk_bit_errors(power, key, *bounds(c)) for c in range(n_chunks))
-    else:
-        pending: deque = deque()
-
-        def ordered():
-            nxt = 0
-            while nxt < n_chunks or pending:
-                while len(pending) < 2 * workers and nxt < n_chunks:
-                    pending.append(pool.submit(engine.chunk_bit_errors, power, key,
-                                               *bounds(nxt)))
-                    nxt += 1
-                yield pending.popleft().result()
-
-        bit_errors, trials = consume(ordered())
-        for future in pending:  # prefetched past the stop: those not started never run
-            future.cancel()
+def _run_point(engine: _Engine, power: PowerConfig, key: int, config: ExperimentConfig,
+               submit, window: int) -> dict:
+    """Bit errors and trials of one SNR point, key = mix_seed(master_seed,
+    snr_index). Chunks are submitted in index order, at most window at a
+    time, and consumed in index order; the first trial that reaches
+    max_bit_errors ends the point."""
+    size, cap = engine.chunk, config.max_trials
+    pending: deque = deque()
+    lo = bit_errors = trials = 0
+    while lo < cap or pending:
+        while lo < cap and len(pending) < window:
+            pending.append(submit(engine.chunk_bit_errors, power, key, lo, min(lo + size, cap)))
+            lo += size
+        cum = bit_errors + np.cumsum(pending.popleft().result())
+        hit = np.flatnonzero(cum >= config.max_bit_errors)
+        if hit.size:
+            bit_errors, trials = int(cum[hit[0]]), trials + int(hit[0]) + 1
+            break
+        bit_errors, trials = int(cum[-1]), trials + cum.size
+    # submitted past the stop: those not started never run; highest first,
+    # so the chunks that did start are a prefix of the point's chunks
+    for future in reversed(pending):
+        future.cancel()
     ber = bit_errors / (trials * engine.bits_per_cw)
     return {"trials": trials, "bit_errors": bit_errors, "ber": ber}
 
@@ -366,9 +357,13 @@ def run_ber(config: ExperimentConfig, code: DstbcCode | None = None) -> BerCurve
     # one pool for the whole run: its threads, and the Workspaces they
     # write into, serve every SNR point
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        # above one worker, two chunks per worker in flight on the pool;
+        # at one, each chunk runs in this thread when it is submitted
+        submit, window = (pool.submit, 2 * workers) if workers > 1 else (_now, 1)
         for s_i, snr_db in enumerate(config.snr_grid_db):
             power = PowerConfig.balanced(code, snr_db_to_power(snr_db), config.pi1)
-            pt = _run_point(engine, power, s_i, config, pool, workers)
+            key = mix_seed(config.master_seed, s_i)
+            pt = _run_point(engine, power, key, config, submit, window)
             pt["snr_db"] = float(snr_db)
             points.append(pt)
     return BerCurve(tuple(points), asdict(config), time.time() - t0)
