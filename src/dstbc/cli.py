@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check/selftest failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -138,13 +139,18 @@ def _cmd_simulate(args) -> int:
             GroupDecoder(cfg.decoder, code.grouping, code.group_sets)
         except ValueError as e:
             require(False, "decoder", f"suit the code ({e})", cfg.decoder)
-    curve = run_ber(cfg, code)
+    out = contextlib.nullcontext(sys.stdout)
     if args.out:
-        curve.write_csv(args.out)
+        try:  # before the run, so a path that cannot be written costs no trials
+            out = open(args.out, "w")
+        except OSError as e:
+            require(False, "--out", "be a file that can be written", f"{args.out}: {e.strerror}")
+    with out as f:
+        curve = run_ber(cfg, code)
+        f.write(curve.to_csv())
+    if args.out:
         print(f"wrote {args.out} ({len(curve.points)} points, "
               f"{curve.wall_time_s:.1f}s)", file=sys.stderr)
-    else:
-        sys.stdout.write(curve.to_csv())
     return 0
 
 

@@ -155,10 +155,7 @@ def _singleton_refinement(grouping: GroupingScheme, sets):
         stride = s.size
         for i, levels in zip(grp, axes):
             m = levels.size
-            bits = int(np.log2(m))
-            if 2**bits != m:
-                raise ValueError("coordinate alphabet size is not a power of two")
-            coord_sets[i] = SignalSet(1, levels.reshape(-1, 1), bits, np.arange(m))
+            coord_sets[i] = SignalSet(1, levels.reshape(-1, 1), int(np.log2(m)), np.arange(m))
             stride //= m
             strides[i, k] = stride
         tables.append(table)

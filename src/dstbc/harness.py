@@ -18,13 +18,17 @@ reproducible and independent of how trials are scheduled.
 
 Trials are processed in chunks, sized per engine from its words per trial,
 whose linear algebra is batched; per-trial results do not depend on the
-chunking, and chunks are always consumed in index order, so early stopping
-at max_bit_errors is deterministic for any worker count (DSTBC_THREADS).
+chunking. Each SNR point runs one loop for any worker count (DSTBC_THREADS):
+it keeps at most a window of chunks submitted, consumes them in index order
+and stops at the first trial that reaches max_bit_errors, so early stopping
+is deterministic. The worker count picks only how chunks are submitted: to a
+thread pool kept for the run, two per worker, or, at one worker, run in the
+calling thread as they are submitted, one at a time.
 
-A run keeps one thread pool for all its SNR points. An engine keeps one
-channel.Workspace per thread, into which each chunk writes its hash words,
-A_k H products and W (a short chunk uses leading rows). A thread runs one
-chunk at a time, so no two running chunks, and no two engines, share one.
+An engine keeps one channel.Workspace per thread, into which each chunk
+writes its hash words, A_k H products and W (a short chunk uses leading
+rows). A thread runs one chunk at a time, so no two running chunks, and no
+two engines, share one.
 """
 
 from __future__ import annotations
@@ -183,18 +187,16 @@ class BerCurve:
             )
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_csv())
-
 
 def _load_json(path, what: str) -> dict:
     """The JSON object in the file at path; a refusal names the file as what."""
-    with open(path) as f:
-        try:
+    try:
+        with open(path) as f:
             doc = json.load(f)
-        except ValueError as e:  # not JSON, or not text
-            require(False, f"{what} {path}", "hold valid JSON", str(e))
+    except OSError as e:
+        require(False, f"{what} {path}", "be a readable file", e.strerror)
+    except ValueError as e:  # not JSON, or not text
+        require(False, f"{what} {path}", "hold valid JSON", str(e))
     require(isinstance(doc, dict), f"{what} {path}", "hold a JSON object", type(doc).__name__)
     return doc
 
@@ -357,8 +359,6 @@ def run_ber(config: ExperimentConfig, code: DstbcCode | None = None) -> BerCurve
     # one pool for the whole run: its threads, and the Workspaces they
     # write into, serve every SNR point
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # above one worker, two chunks per worker in flight on the pool;
-        # at one, each chunk runs in this thread when it is submitted
         submit, window = (pool.submit, 2 * workers) if workers > 1 else (_now, 1)
         for s_i, snr_db in enumerate(config.snr_grid_db):
             power = PowerConfig.balanced(code, snr_db_to_power(snr_db), config.pi1)

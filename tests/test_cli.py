@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dstbc import cli
 from dstbc.cli import MAX_SNR_POINTS, _snr_grid, main
 from dstbc.construct import build, code_to_dict
 from dstbc.design import cod_trivial
@@ -171,6 +172,13 @@ class TestSimulate:
         assert lines[0] == "snr_db,trials,bit_errors,ber"
         assert len(lines) == 3
 
+    def test_unwritable_out_refused_before_the_run(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "run_ber", lambda *args: pytest.fail("run_ber was called"))
+        path = tmp_path / "missing" / "curve.csv"
+        code, out, err = run(capsys, "simulate", *_TOEPLITZ, *_GRID, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --out must be a file that can be written, got '{path}: ")
+
     def test_stdout_output(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--preset", "toeplitz", "--N", "2", "--n", "2",
@@ -296,8 +304,8 @@ _TOEPLITZ = ("--preset", "toeplitz", "--N", "2", "--n", "2")
 _GRID = ("--snr-start", "10", "--snr-stop", "10", "--trials", "20")
 _EXAMPLE1_LAM2 = ("--preset", "example1", "--N", "4", "--lambda", "2")
 _CODE = code_to_dict(build(2, cod_trivial(), 1, 2))
-# id: (argv with FILE for the input file, the file's document or text, environment, the
-# name the refusal starts with)
+# id: (argv with FILE for the input file, the file's document or text (None: the file is
+# never written), environment, the name the refusal starts with)
 _REFUSALS = {
     "config-nd": (("simulate", "--config", "FILE"), _CFG | {"nd": 1.5}, {}, "nd"),
     "config-pi1": (("simulate", "--config", "FILE"), _CFG | {"pi1": "1"}, {}, "pi1"),
@@ -314,11 +322,13 @@ _REFUSALS = {
     "config-key": (("simulate", "--config", "FILE"), _CFG | {"bogus": 1}, {}, "config file FILE"),
     "config-list": (("simulate", "--config", "FILE"), [1], {}, "config file FILE"),
     "config-syntax": (("simulate", "--config", "FILE"), "{", {}, "config file FILE"),
+    "config-missing": (("simulate", "--config", "FILE"), None, {}, "config file FILE"),
     "design-weights": (("info", "--design-file", "FILE"), {"T": 2, "N": 2, "K": 1}, {},
                        "design field 'weights'"),
     "design-T": (("info", "--design-file", "FILE"), {"T": 0, "N": 2, "K": 1, "weights": []}, {},
                  "design field 'T'"),
     "design-syntax": (("info", "--design-file", "FILE"), "[", {}, "design file FILE"),
+    "design-missing": (("info", "--design-file", "FILE"), None, {}, "design file FILE"),
     "code-grouping": (("info", "--design-file", "FILE"), _CODE | {"grouping": [[1, 0], [2], [3]]},
                       {}, "code field 'grouping'"),
     "code-pairing": (("info", "--design-file", "FILE"), _CODE | {"pairing": [[0]]}, {},

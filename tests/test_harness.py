@@ -280,6 +280,36 @@ def chunked_runs(draw):
     return config, chunk, draw(st.sampled_from([1, 2]))
 
 
+class TestSchedule:
+    def test_chunks_started_on_an_early_stopped_point(self, monkeypatch):
+        # about 250 errors per 512-trial chunk: the stop falls in chunk 3 of 16
+        config = small_config(snr_grid_db=(2.0,), max_trials=512 * 16, max_bit_errors=900)
+        chunk_bit_errors, calls = _Engine.chunk_bit_errors, []
+
+        def recording(self, power, key, lo, hi):
+            calls.append((lo // self.chunk, threading.get_ident()))
+            return chunk_bit_errors(self, power, key, lo, hi)
+
+        monkeypatch.setattr(_Engine, "chunk_bit_errors", recording)
+        csvs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("DSTBC_THREADS", str(workers))
+            calls.clear()
+            curve = run_ber(config)
+            csvs.append(curve.to_csv())
+            stop = (curve.points[0]["trials"] - 1) // 512
+            assert 0 < stop < 15
+            chunks, threads = zip(*calls)
+            if workers == 1:  # exactly the chunks up to the stop, in this thread
+                assert list(chunks) == list(range(stop + 1))
+                assert set(threads) == {threading.get_ident()}
+            else:  # a prefix, ending inside the window of 2 chunks per worker
+                assert sorted(chunks) == list(range(len(chunks)))
+                assert stop < len(chunks) <= stop + 2 * workers
+                assert threading.get_ident() not in threads
+        assert csvs[0] == csvs[1] == csvs[2]
+
+
 class TestChunkSize:
     """An engine's chunk size follows from its words per trial, and run_ber's
     output does not depend on it."""
