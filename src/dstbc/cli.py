@@ -139,14 +139,18 @@ def _cmd_simulate(args) -> int:
             GroupDecoder(cfg.decoder, code.grouping, code.group_sets)
         except ValueError as e:
             require(False, "decoder", f"suit the code ({e})", cfg.decoder)
-    out = contextlib.nullcontext(sys.stdout)
+    out = None
     if args.out:
-        try:  # before the run, so a path that cannot be written costs no trials
-            out = open(args.out, "w")
+        # opened before the run, so a path that cannot be written costs no trials;
+        # for appending, so a run that fails or is stopped leaves the file as it was
+        try:
+            out = open(args.out, "a")
         except OSError as e:
             require(False, "--out", "be a file that can be written", f"{args.out}: {e.strerror}")
-    with out as f:
+    with out or contextlib.nullcontext(sys.stdout) as f:
         curve = run_ber(cfg, code)
+        if out:
+            f.truncate(0)
         f.write(curve.to_csv())
     if args.out:
         print(f"wrote {args.out} ({len(curve.points)} points, "

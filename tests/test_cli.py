@@ -179,6 +179,21 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith(f"error: --out must be a file that can be written, got '{path}: ")
 
+    def test_out_file_kept_until_the_run_ends(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("earlier results\n" * 50)
+        argv = ("simulate", *_TOEPLITZ, *_GRID, "--out", str(path))
+
+        def refused(*args):
+            raise ValueError("nd must be >= 1, got 0")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "run_ber", refused)
+            assert run(capsys, *argv)[0] == 2
+        assert path.read_text() == "earlier results\n" * 50
+        assert run(capsys, *argv)[0] == 0
+        assert path.read_text() == run(capsys, *argv[:-2])[1]
+
     def test_stdout_output(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--preset", "toeplitz", "--N", "2", "--n", "2",
