@@ -142,8 +142,8 @@ class RelayChannel:
         self._check_shapes(f=f, gm=gm, x=x, v=v, w=w)
         z = x @ self.V.T
         r = math.sqrt(power.pi1 * power.P) * f[:, :, None] * z[:, None, :] + v
-        r[:, self.s_mask, :] = r[:, self.s_mask, :].conj()
-        t = math.sqrt(power.relay_gain) * np.einsum("jts,bjs->bjt", self.relay_mats, r)
+        np.conjugate(r, out=r, where=self.s_mask[:, None])
+        t = math.sqrt(power.relay_gain) * (self.relay_mats @ r[..., None])[..., 0]
         return np.einsum("bjl,bjt->btl", gm, t) + w
 
     def effective(self, f, gm) -> np.ndarray:

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -139,16 +140,25 @@ def _cmd_simulate(args) -> int:
             GroupDecoder(cfg.decoder, code.grouping, code.group_sets)
         except ValueError as e:
             require(False, "decoder", f"suit the code ({e})", cfg.decoder)
-    out = None
+    out, created = None, False
     if args.out:
         # opened before the run, so a path that cannot be written costs no trials;
-        # for appending, so a run that fails or is stopped leaves the file as it was
+        # for appending, so a run that fails or is stopped leaves a file that
+        # existed as it was, and removes one it created
         try:
-            out = open(args.out, "a")
+            try:
+                out, created = open(args.out, "x"), True
+            except FileExistsError:
+                out = open(args.out, "a")
         except OSError as e:
             require(False, "--out", "be a file that can be written", f"{args.out}: {e.strerror}")
     with out or contextlib.nullcontext(sys.stdout) as f:
-        curve = run_ber(cfg, code)
+        try:
+            curve = run_ber(cfg, code)
+        except BaseException:
+            if created:
+                os.remove(args.out)
+            raise
         if out:
             f.truncate(0)
         f.write(curve.to_csv())

@@ -82,12 +82,30 @@ ML_CANDIDATE_CAP = 2**20
 _ML_SURVIVORS = 2**15
 
 
+class _SymbolTable:
+    """The map from per-group point indices idx (b, g) to symbol vectors
+    (b, K), as one gather from the points of every group, flattened in group
+    order: symbol c of group k, at place i of the group, reads entry
+    idx[:, k] * len(group) + i of that group's points."""
+
+    def __init__(self, groups, sets):
+        k_total = sum(len(grp) for grp in groups)
+        self.group, self.dim, self.base = np.zeros((3, k_total), dtype=np.int64)
+        offset = 0
+        for k, (grp, s) in enumerate(zip(groups, sets)):
+            cols = list(grp)
+            self.group[cols], self.dim[cols] = k, len(cols)
+            self.base[cols] = offset + np.arange(len(cols))
+            offset += s.points.size
+        self.flat = np.concatenate([s.points.ravel() for s in sets])
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        return self.flat[idx[:, self.group] * self.dim + self.base]
+
+
 def group_symbols(groups, sets, idx: np.ndarray) -> np.ndarray:
     """Symbol vectors (b, K) from per-group point indices idx (b, g)."""
-    x = np.empty((idx.shape[0], sum(len(g) for g in groups)))
-    for k, (grp, s) in enumerate(zip(groups, sets)):
-        x[:, list(grp)] = s.points[idx[:, k]]
-    return x
+    return _SymbolTable(groups, sets)(idx)
 
 
 def _range_basis(m: np.ndarray) -> np.ndarray:
@@ -234,6 +252,7 @@ class GroupDecoder:
             # product-alphabet index: the last group varies fastest
             self.strides = np.array([math.prod(self.sizes[k + 1:])
                                      for k in range(len(self.sizes))])
+            self._symbols = _SymbolTable(self.groups, self.sets)
 
     def decide(self, w: np.ndarray):
         if w.ndim != 3 or w.shape[2] != self.K + 1:
@@ -250,7 +269,7 @@ class GroupDecoder:
             (idx,) = _rows(
                 full, lambda t: (self._sphere(r[t], z[t], self._sic(r[t], z[t], 0.0)[0]),),
                 lambda t: (self._sphere_by_qr(_realify(w[t])[:, :, o], gram[t]),))
-            x = group_symbols(self.groups, self.sets, idx)
+            x = self._symbols(idx)
             res = w[:, :, -1] - np.einsum("bdk,bk->bd", w[:, :, :-1], x)
             return idx, np.einsum("bd,bd->b", res.conj(), res).real[:, None]
         solve = self._pic if self.decoder in ("pic", "zf") else self._sic
@@ -329,7 +348,7 @@ class GroupDecoder:
         indices (b, g). R is never inverted, so it may be singular. Among
         metrics equal as computed, the lowest product index wins."""
         b = r.shape[0]
-        x = group_symbols(self.groups, self.sets, cand)[:, self.order[:-1]]
+        x = self._symbols(cand)[:, self.order[:-1]]
         res = z - np.einsum("bkl,bl->bk", r, x)
         cand_metric = np.einsum("bk,bk->b", res, res)
         radius = cand_metric * (1.0 + 1e-10)  # rounding must not prune the candidate itself

@@ -11,10 +11,14 @@ where stride is fixed per engine: the label words, then two words per
 complex Gaussian. The hash state after (master_seed, p) is computed once per
 point and the last round runs on a whole chunk of counters at once, so the
 scalar mix_seed is the bit-exact oracle of the vector draw. Group labels are
-bit fields of the label words; each Gaussian is Box-Muller on two 53-bit
-uniforms, sqrt(-ln u1) exp(2 pi i u2) with u1 in (0, 1], which is CN(0, 1).
-Every draw is a pure function of (master_seed, p, i), so results are
-reproducible and independent of how trials are scheduled.
+consecutive bit fields of the label words, read for every group at once by
+one shift-and-mask (a field may straddle two words); each Gaussian is
+Box-Muller on two 53-bit uniforms, sqrt(-ln u1) exp(2 pi i u2) with u1 in
+(0, 1], which is CN(0, 1). Every draw is a pure function of
+(master_seed, p, i), so results are reproducible and independent of how
+trials are scheduled. Labels, symbols and bit errors are gathers from
+per-group tables built once per engine: a trial's bit errors are the set
+bits of the XOR of its sent and decided labels, counted by a table.
 
 Trials are processed in chunks, sized per engine from its words per trial,
 whose linear algebra is batched; per-trial results do not depend on the
@@ -48,7 +52,7 @@ import numpy as np
 from .channel import PowerConfig, RelayChannel, Workspace
 from .constellation import modulation_set
 from .construct import DstbcCode, code_from_dict, preset
-from .decode import DECODERS, GroupDecoder, group_symbols
+from .decode import DECODERS, GroupDecoder, _SymbolTable
 from .design import require
 
 __all__ = [
@@ -233,6 +237,25 @@ class _Engine:
         self.sets = code.group_sets
         self.bits_per_group = [s.bits_per_point for s in self.sets]
         self.bits_per_cw = sum(self.bits_per_group)
+        self.symbols = _SymbolTable(self.groups, self.sets)
+        # Gray labels: group k reads bits [pos, pos + nb) of the label words,
+        # shifted down from word pos // 64 and, when the field straddles two
+        # words, up from the next one; a field inside one word takes that
+        # word shifted up by 63, whose one bit the mask (nb < 64) drops
+        nb = np.array(self.bits_per_group)
+        self._word, shift = np.divmod(np.cumsum(nb) - nb, 64)
+        straddle = shift + nb > 64
+        self._next = self._word + straddle
+        self._shift_down = shift.astype(np.uint64)
+        self._shift_up = np.where(straddle, 64 - shift, 63).astype(np.uint64)
+        self._mask = np.array([(1 << n) - 1 for n in self.bits_per_group], dtype=np.uint64)
+        # per-group tables concatenated in group order; group k's entries
+        # start at _offsets[k]
+        self._offsets = np.cumsum([0] + [s.size for s in self.sets[:-1]])
+        self._index_of_label = np.concatenate([s.index_of_label for s in self.sets])
+        self._labels = np.concatenate([s.labels for s in self.sets])
+        # the bits set in each label difference, up to the widest group's
+        self._popcount = np.array([bin(d).count("1") for d in range(2 ** max(nb))], np.uint8)
         # random words per trial: the label words, then (u1, u2) for each
         # complex Gaussian of f, gm, v and w, in that order
         self.label_words = -(-self.bits_per_cw // 64)
@@ -270,22 +293,15 @@ class _Engine:
         z = np.sqrt(-np.log(u[:, 0::2] + 2.0**-53)) * np.exp(2j * np.pi * u[:, 1::2])
         f, gm, v, w = (part.reshape(b, *shape) for part, shape in zip(
             np.split(z, self.gauss_splits[:-1], axis=1), self.gauss_shapes))
-        # Gray labels: group k reads the next bits_per_group[k] bits, which
-        # may straddle two label words
-        tx_idx = np.empty((b, len(self.groups)), dtype=np.int64)
-        pos = 0
-        for k, (nb, s) in enumerate(zip(self.bits_per_group, self.sets)):
-            q, o = divmod(pos, 64)
-            field = labels[:, q] >> o
-            if o + nb > 64:
-                field |= labels[:, q + 1] << (64 - o)
-            tx_idx[:, k] = s.index_of_label[(field & ((1 << nb) - 1)).astype(np.int64)]
-            pos += nb
+        field = (labels[:, self._word] >> self._shift_down) | (
+            labels[:, self._next] << self._shift_up)
+        field &= self._mask
+        tx_idx = self._index_of_label[field.astype(np.int64) + self._offsets]
         return tx_idx, f, gm, v, w
 
     # -- physical channel + whitened model ---------------------------------
     def _observe(self, tx_idx, f, gm, v, w, power: PowerConfig, work=None):
-        x = group_symbols(self.groups, self.sets, tx_idx)
+        x = self.symbols(tx_idx)
         return self.channel.observe(x, f, gm, v, w, power, work)
 
     def _decide(self, white):
@@ -305,12 +321,8 @@ class _Engine:
         tx_idx, f, gm, v, w = self._draw_chunk(key, lo, hi, work)
         white = self._observe(tx_idx, f, gm, v, w, power, work)
         rx_idx = self._rx_group_indices(self._decide(white))
-        errors = np.zeros(hi - lo, dtype=np.int64)
-        for k, s in enumerate(self.sets):
-            d = s.labels[tx_idx[:, k]] ^ s.labels[rx_idx[:, k]]
-            for bit in range(s.bits_per_point):
-                errors += (d >> bit) & 1
-        return errors
+        diff = self._labels[tx_idx + self._offsets] ^ self._labels[rx_idx + self._offsets]
+        return self._popcount[diff].sum(axis=1, dtype=np.int64)
 
 
 def _now(fn, *args) -> Future:

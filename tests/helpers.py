@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from dstbc.construct import ConjugateLinearForm, DstbcCode, rate_cspcu
-from dstbc.decode import _project_out, _singleton_refinement, group_symbols
+from dstbc.decode import _project_out, _singleton_refinement
 from dstbc.design import (
     CodProfile,
     LinearDesign,
@@ -241,7 +241,7 @@ def oracle_decide(decoder, grouping, sets, g, y):
     if decoder == "ml":
         sizes = [s.size for s in sets]
         cand_idx = np.stack(np.unravel_index(np.arange(math.prod(sizes)), sizes), axis=1)
-        cand_x = group_symbols(groups, sets, cand_idx)
+        cand_x = group_symbols_oracle(groups, sets, cand_idx)
         c1 = np.einsum("bdk,bd->bk", g, y)
         gram = np.einsum("bdk,bdl->bkl", g, g)
         best = np.empty(b, dtype=np.int64)
@@ -279,3 +279,50 @@ def solve_lower_out_of_place(low, c):
     for i in range(low.shape[1]):
         x[:, i] = (c[:, i] - (low[:, i, None, :i] @ x[:, :i])[:, 0]) / low[:, i, i, None]
     return x
+
+
+# The per-group loops that the engine's table gathers replaced, kept as their
+# bit-exact oracles: labels read from the draw's label words, symbols from
+# point indices, bit errors of a chunk, and the relay channel's transmit.
+
+def labels_oracle(label_words, bits_per_group, sets) -> np.ndarray:
+    """Point indices (b, g) from the label words (b, words) of a draw: group
+    k reads the next bits_per_group[k] bits, which may straddle two words."""
+    tx_idx = np.empty((label_words.shape[0], len(sets)), dtype=np.int64)
+    pos = 0
+    for k, (nb, s) in enumerate(zip(bits_per_group, sets)):
+        q, o = divmod(pos, 64)
+        field = label_words[:, q] >> o
+        if o + nb > 64:
+            field |= label_words[:, q + 1] << (64 - o)
+        tx_idx[:, k] = s.index_of_label[(field & ((1 << nb) - 1)).astype(np.int64)]
+        pos += nb
+    return tx_idx
+
+
+def group_symbols_oracle(groups, sets, idx) -> np.ndarray:
+    """Symbol vectors (b, K) from per-group point indices idx (b, g)."""
+    x = np.empty((idx.shape[0], sum(len(g) for g in groups)))
+    for k, (grp, s) in enumerate(zip(groups, sets)):
+        x[:, list(grp)] = s.points[idx[:, k]]
+    return x
+
+
+def bit_errors_oracle(sets, tx_idx, rx_idx) -> np.ndarray:
+    """Per trial, the label bits in which the sent and decided points differ."""
+    errors = np.zeros(tx_idx.shape[0], dtype=np.int64)
+    for k, s in enumerate(sets):
+        d = s.labels[tx_idx[:, k]] ^ s.labels[rx_idx[:, k]]
+        for bit in range(s.bits_per_point):
+            errors += (d >> bit) & 1
+    return errors
+
+
+def transmit_oracle(channel, x, f, gm, v, w, power) -> np.ndarray:
+    """RelayChannel.transmit with its first product as an einsum and the
+    relays in S conjugated through a fancy-index copy."""
+    z = x @ channel.V.T
+    r = math.sqrt(power.pi1 * power.P) * f[:, :, None] * z[:, None, :] + v
+    r[:, channel.s_mask, :] = r[:, channel.s_mask, :].conj()
+    t = math.sqrt(power.relay_gain) * np.einsum("jts,bjs->bjt", channel.relay_mats, r)
+    return np.einsum("bjl,bjt->btl", gm, t) + w

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dstbc import cli
 from dstbc.cli import MAX_SNR_POINTS, _snr_grid, main
-from dstbc.construct import build, code_to_dict
+from dstbc.construct import build, code_to_dict, preset
 from dstbc.design import cod_trivial
 from tests.helpers import accumulated_snr_grid
 
@@ -193,6 +193,22 @@ class TestSimulate:
         assert path.read_text() == "earlier results\n" * 50
         assert run(capsys, *argv)[0] == 0
         assert path.read_text() == run(capsys, *argv[:-2])[1]
+
+    def test_refused_run_removes_the_out_file_it_created(self, capsys, tmp_path):
+        # one group of four symbols has no default alphabet: run_ber refuses
+        # the run after --out is opened
+        doc = code_to_dict(preset("alamouti", 2, 1, 1)) | {"grouping": [[0, 1, 2, 3]]}
+        design = tmp_path / "code.json"
+        design.write_text(json.dumps(doc))
+        path = tmp_path / "curve.csv"
+        argv = ("simulate", "--design-file", str(design), *_GRID, "--out", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: modulation must be given")
+        assert not path.exists()
+        path.write_text("earlier results\n")
+        assert run(capsys, *argv)[0] == 2
+        assert path.read_text() == "earlier results\n"
 
     def test_stdout_output(self, capsys):
         code, out, _ = run(

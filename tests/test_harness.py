@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dstbc import harness
 from dstbc.channel import PowerConfig, RelayChannel, Workspace
 from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
 from dstbc.construct import (
@@ -27,6 +28,10 @@ from dstbc.harness import (
     snr_db_to_power,
     worker_count,
 )
+from tests.helpers import (
+    bit_errors_oracle, group_symbols_oracle, labels_oracle, transmit_oracle,
+)
+from tests.test_channel import _non_diagonal_bbh_code
 from tests.test_construct import _MODULATIONS, preset_codes_with_modulation
 
 
@@ -309,6 +314,38 @@ class TestSchedule:
                 assert threading.get_ident() not in threads
         assert csvs[0] == csvs[1] == csvs[2]
 
+    def test_chunks_submitted_on_an_early_stopped_point(self, monkeypatch):
+        # the window shows in the chunks submitted, not in those started: a
+        # chunk submitted past the stop is cancelled before a worker starts it
+        config = small_config(snr_grid_db=(2.0,), max_trials=512 * 16, max_bit_errors=900)
+        events = []  # ("submit" | "result", chunk index), in the calling thread
+
+        def recorded(future, lo):
+            events.append(("submit", lo // 512))
+            result = future.result
+            future.result = lambda *args: (events.append(("result", lo // 512)), result(*args))[1]
+            return future
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, power, key, lo, hi):
+                return recorded(super().submit(fn, power, key, lo, hi), lo)
+
+        now = harness._now
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_now", lambda fn, power, key, lo, hi: recorded(
+            now(fn, power, key, lo, hi), lo))
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("DSTBC_THREADS", str(workers))
+            events.clear()
+            curve = run_ber(config)
+            stop = (curve.points[0]["trials"] - 1) // 512
+            assert 0 < stop < 15
+            submitted = [chunk for kind, chunk in events if kind == "submit"]
+            assert submitted == list(range(len(submitted)))
+            assert [chunk for kind, chunk in events if kind == "result"] == list(range(stop + 1))
+            in_flight = np.cumsum([1 if kind == "submit" else -1 for kind, _ in events])
+            assert in_flight.max() == (2 * workers if workers > 1 else 1)
+
 
 class TestChunkSize:
     """An engine's chunk size follows from its words per trial, and run_ber's
@@ -409,6 +446,77 @@ class TestCounterDraws:
         )
         pt = run_ber(cfg).points[0]
         assert pt["trials"] == 20 and 0 <= pt["ber"] < 0.5
+
+
+
+def _qam64_72_bit_code():
+    # 12 groups of 6 bits: group 10 reads bits 60-65, across both label words
+    return preset("alamouti", 8, 2, 3, modulation_set("qam64"))
+
+
+def _mixed_size_design_code():
+    # a design file with groups of one and two symbols, each given its
+    # default alphabet: pam2, qam4, pam2
+    doc = code_to_dict(preset("alamouti", 2, 1, 1)) | {"grouping": [[0], [1, 2], [3]]}
+    return code_from_dict(json.loads(json.dumps(doc)))
+
+
+def _mixed_alphabet_code():
+    return _mixed_size_design_code().with_sets(
+        (make_pam(8), modulation_set("qam16"), make_pam(4)))
+
+
+_NAMED_CODES = {"qam64-72-bit": _qam64_72_bit_code, "mixed-size-design": _mixed_size_design_code,
+                "mixed-alphabets": _mixed_alphabet_code, "crit9": _crit9_code,
+                "non-diagonal-bbh": _non_diagonal_bbh_code}
+
+
+class TestTableGathers:
+    """The engine's table gathers equal the per-group loops they replaced,
+    kept in tests.helpers: labels, symbols, bit errors and transmit."""
+
+    @staticmethod
+    def _check(code, nd, seed, lo, b, snr_db):
+        engine = _Engine(code, "pic-sic", nd)
+        key = mix_seed(seed, 0)
+        tx_idx, f, gm, v, w = engine._draw_chunk(key, lo, lo + b)
+        words = engine._words(key, lo, lo + b)[:, :engine.label_words]
+        assert np.array_equal(tx_idx, labels_oracle(words, engine.bits_per_group, engine.sets))
+        x = group_symbols_oracle(engine.groups, engine.sets, tx_idx)
+        assert np.array_equal(engine.symbols(tx_idx), x)
+        assert np.array_equal(group_symbols(engine.groups, engine.sets, tx_idx), x)
+        power = PowerConfig.balanced(code, snr_db_to_power(snr_db))
+        assert np.array_equal(engine.channel.transmit(x, f, gm, v, w, power),
+                              transmit_oracle(engine.channel, x, f, gm, v, w, power))
+        # decisions anywhere in the alphabets, so every label difference occurs
+        rng = np.random.default_rng(seed)
+        rx_idx = np.stack([rng.integers(s.size, size=b) for s in engine.sets], axis=1)
+        engine._rx_group_indices = lambda dec_idx: rx_idx
+        assert np.array_equal(engine.chunk_bit_errors(power, key, lo, lo + b),
+                              bit_errors_oracle(engine.sets, tx_idx, rx_idx))
+
+    @settings(deadline=None, max_examples=60)
+    @given(code_modulation=preset_codes_with_modulation(), nd=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**40), b=st.integers(1, 40),
+           snr_db=st.floats(-10.0, 40.0))
+    def test_presets(self, code_modulation, nd, seed, lo, b, snr_db):
+        code, modulation = code_modulation
+        assume(modulation is not None)
+        self._check(code, nd, seed, lo, b, snr_db)
+
+    @pytest.mark.parametrize("name", list(_NAMED_CODES))
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_named_codes(self, name, seed):
+        self._check(_NAMED_CODES[name](), 2, seed, 3 * seed % 1000, 300, 5.0)
+
+    def test_decoder_symbols(self):
+        # ML decides through its own table, on the decode groups
+        rng = np.random.default_rng(5)
+        for name in ("mixed-size-design", "mixed-alphabets", "crit9", "non-diagonal-bbh"):
+            code = _NAMED_CODES[name]()  # qam64-72-bit is over ML's candidate cap
+            dec = GroupDecoder("ml", code.grouping, code.group_sets)
+            idx = np.stack([rng.integers(s.size, size=50) for s in dec.sets], axis=1)
+            assert np.array_equal(dec._symbols(idx), group_symbols_oracle(dec.groups, dec.sets, idx))
 
 
 class TestRunBer:
