@@ -363,7 +363,12 @@ def bits_per_channel_use(code: DstbcCode) -> Fraction:
 
 
 def drop_relays(code: DstbcCode, indices) -> DstbcCode:
-    """Remove design columns (failed relays); grouping and sets are kept."""
+    """Remove design columns (failed relays); grouping and sets are kept.
+
+    The relay form is scanned under the parent's pairing, which keeps the
+    surviving columns conjugate linear, so S is the scan's, as code_from_dict
+    reads it back (a component whose lowest column was dropped may flip).
+    """
     drop = sorted({int(i) for i in indices})
     if any(i < 0 or i >= code.N for i in drop):
         raise ValueError("relay index out of range")
@@ -372,42 +377,26 @@ def drop_relays(code: DstbcCode, indices) -> DstbcCode:
     if not drop:
         return code
     keep = [j for j in range(code.N) if j not in drop]
-    design = LinearDesign(
-        code.T2, len(keep), code.K, code.design.weights[:, :, keep]
-    )
-    form = None
-    if code.relay_form is not None:
-        old = code.relay_form
-        form = ConjugateLinearForm(
-            old.pairing,
-            old.V,
-            tuple(old.B[j] for j in keep),
-            frozenset(pos for pos, j in enumerate(keep) if j in old.S),
-        )
+    design = LinearDesign(code.T2, len(keep), code.K, code.design.weights[:, :, keep])
+    old = code.relay_form
+    form = None if old is None else extract_relay_form(design, old.pairing)
     return DstbcCode(design, code.grouping, code.group_sets, form, None)
 
 
-def from_design(
-    design: LinearDesign,
-    grouping: GroupingScheme | None = None,
-    group_sets=None,
-) -> DstbcCode:
-    """Wrap a loaded design; singleton groups by default.
+def from_design(design: LinearDesign, grouping: GroupingScheme | None = None,
+                pairing=None) -> DstbcCode:
+    """Wrap a loaded design; singleton groups by default, with their default
+    alphabets when every group has one (groups of one or two symbols).
 
-    The relay form is recovered with the identity symbol pairing when the
-    design is conjugate linear under it; otherwise the code can still be
-    checked for diversity criteria but not channel-simulated.
+    The relay form is scanned with pairing (default (0, 1), (2, 3), ...); a
+    design not conjugate linear under it has none, so it can be checked for
+    the diversity criteria but not channel-simulated.
     """
     if grouping is None:
         grouping = GroupingScheme(tuple((i,) for i in range(design.K)))
-    code = DstbcCode(design, grouping, None, _relay_form_or_none(design), None)
-    if group_sets is None:
-        sets = tuple(default_group_set(len(g)) for g in grouping.groups)
-        if all(s is not None for s in sets):
-            code = code.with_sets(sets)
-    else:
-        code = code.with_sets(group_sets)
-    return code
+    sets = tuple(default_group_set(len(g)) for g in grouping.groups)
+    return DstbcCode(design, grouping, None if None in sets else sets,
+                     _relay_form_or_none(design, pairing))
 
 
 # named constructions, each the COD it builds from for N relays; aliases
@@ -468,8 +457,9 @@ def _partition(lists, k: int) -> bool:
 
 
 def code_from_dict(doc: dict) -> DstbcCode:
-    """Inverse of code_to_dict; a malformed field raises a ValueError that
-    names it."""
+    """Inverse of code_to_dict; a malformed field raises a ValueError naming it.
+    The relay form is scanned with the document's pairing (default identity),
+    and S and T1, when given, must match the scan."""
     design = design_from_dict(doc)
     k = design.K
     groups = doc.get("grouping", [[i] for i in range(k)])
@@ -483,9 +473,7 @@ def code_from_dict(doc: dict) -> DstbcCode:
     require(isinstance(s, list) and all(type(j) is int for j in s), "code field 'S'",
             "be a list of relay column indices", s)
     require(type(t1) is int, "code field 'T1'", "be an integer", t1)
-    code = from_design(design, GroupingScheme(tuple(map(tuple, groups))))
-    if pairing is not None and code.relay_form is None:
-        code = replace(code, relay_form=_relay_form_or_none(design, pairing))
+    code = from_design(design, GroupingScheme(tuple(map(tuple, groups))), pairing)
     form = code.relay_form
     if form is not None:
         require(frozenset(doc.get("S", form.S)) == form.S, "code field 'S'",
