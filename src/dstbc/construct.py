@@ -199,6 +199,12 @@ class DstbcCode:
     def g(self) -> int:
         return self.grouping.g
 
+    def signal_sets(self) -> tuple:
+        """group_sets, refused by name when the code has none."""
+        require(self.group_sets is not None, "modulation",
+                "be given for groups with no default alphabet (over 2 symbols)", None)
+        return self.group_sets
+
     def with_sets(self, sets) -> "DstbcCode":
         if isinstance(sets, SignalSet):
             sets = (sets,) * self.grouping.g
@@ -356,9 +362,7 @@ def rate_cspcu(code: DstbcCode) -> Fraction:
 
 
 def bits_per_channel_use(code: DstbcCode) -> Fraction:
-    if code.group_sets is None:
-        raise ValueError("code has no signal sets attached")
-    total_bits = sum(s.bits_per_point for s in code.group_sets)
+    total_bits = sum(s.bits_per_point for s in code.signal_sets())
     return Fraction(total_bits, code.T1 + code.T2)
 
 

@@ -103,9 +103,7 @@ def _relative_sv(mats: np.ndarray) -> np.ndarray:
 
 def _group_differences(code: DstbcCode, k: int, rng: np.random.Generator):
     """Nonzero group differences, exhaustively up to the cap."""
-    if code.group_sets is None:
-        raise ValueError("criteria checks need signal sets attached")
-    diffs = difference_set(code.group_sets[k])
+    diffs = difference_set(code.signal_sets()[k])
     diffs = diffs[np.any(diffs != 0, axis=1)]
     if diffs.shape[0] > _DIFF_CAP:
         pick = rng.choice(diffs.shape[0], size=_DIFF_CAP, replace=False)

@@ -228,13 +228,11 @@ class _Engine:
     """Chunk-batched transmission/decoding pipeline for one (code, decoder)."""
 
     def __init__(self, code: DstbcCode, decoder: str, nd: int):
-        require(code.group_sets is not None, "modulation",
-                "be given for groups with no default alphabet (over 2 symbols)", None)
+        self.sets = code.signal_sets()
         self.decoder = decoder
         self.channel = RelayChannel(code)
-        self.dec = GroupDecoder(decoder, code.grouping, code.group_sets)
+        self.dec = GroupDecoder(decoder, code.grouping, self.sets)
         self.groups = code.grouping.groups
-        self.sets = code.group_sets
         self.bits_per_group = [s.bits_per_point for s in self.sets]
         self.bits_per_cw = sum(self.bits_per_group)
         self.symbols = _SymbolTable(self.groups, self.sets)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dstbc import cli
 from dstbc.cli import MAX_SNR_POINTS, _snr_grid, main
-from dstbc.construct import build, code_to_dict, preset
+from dstbc.construct import build, code_to_dict, drop_relays, preset
 from dstbc.design import cod_trivial
 from tests.helpers import accumulated_snr_grid
 
@@ -103,6 +103,34 @@ class TestCheck:
         assert code == 0
         docs = json.loads(out)
         assert [d["criterion"] for d in docs] == ["PIC", "PIC-SIC", "ZF"]
+
+    def test_zf_needs_no_alphabet(self, capsys, tmp_path):
+        # a group of three symbols has no default alphabet; PIC and PIC-SIC refuse it
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(_CODE | {"grouping": [[0, 1, 2], [3]]}))
+        code, out, _ = run(capsys, "check", "--design-file", str(path), "--trials", "20",
+                           "--criterion", "zf")
+        assert code == 0 and json.loads(out)["passed"] is True
+
+
+class TestRelayDropDocument:
+    """The criterion-9 code with relay 0 dropped, written by code_to_dict: the
+    scan flips the component whose lowest column was dropped."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "dropped.json"
+        path.write_text(json.dumps(code_to_dict(drop_relays(preset("alamouti", 4, 2, 1), [0]))))
+        return str(path)
+
+    def test_info(self, capsys, path):
+        code, out, _ = run(capsys, "info", "--design-file", path)
+        assert code == 0 and "N   = 3" in out and "S   = [2]" in out
+
+    def test_simulate(self, capsys, path):
+        code, out, _ = run(capsys, "simulate", "--design-file", path, "--snr-start", "10",
+                           "--snr-stop", "10", "--trials", "64")
+        assert code == 0 and len(out.splitlines()) == 2
 
 
 class TestSimulate:
@@ -388,6 +416,8 @@ _REFUSALS = {
                                   "modulation"),
     "design-no-alphabet": (("simulate", "--design-file", "FILE", *_GRID),
                            _CODE | {"grouping": [[0, 1, 2], [3]]}, {}, "modulation"),
+    "design-no-alphabet-check": (("check", "--design-file", "FILE", "--trials", "20"),
+                                 _CODE | {"grouping": [[0, 1, 2], [3]]}, {}, "modulation"),
     "design-no-relay-form": (("simulate", "--design-file", "FILE", *_GRID),
                              {"T": 1, "N": 1, "K": 1, "weights": [[[[1, 0]]]]}, {}, "design_file"),
     "flag-decoder-zf-rotated": (("simulate", *_EXAMPLE1_LAM2, "--modulation", "qam4",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dstbc.constellation import make_pam, make_rotated_qam, rotation_2d
@@ -21,7 +21,8 @@ from dstbc.construct import (
     preset,
     rate_cspcu,
 )
-from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
+from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate, independent_weights
+from dstbc.diversity import check_pic, check_pic_sic, check_zf
 from dstbc.harness import modulation_set
 
 from tests.helpers import relay_form_consistent
@@ -335,6 +336,35 @@ def test_code_json_round_trip():
     assert back.relay_form.S == code.relay_form.S
 
 
+def test_document_pairing_is_the_one_scanned():
+    # the identity pairing also works on this design; the document's own wins
+    doc = code_to_dict(from_design(cod_alamouti().design)) | {"pairing": [[0, 1], [3, 2]]}
+    back = code_from_dict(doc)
+    assert back.relay_form.pairing == ((0, 1), (3, 2))
+    assert relay_form_consistent(back.design, back.relay_form)
+    assert code_to_dict(back)["pairing"] == [[0, 1], [3, 2]]
+
+
+def test_from_design_pairing():
+    # the grid's pairing on the lam = 2 Alamouti code, against the default one
+    code = build(4, cod_alamouti(), 2, 1)
+    pairing = code.relay_form.pairing
+    assert pairing != ((0, 1), (2, 3), (4, 5), (6, 7))
+    assert from_design(code.design, code.grouping, pairing).relay_form.pairing == pairing
+
+
+def test_code_without_alphabets_refused_by_name():
+    # a group of three symbols has no default alphabet; ZF needs none
+    code = from_design(build(2, cod_trivial(), 1, 2).design, GroupingScheme(((0, 1, 2), (3,))))
+    assert code.group_sets is None
+    refusal = r"^modulation must be given for groups with no default alphabet .*, got None$"
+    for needs_sets in (bits_per_channel_use, lambda c: check_pic(c, 5),
+                       lambda c: check_pic_sic(c, 5)):
+        with pytest.raises(ValueError, match=refusal):
+            needs_sets(code)
+    assert check_zf(code, 5).passed
+
+
 def test_from_design_without_conjugate_linearity():
     # identity pairing fails here: column mixes w and w* (Alamouti's natural
     # pairing is (0,1),(2,3) but we scramble the symbols)
@@ -361,6 +391,29 @@ def preset_codes(draw):
         N = draw(st.integers(1, 4 if name == "scalar-full" else 8))
     n = draw(st.integers(1, 3))
     return preset(name, N, lam, n)
+
+
+@st.composite
+def dropped_preset_codes(draw):
+    """A code from preset_codes with a nonempty proper subset of its relays dropped."""
+    code = draw(preset_codes().filter(lambda c: c.N > 1))
+    return drop_relays(code, draw(st.sets(st.integers(0, code.N - 1), min_size=1,
+                                          max_size=code.N - 1)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(dropped_preset_codes())
+def test_relay_drop_json_round_trip(code):
+    # a drop that leaves a symbol's weights dependent is refused by design_from_dict
+    assume(independent_weights(code.design))
+    form = code.relay_form
+    assert relay_form_consistent(code.design, form, trials=3)
+    back = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
+    assert back.grouping == code.grouping
+    assert (back.relay_form.pairing, back.relay_form.S, back.T1) == (form.pairing, form.S, form.T1)
+    np.testing.assert_array_equal(back.relay_form.V, form.V)
+    for b, b_ref in zip(back.relay_form.B, form.B, strict=True):
+        np.testing.assert_array_equal(b, b_ref)
 
 
 # the modulations that fit a group of one or two symbols; larger groups have none
