@@ -47,7 +47,8 @@ _U_CHUNK = 128
 @dataclass(frozen=True)
 class Witness:
     """Failing combination: group k (None for ZF), group difference a_k
-    (None for ZF), interference coefficients u."""
+    (None for ZF), interference coefficients u. The checks give a witness
+    copies of a_k and u, never views that would keep their draws alive."""
 
     k: int | None
     a_k: np.ndarray | None
@@ -84,8 +85,12 @@ class CriterionReport:
 
 
 def _relative_sv(mats: np.ndarray) -> np.ndarray:
-    """Smallest/largest singular value ratio for a stack of (T, N) matrices."""
-    gram = np.einsum("bti,btj->bij", mats.conj(), mats)
+    """Smallest/largest singular value ratio for a stack of (T, N) matrices.
+
+    Every Gram matrix comes from one batched product; its eigenvalues give
+    the ratio, and a ratio below _FAST_PATH_RATIO is recomputed by an
+    exact SVD of its matrix."""
+    gram = np.swapaxes(mats.conj(), 1, 2) @ mats
     evals = np.linalg.eigvalsh(gram)
     lam_min = np.clip(evals[:, 0].real, 0.0, None)
     lam_max = np.clip(evals[:, -1].real, 0.0, None)
@@ -101,10 +106,14 @@ def _relative_sv(mats: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _group_differences(code: DstbcCode, k: int, rng: np.random.Generator):
-    """Nonzero group differences, exhaustively up to the cap."""
-    diffs = difference_set(code.signal_sets()[k])
-    diffs = diffs[np.any(diffs != 0, axis=1)]
+def _group_differences(gset, cache: dict, rng: np.random.Generator):
+    """Nonzero differences of the alphabet gset, exhaustively up to the cap.
+    cache maps id(gset) to the full set, so a check builds it once per
+    alphabet; the subset drawn above the cap is drawn anew for every group."""
+    if id(gset) not in cache:
+        diffs = difference_set(gset)
+        cache[id(gset)] = diffs[np.any(diffs != 0, axis=1)]
+    diffs = cache[id(gset)]
     if diffs.shape[0] > _DIFF_CAP:
         pick = rng.choice(diffs.shape[0], size=_DIFF_CAP, replace=False)
         return diffs[np.sort(pick)], diffs.shape[0]
@@ -140,26 +149,27 @@ def _scan_groups(code, criterion, interference_of, trials, rng):
     draws over the interference index set, failing fast on the first
     rank-deficient combination.
     """
-    w = code.design.weights
+    w = code.design.weights.reshape(code.K, -1)  # (K, T2 N): products are matmuls
+    sets, alphabet_diffs = code.signal_sets(), {}
     covered = total_diffs = 0
 
     def chunks():
         nonlocal covered, total_diffs
         for k, grp in enumerate(code.grouping.groups):
-            diffs, n_all = _group_differences(code, k, rng)
+            diffs, n_all = _group_differences(sets[k], alphabet_diffs, rng)
             covered += diffs.shape[0]
             total_diffs += n_all
-            fixed = np.einsum("dg,gtn->dtn", diffs, w[list(grp)])
+            fixed = diffs @ w[list(grp)]
             interf_idx = list(interference_of(k))
             u_draws = np.zeros((1, len(interf_idx)))
             if interf_idx:
                 u_draws = np.concatenate([u_draws, rng.standard_normal((trials, len(interf_idx)))])
             for lo in range(0, u_draws.shape[0], _U_CHUNK):
                 u_chunk = u_draws[lo:lo + _U_CHUNK]
-                interf = np.einsum("uc,ctn->utn", u_chunk, w[interf_idx])
+                interf = u_chunk @ w[interf_idx]
                 mats = (fixed[:, None] + interf[None, :]).reshape(-1, code.T2, code.N)
-                yield mats, lambda i: Witness(k, diffs[i // len(u_chunk)],
-                                              u_chunk[i % len(u_chunk)])
+                yield mats, lambda i: Witness(k, diffs[i // len(u_chunk)].copy(),
+                                              u_chunk[i % len(u_chunk)].copy())
 
     tested, min_ratio, witness = _scan(chunks())
     return CriterionReport(criterion, witness is None, tested, min_ratio, witness,
@@ -196,14 +206,15 @@ def check_zf(code: DstbcCode, trials: int = 1000,
     rank deficient) plus `trials` Gaussian draws.
     """
     rng = _checked_rng(trials, rng)
-    w = code.design.weights
+    w = code.design.weights.reshape(code.K, -1)
     units = np.concatenate([np.eye(code.K), -np.eye(code.K)])
     u_draws = np.concatenate([units, rng.standard_normal((trials, code.K))])
 
     def chunks():
         for lo in range(0, u_draws.shape[0], _U_CHUNK):
             u_chunk = u_draws[lo:lo + _U_CHUNK]
-            yield np.einsum("uk,ktn->utn", u_chunk, w), lambda i: Witness(None, None, u_chunk[i])
+            mats = (u_chunk @ w).reshape(-1, code.T2, code.N)
+            yield mats, lambda i: Witness(None, None, u_chunk[i].copy())
 
     tested, min_ratio, witness = _scan(chunks())
     cert = cod_certificate(code) if code.params is not None and code.params.lam == 1 else None
@@ -222,7 +233,7 @@ def cod_certificate(code: DstbcCode) -> bool:
     p = code.params
     if p is None or code.group_sets is None or not verify_cod(p.cod):
         return False
-    for s in code.group_sets:
+    for s in {id(s): s for s in code.group_sets}.values():  # each distinct set once
         if (s.rotation is None or s.component_levels is None or s.dim != p.lam
                 or not verify_rotation(s.rotation, s.component_levels)):
             return False
