@@ -441,7 +441,12 @@ def preset(
 
 
 def code_to_dict(code: DstbcCode) -> dict:
+    """The document code_from_dict loads back. A code whose weights are
+    linearly dependent (a relay drop can zero a symbol's) is refused, since
+    code_from_dict would refuse its document."""
     doc = design_to_dict(code.design)
+    require(independent_weights(code.design), "code field 'weights'",
+            "be linearly independent over R to be written", doc["weights"])
     doc["grouping"] = [list(g) for g in code.grouping.groups]
     if code.relay_form is not None:
         doc["S"] = sorted(code.relay_form.S)

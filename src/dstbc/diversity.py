@@ -8,7 +8,12 @@ asks full rank of X(u) for every nonzero u.
 
 Randomized checks sample u (plus the all-zero combination and, for ZF, the
 signed unit vectors) and test the smallest relative singular value, which
-is necessary-only evidence of the "for every u" statement. For codes built
+is necessary-only evidence of the "for every u" statement. The rank kernel
+takes the matrices in chunks: one batched matmul forms a chunk's Gram
+matrices, their eigenvalues give every ratio of 1e-6 or more, and the
+matrices below that are recomputed by an exact SVD (counted in the report),
+so no verdict at the 1e-8 threshold rests on the Gram. Each alphabet's
+nonzero difference set is built once per check call. For codes built
 from a COD grid with verified full-diversity rotations the criterion holds
 by construction, and cod_certificate re-checks those hypotheses to certify
 the PIC-SIC criterion deterministically.
@@ -71,6 +76,8 @@ class CriterionReport:
     witness: Witness | None = None
     analytic_certificate: bool | None = None
     coverage: float = field(default=1.0, compare=False)
+    # matrices whose ratio the exact SVD recomputed
+    exact_svd_fallbacks: int = field(default=0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -81,15 +88,17 @@ class CriterionReport:
             "witness": None if self.witness is None else self.witness.to_dict(),
             "analytic_certificate": self.analytic_certificate,
             "coverage": self.coverage,
+            "exact_svd_fallbacks": self.exact_svd_fallbacks,
         }
 
 
-def _relative_sv(mats: np.ndarray) -> np.ndarray:
+def _relative_sv(mats: np.ndarray, fallbacks: list | None = None) -> np.ndarray:
     """Smallest/largest singular value ratio for a stack of (T, N) matrices.
 
-    Every Gram matrix comes from one batched product; its eigenvalues give
-    the ratio, and a ratio below _FAST_PATH_RATIO is recomputed by an
-    exact SVD of its matrix."""
+    The Gram matrices of the whole stack come from one batched product, and
+    their extreme eigenvalues (eigvalsh) give each ratio. A ratio below
+    _FAST_PATH_RATIO is recomputed by an exact SVD of its matrix, and the
+    number of matrices so recomputed is appended to fallbacks if given."""
     gram = np.swapaxes(mats.conj(), 1, 2) @ mats
     evals = np.linalg.eigvalsh(gram)
     lam_min = np.clip(evals[:, 0].real, 0.0, None)
@@ -103,6 +112,8 @@ def _relative_sv(mats: np.ndarray) -> np.ndarray:
     elif redo.size:
         s = np.linalg.svd(mats[redo], compute_uv=False)
         ratio[redo] = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)  # s = 0 gives 0
+        if fallbacks is not None:
+            fallbacks.append(redo.size)
     return ratio
 
 
@@ -123,17 +134,17 @@ def _group_differences(gset, cache: dict, rng: np.random.Generator):
 def _scan(chunks):
     """Rank-test chunks of (T2, N) matrices in order, stopping at the first
     deficient matrix. chunks yields (mats, witness_of), where witness_of(i)
-    builds the Witness of matrix i; returns (tested, min_ratio, witness).
-    The rank kernel of every criterion check."""
-    tested, min_ratio = 0, np.inf
+    builds the Witness of matrix i; returns (tested, min_ratio, witness,
+    exact SVD fallbacks). The rank kernel of every criterion check."""
+    tested, min_ratio, fallbacks = 0, np.inf, []
     for mats, witness_of in chunks:
-        ratios = _relative_sv(mats)
+        ratios = _relative_sv(mats, fallbacks)
         tested += mats.shape[0]
         min_ratio = min(min_ratio, float(ratios.min()))
         bad = np.nonzero(ratios <= REL_SV_THRESHOLD)[0]
         if bad.size:
-            return tested, min_ratio, witness_of(int(bad[0]))
-    return tested, min_ratio, None
+            return tested, min_ratio, witness_of(int(bad[0])), sum(fallbacks)
+    return tested, min_ratio, None, sum(fallbacks)
 
 
 def _checked_rng(trials: int, rng: np.random.Generator | None) -> np.random.Generator:
@@ -171,9 +182,9 @@ def _scan_groups(code, criterion, interference_of, trials, rng):
                 yield mats, lambda i: Witness(k, diffs[i // len(u_chunk)].copy(),
                                               u_chunk[i % len(u_chunk)].copy())
 
-    tested, min_ratio, witness = _scan(chunks())
+    tested, min_ratio, witness, fallbacks = _scan(chunks())
     return CriterionReport(criterion, witness is None, tested, min_ratio, witness,
-                           coverage=covered / max(total_diffs, 1))
+                           coverage=covered / max(total_diffs, 1), exact_svd_fallbacks=fallbacks)
 
 
 def check_pic(code: DstbcCode, trials: int = 1000,
@@ -216,9 +227,10 @@ def check_zf(code: DstbcCode, trials: int = 1000,
             mats = (u_chunk @ w).reshape(-1, code.T2, code.N)
             yield mats, lambda i: Witness(None, None, u_chunk[i].copy())
 
-    tested, min_ratio, witness = _scan(chunks())
+    tested, min_ratio, witness, fallbacks = _scan(chunks())
     cert = cod_certificate(code) if code.params is not None and code.params.lam == 1 else None
-    return CriterionReport("ZF", witness is None, tested, min_ratio, witness, cert)
+    return CriterionReport("ZF", witness is None, tested, min_ratio, witness, cert,
+                           exact_svd_fallbacks=fallbacks)
 
 
 def cod_certificate(code: DstbcCode) -> bool:

@@ -326,3 +326,24 @@ def transmit_oracle(channel, x, f, gm, v, w, power) -> np.ndarray:
     r[:, channel.s_mask, :] = r[:, channel.s_mask, :].conj()
     t = math.sqrt(power.relay_gain) * np.einsum("jts,bjs->bjt", channel.relay_mats, r)
     return np.einsum("bjl,bjt->btl", gm, t) + w
+
+
+def relative_sv_oracle(mats: np.ndarray, fallbacks: list | None = None) -> np.ndarray:
+    """diversity._relative_sv with every Gram matrix formed by einsum, as the
+    rank kernel did before its batched product."""
+    gram = np.einsum("bti,btj->bij", mats.conj(), mats)
+    evals = np.linalg.eigvalsh(gram)
+    lam_min = np.clip(evals[:, 0].real, 0.0, None)
+    lam_max = np.clip(evals[:, -1].real, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(np.where(lam_max > 0, lam_min / lam_max, 0.0))
+    redo = np.nonzero(ratio < 1e-6)[0]
+    rows, cols = mats.shape[1:]
+    if rows < cols:
+        ratio[redo] = 0.0
+    elif redo.size:
+        s = np.linalg.svd(mats[redo], compute_uv=False)
+        ratio[redo] = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
+        if fallbacks is not None:
+            fallbacks.append(redo.size)
+    return ratio

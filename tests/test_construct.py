@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstbc.constellation import make_pam, make_rotated_qam, rotation_2d
@@ -22,7 +22,7 @@ from dstbc.construct import (
     rate_cspcu,
 )
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate, independent_weights
-from dstbc.diversity import check_pic, check_pic_sic, check_zf
+from dstbc.diversity import check_pic, check_pic_sic, check_zf, relay_failure_sweep
 from dstbc.harness import modulation_set
 
 from tests.helpers import relay_form_consistent
@@ -401,11 +401,31 @@ def dropped_preset_codes(draw):
                                           max_size=code.N - 1)))
 
 
+_DEPENDENT_REFUSAL = ("^code field 'weights' must be linearly independent over R to be written, "
+                      r"got \[\[\[")
+
+
+def test_dependent_drop_checked_but_not_written():
+    # scalar N=2, lam=2: relay 0 alone carries a symbol, whose weights the drop zeroes
+    code = preset("scalar", 2, 2, 1)
+    dropped = drop_relays(code, [0])
+    assert not independent_weights(dropped.design)
+    with pytest.raises(ValueError, match=_DEPENDENT_REFUSAL):
+        code_to_dict(dropped)
+    # the relay-failure sweep still checks the dropped code
+    reports = dict(relay_failure_sweep(code, 1, trials=20, rng=np.random.default_rng(0)))
+    assert reports[(0,)].samples_tested > 0
+
+
 @settings(deadline=None, max_examples=80)
 @given(dropped_preset_codes())
 def test_relay_drop_json_round_trip(code):
-    # a drop that leaves a symbol's weights dependent is refused by design_from_dict
-    assume(independent_weights(code.design))
+    # a drop that leaves the weights dependent (a symbol's all zero) has no
+    # document that loads, so code_to_dict refuses to write one
+    if not independent_weights(code.design):
+        with pytest.raises(ValueError, match=_DEPENDENT_REFUSAL):
+            code_to_dict(code)
+        return
     form = code.relay_form
     assert relay_form_consistent(code.design, form, trials=3)
     back = code_from_dict(json.loads(json.dumps(code_to_dict(code))))

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstbc.constellation import (
     difference_set,
@@ -20,7 +24,7 @@ from dstbc.diversity import (
     relay_failure_sweep,
 )
 
-from tests.helpers import complement_transform_selftest
+from tests.helpers import complement_transform_selftest, relative_sv_oracle
 
 
 def duplicated_column_code():
@@ -309,9 +313,27 @@ def test_report_json_shape():
     doc = r.to_dict()
     assert set(doc) == {
         "criterion", "passed", "samples_tested", "min_singular_value",
-        "witness", "analytic_certificate", "coverage",
+        "witness", "analytic_certificate", "coverage", "exact_svd_fallbacks",
     }
     assert doc["criterion"] == "PIC-SIC" and doc["witness"] is None
+    assert doc["exact_svd_fallbacks"] == 0  # every ratio of a clean code is large
+
+
+def test_exact_svd_fallbacks_counted():
+    r = check_pic_sic(duplicated_column_code(), 50, np.random.default_rng(4))
+    assert not r.passed and r.exact_svd_fallbacks >= 1
+    assert r.to_dict()["exact_svd_fallbacks"] == r.exact_svd_fallbacks
+
+
+def _assert_owns_its_data(witness):
+    assert witness.u.base is None
+    assert witness.a_k is None or witness.a_k.base is None
+
+
+def test_pic_sic_witness_owns_its_data():
+    r = check_pic_sic(duplicated_column_code(), 50, np.random.default_rng(4))
+    assert r.witness.a_k is not None
+    _assert_owns_its_data(r.witness)
 
 
 def test_zf_witness_serializes_without_group():
@@ -323,6 +345,7 @@ def test_zf_witness_serializes_without_group():
     doc = r.to_dict()
     assert doc["witness"]["k"] is None and doc["witness"]["a_k"] is None
     assert len(doc["witness"]["u"]) == code.K
+    _assert_owns_its_data(r.witness)
 
 
 def test_oversized_difference_set_is_subsampled():
@@ -352,3 +375,80 @@ def test_exact_svd_fallback_equals_per_matrix_svd():
     assert 0.0 in expect and max(expect) < 1e-6
     np.testing.assert_array_equal(_relative_sv(mats), expect)
     np.testing.assert_array_equal(_relative_sv(np.swapaxes(mats, 1, 2)[:, :2]), np.zeros(9))
+
+
+@st.composite
+def conditioned_stacks(draw):
+    """A stack of complex (T, N) matrices, T >= N, built from set singular
+    values at a scale from 1e-3 to 1e3: each matrix is well conditioned
+    (ratio 1e-2 to 1), near deficient (ratio 1e-14 to 1e-9) or zero."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(n, 8))
+    kinds = draw(st.lists(st.sampled_from(("well", "near", "zero")), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unitary(m):
+        return np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+
+    mats = np.zeros((len(kinds), t, n), dtype=complex)
+    for b, kind in enumerate(kinds):
+        if kind == "zero":
+            continue
+        low = 10.0 ** (rng.uniform(-2, 0) if kind == "well" else rng.uniform(-14, -9))
+        inner = rng.uniform(low, 1.0, max(n - 2, 0))
+        s = np.sort(np.concatenate([[1.0], inner, [low]]))[::-1][:n]
+        mats[b] = 10.0 ** rng.uniform(-3, 3) * (unitary(t)[:, :n] * s) @ unitary(n)
+    return mats
+
+
+@settings(deadline=None, max_examples=150)
+@given(conditioned_stacks())
+def test_relative_sv_equals_per_matrix_svd(mats):
+    # the Gram fast path agrees with the SVD ratio within 1e-9 relative on
+    # well-conditioned matrices; the rest take the exact SVD and equal it
+    expect = np.array([s[-1] / s[0] if s[0] > 0 else 0.0
+                       for s in (np.linalg.svd(m, compute_uv=False) for m in mats)])
+    fallbacks = []
+    got = _relative_sv(mats, fallbacks)
+    exact = expect < 1e-6
+    np.testing.assert_array_equal(got[exact], expect[exact])
+    np.testing.assert_allclose(got[~exact], expect[~exact], rtol=1e-9, atol=0)
+    assert sum(fallbacks) == np.count_nonzero(exact)
+
+
+def sweep_codes():
+    """The 45 sweep codes of the benchmark's check-sweep workload: alamouti
+    and scalar presets over N in {2, 4, 6, 8}, lam in {1, 2}, n in {1, 2, 3},
+    with PAM-2 or rotated QAM-4."""
+    qam, pam = make_rotated_qam(4, rotation_2d()), make_pam(2)
+    codes = []
+    for n_relays, lam, n in itertools.product((2, 4, 6, 8), (1, 2), (1, 2, 3)):
+        gset = pam if lam == 1 else qam
+        if lam <= n_relays // 2:
+            codes.append(build(n_relays, cod_alamouti(), lam, n, gset))
+        if lam <= n_relays:
+            codes.append(build(n_relays, cod_trivial(), lam, n, gset))
+    return codes
+
+
+def _sweep_reports(seed):
+    rng = np.random.default_rng(seed)
+    return [check(code, 100, rng) for code in sweep_codes()
+            for check in (check_pic_sic, check_pic, check_zf)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_reports_equal_einsum_gram_kernel(seed, monkeypatch):
+    # one generator per seed through every code and criterion, as the
+    # check-sweep round runs them, so the random stream must also agree
+    reports = _sweep_reports(seed)
+    monkeypatch.setattr("dstbc.diversity._relative_sv", relative_sv_oracle)
+    expected = _sweep_reports(seed)
+    assert len(reports) == 3 * 45
+    for got, want in zip(reports, expected, strict=True):
+        for name in ("criterion", "passed", "samples_tested", "coverage",
+                     "analytic_certificate"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.to_dict()["witness"] == want.to_dict()["witness"]
+        assert abs(got.min_singular_value - want.min_singular_value) <= \
+            1e-12 * abs(want.min_singular_value)

@@ -3,15 +3,20 @@
 Prints a line per run_ber(...).to_csv() over the three BER benchmark
 configurations, the criterion-9 one at 0 and 12 dB, the same code at
 N_D = 1 (2*N_D*T2 < K), a square one (2*N_D*T2 = K), a design file whose
-B_0 B_0^H is not diagonal (the noise covariance has cross-slot terms), and
-the criterion-9 (256-trial chunks) and criterion-8 (512-trial chunks) codes
-at trial caps that end in a short chunk, for every decoder and master_seed
-0 and 1. A decoder a code refuses prints the hash of its message instead.
-Then a line per `dstbc simulate` stdout and exit code, for the
-ber-sweep-pam2 flags (SNR 2 to 14 dB in steps of 3) and a fractional-step
-grid, at master_seed 0 and 1: these pin the flag-to-config mapping and the
-SNR grid builder. That is 94 lines. Two checkouts decode alike when their
-outputs are equal:
+B_0 B_0^H is not diagonal (the noise covariance has cross-slot terms), a
+design file of the criterion-9 code with relay 0 dropped (a drop that flips
+the orientation of a conjugation component), and the criterion-9 (256-trial
+chunks) and criterion-8 (512-trial chunks) codes at trial caps that end in
+a short chunk, for every decoder and master_seed 0 and 1. A decoder a code
+refuses prints the hash of its message instead.
+Then a line per `dstbc check --criterion all` exit code and reports, on
+three presets and the dropped code, hashing each report's verdict, sample
+count, witness, certificate and coverage but not its min_singular_value,
+whose last digits depend on the order BLAS sums in. Last, a line per
+`dstbc simulate` stdout and exit code, for the ber-sweep-pam2 flags (SNR 2
+to 14 dB in steps of 3) and a fractional-step grid, at master_seed 0 and 1:
+these pin the flag-to-config mapping and the SNR grid builder. That is 108
+lines. Two checkouts decode and check alike when their outputs are equal:
 
     DSTBC_THREADS=1 python3 tools/csv_gate.py > a.txt
     DSTBC_THREADS=2 python3 tools/csv_gate.py > b.txt
@@ -33,13 +38,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dstbc import cli  # noqa: E402
-from dstbc.construct import code_to_dict, from_design  # noqa: E402
+from dstbc.construct import code_to_dict, drop_relays, from_design, preset  # noqa: E402
 from dstbc.decode import DECODERS  # noqa: E402
 from dstbc.design import LinearDesign  # noqa: E402
 from dstbc.harness import ExperimentConfig, run_ber  # noqa: E402
 
 # name: (code, modulation, nd, SNR grid in dB, trial cap, error target); the
-# code is a preset (preset, N, lam, n) or a design, run from a design file
+# code is a preset (preset, N, lam, n) or the name of a design file in DESIGNS
 CONFIGS = {
     "ber-sweep-pam2": (("scalar", 2, 1, 2), "pam2", 2, (2, 5, 8, 11, 14), 16384, 400),
     "ber-pam8-zfsic": (("alamouti", 8, 1, 3), "pam8", 1, (10, 15, 20), 1024, 10**9),
@@ -49,7 +54,8 @@ CONFIGS = {
     # 2*N_D*T2 = 12 < K = 16: every row takes the exact fallback
     "crit9-nd1": (("alamouti", 4, 2, 2), "qam4", 1, (0, 12), 512, 10**9),
     "square-pam4": (("alamouti", 2, 1, 1), "pam4", 1, (0, 10, 20, 30), 4096, 400),
-    "non-diagonal-bbh": ("design", "pam4", 2, (0, 10, 20), 2048, 400),
+    "non-diagonal-bbh": ("non-diagonal-bbh", "pam4", 2, (0, 10, 20), 2048, 400),
+    "crit9-drop-relay0": ("crit9-drop-relay0", "qam4", 4, (6,), 512, 10**9),
     # 600 = 2*256 + 88 trials: the last chunk of each point is a short one
     "crit9-tail-chunk": (("alamouti", 4, 2, 2), "qam4", 4, (3, 9), 600, 10**9),
     # 1300 = 2*512 + 276: the low point stops inside a 512-trial chunk and
@@ -69,6 +75,22 @@ CLI_RUNS = {
 }
 
 
+# name: check flags, less --criterion and --seed; DESIGN stands for the
+# dropped code's design file. The qam256 groups have 960 nonzero differences,
+# above the checks' cap of 256, so each group draws its own subset
+_DROPPED = "crit9-drop-relay0"
+CHECK_RUNS = {
+    "check-alamouti-N8-l2-n3": ("--preset", "alamouti", "--N", "8", "--lambda", "2", "--n", "3"),
+    "check-alamouti-N8-l1-n3": ("--preset", "alamouti", "--N", "8", "--lambda", "1", "--n", "3"),
+    "check-scalar-N4-l2-n2-qam256": ("--preset", "scalar", "--N", "4", "--lambda", "2", "--n", "2",
+                                     "--modulation", "qam256", "--trials", "20"),
+    "check-crit9-drop-relay0": ("--design-file", "DESIGN", "--modulation", "qam4"),
+}
+# the report fields a check line hashes
+CHECK_FIELDS = ("criterion", "passed", "samples_tested", "witness", "analytic_certificate",
+                "coverage")
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -81,12 +103,16 @@ def non_diagonal_bbh_code():
 
 
 def main() -> int:
+    designs = {"non-diagonal-bbh": non_diagonal_bbh_code(),
+               _DROPPED: drop_relays(preset("alamouti", 4, 2, 2), [0])}
     with tempfile.TemporaryDirectory() as tmp:
-        design_file = str(Path(tmp) / "non_diagonal_bbh.json")
-        Path(design_file).write_text(json.dumps(code_to_dict(non_diagonal_bbh_code())))
+        design_files = {}
+        for name, design in designs.items():
+            design_files[name] = str(Path(tmp) / f"{name}.json")
+            Path(design_files[name]).write_text(json.dumps(code_to_dict(design)))
         for name, (code, modulation, nd, grid, cap, target) in CONFIGS.items():
-            if code == "design":
-                spec = dict(design_file=design_file)
+            if isinstance(code, str):
+                spec = dict(design_file=design_files[code])
             else:
                 spec = dict(zip(("preset", "N", "lam", "n"), code))
             for decoder in DECODERS:
@@ -99,6 +125,13 @@ def main() -> int:
                     except ValueError as e:
                         out, kind = str(e), "refused"
                     print(f"{name} {decoder} seed={seed} {kind} {sha256(out)}", flush=True)
+        for name, argv in CHECK_RUNS.items():
+            argv = [design_files[_DROPPED] if a == "DESIGN" else a for a in argv]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["check", *argv, "--criterion", "all", "--seed", "0"])
+            reports = [{f: r[f] for f in CHECK_FIELDS} for r in json.loads(out.getvalue())]
+            print(f"{name} exit={code} {sha256(json.dumps(reports))}", flush=True)
     for name, argv in CLI_RUNS.items():
         for seed in (0, 1):
             out = io.StringIO()
