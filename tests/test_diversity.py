@@ -353,11 +353,20 @@ def test_oversized_difference_set_is_subsampled():
     # at 256 per group and reports partial coverage
     big = make_rotated_qam(256, rotation_2d())
     code = build(2, cod_trivial(), 2, 1, big)
-    r = check_pic_sic(code, 20, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    r = check_pic_sic(code, 20, rng)
     assert r.passed
     assert 0 < r.coverage < 1
     assert abs(r.coverage - 2 * 256 / (2 * 960)) < 1e-12
     assert r.to_dict()["coverage"] == r.coverage
+    # each group draws its own subset, then its interference, whether or
+    # not it shares its alphabet: the generator ends where those draws leave it
+    ref = np.random.default_rng(21)
+    for k in range(code.g):
+        ref.choice(960, size=256, replace=False)
+        if code.grouping.tail(k):
+            ref.standard_normal((20, len(code.grouping.tail(k))))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_exact_svd_fallback_equals_per_matrix_svd():
