@@ -16,12 +16,11 @@ input's per-trial shape. observe writes the A_k H products and W into a
 Workspace, which the BER engine keeps per thread from chunk to chunk, so
 that a run does not touch fresh pages on every chunk.
 
-Whitening is done in the complex domain. covariance returns Gamma_c in
-column-major vec order; observe works in slot-major vec order, row t*N_D + l
-for slot t and antenna l. In that order Gamma_c is block-diagonal with T2/s
-blocks of size s*N_D, where s, fixed per code, is the smallest divisor of T2
-whose aligned s x s diagonal blocks hold every nonzero entry of the
-Bbar_j Bbar_j^H. Presets have diagonal Bbar_j Bbar_j^H and s = 1; s = T2 is
+Whitening is done in the complex domain, on the covariance Gamma_c of
+vec(U) in slot-major vec order, row t*N_D + l for slot t and antenna l. In
+that order Gamma_c is block-diagonal with T2/s blocks of size s*N_D, where
+s, fixed per code, is the smallest divisor of T2 whose aligned s x s
+diagonal blocks hold every nonzero entry of the Bbar_j Bbar_j^H. Presets have diagonal Bbar_j Bbar_j^H and s = 1; s = T2 is
 the whole matrix. One matmul of the relay gain products with those blocks of
 the Bbar_j Bbar_j^H builds them (_slot_blocks). Each block is the identity
 plus a PSD sum, so it has a Cholesky factor L whose pivots are at least 1,
@@ -150,22 +149,6 @@ class RelayChannel:
         """H = diag(fbar) Gmat, with f conjugated on the relays in S; (b, N, N_D)."""
         fbar = np.where(self.s_mask[None, :], f.conj(), f)
         return fbar[:, :, None] * gm
-
-    def covariance(self, gm, power: PowerConfig) -> np.ndarray:
-        """Complex covariance of vec(U), (b, N_D*T2, N_D*T2), column-major.
-
-        Block (l1, l2) is
-        relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H + 1{l1=l2} I.
-        The slot blocks that observe factors, scattered into place.
-        """
-        self._check_shapes(gm=gm)
-        b, _, nd = gm.shape
-        s, nb = self.s, self.T2 // self.s
-        blocks = self._slot_blocks(gm, power).reshape(b, nb, s, nd, s, nd)
-        gamma_c = np.zeros((b, nd, nb, s, nd, nb, s), complex)
-        r = np.arange(nb)
-        gamma_c[:, :, r, :, :, r] = blocks.transpose(1, 0, 3, 2, 5, 4)
-        return gamma_c.reshape(b, nd * self.T2, nd * self.T2)
 
     def _slot_blocks(self, gm, power: PowerConfig) -> np.ndarray:
         """The T2/s diagonal blocks of Gamma_c in slot-major order,

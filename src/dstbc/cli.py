@@ -23,12 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .channel import PowerConfig, RelayChannel
-from .construct import bits_per_channel_use, build, preset_names, rate_cspcu
-from .decode import DECODERS, GroupDecoder
-from .design import cod_alamouti, cod_trivial, evaluate, require, verify_cod
-from .diversity import check_pic, check_pic_sic, check_zf
-from .harness import ExperimentConfig, resolve_code, run_ber
+from .construct import bits_per_channel_use, preset_names, rate_cspcu, resolve_code
+from .design import require
 
 USAGE_ERROR = 2
 MAX_SNR_POINTS = 10_000  # the most points an --snr-start/stop/step grid may have
@@ -62,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte-Carlo BER sweep to CSV")
     _add_code_args(p_sim)
     p_sim.add_argument("--nd", type=int, help="destination antennas")
-    p_sim.add_argument("--decoder", choices=DECODERS)
+    p_sim.add_argument("--decoder", help="pic, pic-sic, zf, zf-sic or ml (default pic-sic)")
     p_sim.add_argument("--snr-start", type=float)
     p_sim.add_argument("--snr-stop", type=float)
     p_sim.add_argument("--snr-step", type=float)
@@ -98,6 +94,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .diversity import check_pic, check_pic_sic, check_zf
+
     code = resolve_code(args)
     require(args.seed >= 0, "--seed", "be a non-negative integer", args.seed)
     rng = np.random.default_rng(args.seed)
@@ -128,6 +126,9 @@ def _snr_grid(start, stop, step) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
+    from .decode import GroupDecoder
+    from .harness import ExperimentConfig, run_ber
+
     overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                  if getattr(args, f.name, None) is not None}
     if args.snr_start is not None or args.snr_stop is not None:
@@ -169,6 +170,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .channel import PowerConfig, RelayChannel
+    from .construct import build
+    from .design import cod_alamouti, cod_trivial, evaluate, verify_cod
+
     rng = np.random.default_rng(0)
     results = []
 
@@ -187,10 +192,13 @@ def _cmd_selftest(args) -> int:
     n = 20000
     f, gm = np.repeat(cn(1, code.N), n, axis=0), np.repeat(cn(1, code.N, 2), n, axis=0)
     noise = (np.zeros((n, code.K)), f, gm, cn(n, code.N, code.T1), cn(n, code.T2, 2), power)
-    draws = np.swapaxes(channel.transmit(*noise), 1, 2).reshape(n, -1)  # vec(Y), column-major
-    gamma = channel.covariance(gm[:1], power)[0]
-    rel = np.linalg.norm(draws.T @ draws.conj() / n - gamma) / np.linalg.norm(gamma)
-    pseudo = np.linalg.norm(draws.T @ draws / n) / np.linalg.norm(gamma)  # proper: ~0
+    draws = channel.transmit(*noise).reshape(n, -1)  # vec(Y), slot-major
+    blocks = channel._slot_blocks(gm[:1], power)  # Gamma_c: these blocks, 0 off them
+    nb, m = blocks.shape[:2]
+    err = (draws.T @ draws.conj() / n).reshape(nb, m, nb, m)
+    err[np.arange(nb), :, np.arange(nb)] -= blocks
+    rel = np.linalg.norm(err) / np.linalg.norm(blocks)
+    pseudo = np.linalg.norm(draws.T @ draws / n) / np.linalg.norm(blocks)  # proper: ~0
     results.append(("noise covariance oracle (20k draws)", bool(max(rel, pseudo) < 0.05)))
     white = channel.observe(*noise)[:, :, -1]  # whitened noise: covariance 2I, proper
     eye = np.eye(white.shape[1])

@@ -116,9 +116,6 @@ class SignalSet:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def mean_energy(self) -> float:
-        return float(np.mean(np.sum(self.points**2, axis=1)))
-
 
 def _pam_levels(m: int) -> np.ndarray:
     """Equispaced odd-integer grid -M+1 .. M-1 scaled to mean energy 1/2."""
@@ -140,7 +137,7 @@ def make_pam(m: int) -> SignalSet:
     s = SignalSet(1, levels.reshape(-1, 1), bits, labels,
                   rotation=identity_rotation(1),
                   component_levels=levels.copy())
-    assert abs(s.mean_energy() - ENERGY_PER_REAL_DIM) < _ENERGY_TOL
+    assert abs(np.mean(levels**2) - ENERGY_PER_REAL_DIM) < _ENERGY_TOL
     return s
 
 
@@ -167,7 +164,7 @@ def make_rotated_qam(m: int, q: RotationMatrix) -> SignalSet:
     )
     s = SignalSet(2, points, 2 * comp_bits, labels,
                   rotation=q, component_levels=levels.copy())
-    assert abs(s.mean_energy() - 2 * ENERGY_PER_REAL_DIM) < _ENERGY_TOL
+    assert abs(np.mean(np.sum(s.points**2, axis=1)) - 2 * ENERGY_PER_REAL_DIM) < _ENERGY_TOL
     return s
 
 

@@ -18,6 +18,7 @@ conjugate of it, for the columns in S).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ __all__ = [
     "default_group_set",
     "code_to_dict",
     "code_from_dict",
+    "resolve_code",
 ]
 
 _SCAN_TOL = 1e-9
@@ -490,3 +492,35 @@ def code_from_dict(doc: dict) -> DstbcCode:
         require(doc.get("T1", form.T1) == form.T1, "code field 'T1'",
                 f"match the conjugation scan's {form.T1}", t1)
     return code
+
+
+def _load_json(path, what: str) -> dict:
+    """The JSON object in the file at path; a refusal names the file as what."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as e:
+        require(False, f"{what} {path}", "be a readable file", e.strerror)
+    except ValueError as e:  # not JSON, or not text
+        require(False, f"{what} {path}", "hold valid JSON", str(e))
+    require(isinstance(doc, dict), f"{what} {path}", "hold a JSON object", type(doc).__name__)
+    return doc
+
+
+def resolve_code(spec) -> DstbcCode:
+    """The code named by spec, an ExperimentConfig or parsed CLI arguments:
+    a preset (with N, lam, n) or a design file, plus an optional modulation."""
+    require((spec.preset is None) != (spec.design_file is None),
+            "exactly one of preset and design_file", "be given", (spec.preset, spec.design_file))
+    gset = modulation_set(spec.modulation) if spec.modulation else None
+    if spec.design_file is not None:
+        code = code_from_dict(_load_json(spec.design_file, "design file"))
+    else:
+        require(spec.N is not None, "N", "be given with a preset", spec.N)
+        code = preset(spec.preset, spec.N, spec.lam, 1 if spec.n is None else spec.n)
+    if gset is None:
+        return code
+    sizes = "/".join(map(str, sorted({len(g) for g in code.grouping.groups})))
+    require(sizes == str(gset.dim), "modulation",
+            f"fit the code's group size {sizes} (pamM fits 1, qamM 2)", spec.modulation)
+    return code.with_sets(gset)

@@ -72,7 +72,7 @@ from .channel import solve_lower
 from .constellation import SignalSet
 from .construct import GroupingScheme
 
-__all__ = ["DECODERS", "GroupDecoder", "group_symbols", "ML_CANDIDATE_CAP"]
+__all__ = ["DECODERS", "GroupDecoder", "ML_CANDIDATE_CAP"]
 
 DECODERS = ("ml", "pic", "pic-sic", "zf", "zf-sic")
 _RANK_TOL = 1e-10
@@ -101,11 +101,6 @@ class _SymbolTable:
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         return self.flat[idx[:, self.group] * self.dim + self.base]
-
-
-def group_symbols(groups, sets, idx: np.ndarray) -> np.ndarray:
-    """Symbol vectors (b, K) from per-group point indices idx (b, g)."""
-    return _SymbolTable(groups, sets)(idx)
 
 
 def _range_basis(m: np.ndarray) -> np.ndarray:

@@ -102,17 +102,13 @@ def evaluate(d: LinearDesign, x: np.ndarray) -> np.ndarray:
 
 
 def verify_cod(c: CodProfile | LinearDesign) -> bool:
-    """Check A_i^H A_j + A_j^H A_i = 2 delta_ij I for all pairs."""
+    """Check A_i^H A_j + A_j^H A_i = 2 delta_ij I for all pairs i, j, each
+    entry within _COD_TOL; every product A_i^H A_j comes from one einsum."""
     d = c.design if isinstance(c, CodProfile) else c
-    w = d.weights
-    eye = np.eye(d.N)
-    for i in range(d.K):
-        for j in range(i, d.K):
-            s = w[i].conj().T @ w[j] + w[j].conj().T @ w[i]
-            target = 2.0 * eye if i == j else 0.0
-            if np.abs(s - target).max() > _COD_TOL:
-                return False
-    return True
+    prods = np.einsum("itn,jtm->ijnm", d.weights.conj(), d.weights)
+    target = 2.0 * np.eye(d.K)[:, :, None, None] * np.eye(d.N)
+    return bool(np.abs(prods + prods.transpose(1, 0, 2, 3) - target).max(initial=0.0)
+                <= _COD_TOL)
 
 
 def cod_trivial() -> CodProfile:

@@ -239,8 +239,9 @@ def cod_certificate(code: DstbcCode) -> bool:
     Verifies the hypotheses under which the construction is provably full
     diversity: the block COD identity, a full-diversity rotation behind
     every group alphabet, the diagonal-layer block placement, and the
-    group-to-layer symbol mapping. Returns False (refusal, not failure)
-    whenever any hypothesis cannot be established.
+    group-to-layer symbol mapping, the last two on whole arrays of every
+    block and every symbol. Returns False (refusal, not failure) whenever
+    any hypothesis cannot be established.
     """
     p = code.params
     if p is None or code.group_sets is None or not verify_cod(p.cod):
@@ -249,22 +250,17 @@ def cod_certificate(code: DstbcCode) -> bool:
         if (s.rotation is None or s.component_levels is None or s.dim != p.lam
                 or not verify_rotation(s.rotation, s.component_levels)):
             return False
-    w = code.design.weights
-    mag = np.abs(w).sum(axis=0)  # (T2, N)
-    n_rows = p.n + p.L - 1
-    for rb in range(n_rows):
-        for cb in range(p.L):
-            block = mag[rb * p.Tp:(rb + 1) * p.Tp, cb * p.Np:(cb + 1) * p.Np]
-            if block.max() > 0 and not 0 <= rb - cb <= p.n - 1:
-                return False
+    nonzero = np.abs(code.design.weights) > 0  # (K, T2, N)
+    # the layer of each entry of the design: its block row less its block column
+    offset = np.arange(code.T2)[:, None] // p.Tp - np.arange(code.N) // p.Np
     # symbols of group k live only in layer k // K' blocks
-    for k, grp in enumerate(code.grouping.groups):
-        m = k // p.Kp
-        for i in grp:
-            rows, cols = np.nonzero(np.abs(w[i]) > 0)
-            if rows.size == 0 or np.any(rows // p.Tp - cols // p.Np != m):
-                return False
-    return True
+    groups = code.grouping.groups
+    layer = np.empty(code.K, dtype=int)
+    layer[np.concatenate(groups)] = np.repeat(np.arange(len(groups)) // p.Kp,
+                                              [len(g) for g in groups])
+    return bool(nonzero.any(axis=(1, 2)).all()
+                and not (nonzero.any(axis=0) & ((offset < 0) | (offset >= p.n))).any()
+                and not (nonzero & (offset != layer[:, None, None])).any())
 
 
 def relay_failure_sweep(

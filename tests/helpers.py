@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from dstbc.constellation import verify_rotation
 from dstbc.construct import ConjugateLinearForm, DstbcCode, rate_cspcu
 from dstbc.decode import _project_out, _singleton_refinement
 from dstbc.design import (
@@ -94,6 +95,24 @@ def satisfies_constraint(power, code: DstbcCode) -> bool:
     return abs(lhs - (code.T1 + code.T2)) <= _POWER_TOL * (code.T1 + code.T2)
 
 
+def covariance(channel, gm, power) -> np.ndarray:
+    """Complex covariance of vec(U), (b, N_D*T2, N_D*T2), column-major.
+
+    Block (l1, l2) is
+    relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H + 1{l1=l2} I:
+    the slot blocks that RelayChannel.observe factors, scattered into place.
+    gm is refused as observe refuses it.
+    """
+    channel._check_shapes(gm=gm)
+    b, _, nd = gm.shape
+    s, nb = channel.s, channel.T2 // channel.s
+    blocks = channel._slot_blocks(gm, power).reshape(b, nb, s, nd, s, nd)
+    gamma_c = np.zeros((b, nd, nb, s, nd, nb, s), complex)
+    r = np.arange(nb)
+    gamma_c[:, :, r, :, :, r] = blocks.transpose(1, 0, 3, 2, 5, 4)
+    return gamma_c.reshape(b, nd * channel.T2, nd * channel.T2)
+
+
 def noise_bound(channel, gm, power) -> np.ndarray:
     """Per trial, whether the trace/eigenvalue bound holds; (b,) bool.
 
@@ -102,7 +121,7 @@ def noise_bound(channel, gm, power) -> np.ndarray:
     the largest eigenvalue of the realified covariance stay below alpha.
     Its trace is that of Gamma_c, its largest eigenvalue half Gamma_c's.
     """
-    gamma_c = channel.covariance(gm, power)
+    gamma_c = covariance(channel, gm, power)
     beta = np.max(np.sum(np.abs(channel.relay_mats) ** 2, axis=(1, 2)))
     g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))
     limit = (channel.T2 * gm.shape[2] + beta * power.relay_gain * g2) * (1 + 1e-12)
@@ -192,7 +211,7 @@ def realified_observe(channel, x, f, gm, v, w, power):
     """The whitened real model (G, y) of RelayChannel.observe, realified first."""
     y = channel.transmit(x, f, gm, v, w, power)
     gprime = _real_channel(channel.weights, channel.effective(f, gm), power.rho)
-    whitener, _ = _whitener(_realify_cov(channel.covariance(gm, power)))
+    whitener, _ = _whitener(_realify_cov(covariance(channel, gm, power)))
     return whitener @ gprime, np.einsum("bij,bj->bi", whitener, rvec(y))
 
 
@@ -217,7 +236,7 @@ def covariance_oracle(code: DstbcCode, gm, power) -> np.ndarray:
 
 def realified_noise_bound(channel, gm, power) -> np.ndarray:
     """noise_bound on the realified covariance."""
-    gamma = _realify_cov(channel.covariance(gm, power))
+    gamma = _realify_cov(covariance(channel, gm, power))
     beta = np.max(np.sum(np.abs(channel.relay_mats) ** 2, axis=(1, 2)))
     g2 = np.sum(np.abs(gm) ** 2, axis=(1, 2))
     limit = (channel.T2 * gm.shape[2] + beta * power.relay_gain * g2) * (1 + 1e-12)
@@ -347,3 +366,41 @@ def relative_sv_oracle(mats: np.ndarray, fallbacks: list | None = None) -> np.nd
         if fallbacks is not None:
             fallbacks.append(redo.size)
     return ratio
+
+
+def verify_cod_oracle(d: LinearDesign) -> bool:
+    """design.verify_cod as a loop over the pairs i <= j, as it was before
+    its one einsum."""
+    w, eye = d.weights, np.eye(d.N)
+    for i in range(d.K):
+        for j in range(i, d.K):
+            s = w[i].conj().T @ w[j] + w[j].conj().T @ w[i]
+            if np.abs(s - (2.0 * eye if i == j else 0.0)).max() > 1e-12:
+                return False
+    return True
+
+
+def cod_certificate_oracle(code: DstbcCode) -> bool:
+    """diversity.cod_certificate with its block placement and symbol layers
+    checked by loops over the blocks and the symbols, as it was before its
+    array operations."""
+    p = code.params
+    if p is None or code.group_sets is None or not verify_cod_oracle(p.cod.design):
+        return False
+    for s in code.group_sets:
+        if (s.rotation is None or s.component_levels is None or s.dim != p.lam
+                or not verify_rotation(s.rotation, s.component_levels)):
+            return False
+    w = code.design.weights
+    mag = np.abs(w).sum(axis=0)
+    for rb in range(p.n + p.L - 1):
+        for cb in range(p.L):
+            block = mag[rb * p.Tp:(rb + 1) * p.Tp, cb * p.Np:(cb + 1) * p.Np]
+            if block.max() > 0 and not 0 <= rb - cb <= p.n - 1:
+                return False
+    for k, grp in enumerate(code.grouping.groups):
+        for i in grp:
+            rows, cols = np.nonzero(np.abs(w[i]) > 0)
+            if rows.size == 0 or np.any(rows // p.Tp - cols // p.Np != k // p.Kp):
+                return False
+    return True

@@ -24,7 +24,14 @@ from dstbc.construct import (
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate, verify_cod
 from dstbc.diversity import REL_SV_THRESHOLD, _relative_sv, check_pic_sic
 from dstbc.harness import ExperimentConfig, estimate_diversity_slope, run_ber
-from tests.helpers import _realify_cov, _whitener, codeword_column, noise_bound, rvec
+from tests.helpers import (
+    _realify_cov,
+    _whitener,
+    codeword_column,
+    covariance,
+    noise_bound,
+    rvec,
+)
 from tests.test_decode import cn, observed_problem, x_hat
 
 
@@ -109,7 +116,7 @@ def test_criterion_04_noise_model():
         n = 100_000
         for _ in range(3):
             f, gm = cn(rng, 1, 2), cn(rng, 1, 2, 2)
-            gammas = _realify_cov(channel.covariance(gm, power))
+            gammas = _realify_cov(covariance(channel, gm, power))
             gamma, whitener, dim = gammas[0], _whitener(gammas)[0][0], gammas.shape[1]
             y = channel.transmit(np.zeros((n, code.K)), f.repeat(n, axis=0), gm.repeat(n, axis=0),
                                  cn(rng, n, 2, code.T1), cn(rng, n, code.T2, 2), power)

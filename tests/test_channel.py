@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from dstbc.channel import PowerConfig, RelayChannel, Workspace, solve_lower
 from dstbc.construct import build, code_from_dict, from_design
-from dstbc.decode import group_symbols
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
 from tests.helpers import (
     _real_channel,
     _realify_cov,
     _whitener,
+    covariance,
     covariance_oracle,
+    group_symbols_oracle,
     joined,
     noise_bound,
     realified_noise_bound,
@@ -43,7 +44,7 @@ def _noise_only(code, rng, nd, trials, power):
     f, gm = _fixed_gains(rng, code, nd, trials)
     y = channel.transmit(np.zeros((trials, code.K)), f, gm, cn(rng, trials, code.N, code.T1),
                          cn(rng, trials, code.T2, nd), power)
-    return rvec(y), _realify_cov(channel.covariance(gm[:1], power))[0]
+    return rvec(y), _realify_cov(covariance(channel, gm[:1], power))[0]
 
 
 class TestPowerConfig:
@@ -139,7 +140,7 @@ class TestEffectiveChannel:
             with pytest.raises(ValueError, match="^f must"):
                 call(x, f4[0], gm4, v, w, power)  # no trial axis
         with pytest.raises(ValueError, match="^gm must"):
-            channel.covariance(gm2, power)
+            covariance(channel, gm2, power)
 
 
 class TestBoundaryChecks:
@@ -185,22 +186,22 @@ class TestBoundaryChecks:
     def test_covariance_checks_gm(self):
         channel, args, power = self._setup()
         with pytest.raises(ValueError, match="^gm must have the code's 4 relays"):
-            channel.covariance(args["gm"][:, :3], power)
-        assert channel.covariance(args["gm"], power).shape == (2, 18, 18)
+            covariance(channel, args["gm"][:, :3], power)
+        assert covariance(channel, args["gm"], power).shape == (2, 18, 18)
 
 
 class TestNoiseCovariance:
     def test_single_relay_identity_b(self):
         code = build(1, cod_trivial(), 1, 1)  # B_1 = [[1]]
         power = PowerConfig.balanced(code, 5.0)
-        gamma_c = RelayChannel(code).covariance(np.array([[[2.0 + 0j]]]), power)
+        gamma_c = covariance(RelayChannel(code), np.array([[[2.0 + 0j]]]), power)
         expect = power.relay_gain * 4.0 + 1.0
         np.testing.assert_allclose(gamma_c, [[[expect]]])
 
     def test_vanishing_power_leaves_destination_noise(self):
         code = _alamouti_code()
         rng = np.random.default_rng(4)
-        gamma_c = RelayChannel(code).covariance(cn(rng, 1, 2, 2), PowerConfig(1e-12, 1.0, 2.0))
+        gamma_c = covariance(RelayChannel(code), cn(rng, 1, 2, 2), PowerConfig(1e-12, 1.0, 2.0))
         np.testing.assert_allclose(gamma_c[0], np.eye(4), atol=1e-10)
 
     def test_empirical_covariance_oracle(self):
@@ -215,7 +216,7 @@ class TestNoiseCovariance:
         rng = np.random.default_rng(6)
         code = build(4, cod_trivial(), 2, 2)
         power = PowerConfig.balanced(code, 20.0)
-        gamma = _realify_cov(RelayChannel(code).covariance(cn(rng, 100, 4, 2), power))
+        gamma = _realify_cov(covariance(RelayChannel(code), cn(rng, 100, 4, 2), power))
         whitener, evals = _whitener(gamma)
         assert evals.min() >= -1e-10
         eye = whitener @ gamma @ whitener
@@ -237,7 +238,7 @@ class TestNoiseCovariance:
         for code in codes:
             power = PowerConfig.balanced(code, 12.0)
             gm = cn(rng, 8, code.N, nd)
-            gamma_c = RelayChannel(code).covariance(gm, power)
+            gamma_c = covariance(RelayChannel(code), gm, power)
             ref = covariance_oracle(code, gm, power)
             rel = np.linalg.norm(gamma_c - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
             assert rel.max() < 1e-12
@@ -248,7 +249,7 @@ class TestNoiseCovariance:
         codes = [code for _, code in _sweep_codes()] + [_non_diagonal_bbh_code()]
         for code in codes:
             power = PowerConfig.balanced(code, 30.0)
-            gamma_c = RelayChannel(code).covariance(cn(rng, 50, code.N, 2), power)
+            gamma_c = covariance(RelayChannel(code), cn(rng, 50, code.N, 2), power)
             assert np.linalg.eigvalsh(gamma_c).min() >= 1 - 1e-12
 
 
@@ -288,7 +289,7 @@ class TestSimulate:
         mean = ys.mean(axis=0)
         ref = np.sqrt(power.rho) * evaluate(code.design, x[0]) @ channel.effective(f[:1], gm[:1])[0]
         # per-entry noise std after averaging ~ sigma/100; allow 5 sigma
-        sigma = np.sqrt(float(np.max(np.diag(channel.covariance(gm[:1], power)[0].real))))
+        sigma = np.sqrt(float(np.max(np.diag(covariance(channel, gm[:1], power)[0].real))))
         assert np.abs(mean - ref).max() < 5 * sigma / np.sqrt(10000)
 
     def test_requires_relay_form(self):
@@ -371,7 +372,7 @@ class TestSolveLower:
     def test_complex_covariance_factors(self, nd):
         rng = np.random.default_rng(19)
         code = build(4, cod_alamouti(), 2, 2)
-        gamma_c = RelayChannel(code).covariance(cn(rng, 32, code.N, nd),
+        gamma_c = covariance(RelayChannel(code), cn(rng, 32, code.N, nd),
                                                 PowerConfig.balanced(code, 30.0))
         low = np.linalg.cholesky(gamma_c)
         self._assert_solves(low, cn(rng, 32, low.shape[1], code.K + 1))
@@ -447,7 +448,7 @@ class TestRealifiedOracle:
         channel = RelayChannel(code)
         power = PowerConfig.balanced(code, P)
         idx = np.stack([rng.integers(s.size, size=trials) for s in code.group_sets], axis=1)
-        args = (group_symbols(code.grouping.groups, code.group_sets, idx),
+        args = (group_symbols_oracle(code.grouping.groups, code.group_sets, idx),
                 cn(rng, trials, code.N), cn(rng, trials, code.N, nd),
                 cn(rng, trials, code.N, code.T1), cn(rng, trials, code.T2, nd), power)
         return channel.observe(*args), realified_observe(channel, *args)

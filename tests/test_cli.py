@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dstbc import cli
 from dstbc.cli import MAX_SNR_POINTS, _snr_grid, main
 from dstbc.construct import build, code_to_dict, drop_relays, preset
+from dstbc.decode import DECODERS
 from dstbc.design import cod_trivial
 from tests.helpers import accumulated_snr_grid
 
@@ -201,7 +202,7 @@ class TestSimulate:
         assert len(lines) == 3
 
     def test_unwritable_out_refused_before_the_run(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "run_ber", lambda *args: pytest.fail("run_ber was called"))
+        monkeypatch.setattr("dstbc.harness.run_ber", lambda *args: pytest.fail("run_ber was called"))
         path = tmp_path / "missing" / "curve.csv"
         code, out, err = run(capsys, "simulate", *_TOEPLITZ, *_GRID, "--out", str(path))
         assert code == 2 and out == ""
@@ -216,7 +217,7 @@ class TestSimulate:
             raise ValueError("nd must be >= 1, got 0")
 
         with monkeypatch.context() as mp:
-            mp.setattr(cli, "run_ber", refused)
+            mp.setattr("dstbc.harness.run_ber", refused)
             assert run(capsys, *argv)[0] == 2
         assert path.read_text() == "earlier results\n" * 50
         assert run(capsys, *argv)[0] == 0
@@ -424,6 +425,8 @@ _REFUSALS = {
                                  "--decoder", "zf", *_GRID), None, {}, "decoder"),
     "flag-decoder-ml-cap": (("simulate", *_TOEPLITZ, "--modulation", "pam64", "--decoder", "ml",
                              *_GRID), None, {}, "decoder"),
+    "flag-decoder-unknown": (("simulate", *_TOEPLITZ, *_GRID, "--decoder", "magic"), None, {},
+                             "decoder"),
     **{f"flag-snr-step-{step}": (("simulate", *_TOEPLITZ, "--snr-start", "2", "--snr-stop", "14",
                                   "--snr-step", step), None, {}, "--snr-step")
        for step in ("1e-300", "5e-324")},
@@ -452,6 +455,11 @@ def test_design_file_round_trip_via_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "info", "--design-file", str(path))
     assert code == 0
     assert "T1  = 2" in out
+
+
+def test_simulate_help_lists_every_decoder(capsys):
+    code, out, _ = run(capsys, "simulate", "--help")
+    assert code == 0 and all(d in out for d in DECODERS)
 
 
 def test_selftest_passes(capsys):

@@ -22,7 +22,7 @@ class TestPam:
         np.testing.assert_allclose(
             np.sort(s.points.ravel()), [-1 / np.sqrt(2), 1 / np.sqrt(2)]
         )
-        assert abs(s.mean_energy() - 0.5) < 1e-12
+        assert abs(np.mean(np.sum(s.points**2, axis=1)) - 0.5) < 1e-12
 
     def test_8pam_scale_against_brute_force(self):
         # oracle: unnormalized odd-grid energy (M^2-1)/3, averaged explicitly
@@ -31,7 +31,7 @@ class TestPam:
         assert e_unnorm == (8**2 - 1) / 3
         s = make_pam(8)
         np.testing.assert_allclose(s.points.ravel(), raw / np.sqrt(2 * e_unnorm))
-        assert abs(s.mean_energy() - 0.5) < 1e-12
+        assert abs(np.mean(np.sum(s.points**2, axis=1)) - 0.5) < 1e-12
 
     @pytest.mark.parametrize("bad", [3, 6, 1, 0, 12])
     def test_rejects_non_power_of_two(self, bad):

@@ -14,11 +14,10 @@ from dstbc.decode import (
     ML_CANDIDATE_CAP,
     GroupDecoder,
     _project_out,
-    group_symbols,
 )
 from dstbc.design import cod_alamouti, cod_trivial
 from dstbc.harness import modulation_set
-from tests.helpers import joined, oracle_decide, real_model
+from tests.helpers import group_symbols_oracle, joined, oracle_decide, real_model
 
 
 def cn(rng, *shape):
@@ -32,7 +31,7 @@ def observed(code, nd, P, rng, trials=1, noiseless=False):
     power = PowerConfig.balanced(code, P)
     f, gm = cn(rng, trials, code.N), cn(rng, trials, code.N, nd)
     idx = np.stack([rng.integers(s.size, size=trials) for s in code.group_sets], axis=1)
-    x = group_symbols(code.grouping.groups, code.group_sets, idx)
+    x = group_symbols_oracle(code.grouping.groups, code.group_sets, idx)
     v, w = cn(rng, trials, code.N, code.T1), cn(rng, trials, code.T2, nd)
     if noiseless:
         v, w = 0 * v, 0 * w
@@ -48,7 +47,7 @@ def observed_problem(code, nd, P, rng, trials=1, noiseless=False):
 def x_hat(decoder, code, g, y):
     """One decoder's decisions on a batch, as symbol vectors (b, K)."""
     dec = GroupDecoder(decoder, code.grouping, code.group_sets)
-    return group_symbols(dec.groups, dec.sets, dec.decide(joined(g, y))[0])
+    return group_symbols_oracle(dec.groups, dec.sets, dec.decide(joined(g, y))[0])
 
 
 def projector(cols):
@@ -97,7 +96,7 @@ class TestPic:
         g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=100, noiseless=True)
         dec = GroupDecoder("pic", code.grouping, code.group_sets)
         idx, metric = dec.decide(joined(g, y))
-        np.testing.assert_allclose(group_symbols(dec.groups, dec.sets, idx), x0)
+        np.testing.assert_allclose(group_symbols_oracle(dec.groups, dec.sets, idx), x0)
         assert metric.max() < 1e-12
 
     def test_matched_filter_on_orthogonal_columns(self):
@@ -111,7 +110,7 @@ class TestPic:
         x0 = s.points[rng.integers(4, size=(50, 4)), 0]
         y = np.einsum("bdk,bk->bd", q, x0) + 0.05 * rng.standard_normal((50, 8))
         dec = GroupDecoder("pic", grouping, (s,) * 4)
-        xh = group_symbols(dec.groups, dec.sets, dec.decide(joined(q, y))[0])
+        xh = group_symbols_oracle(dec.groups, dec.sets, dec.decide(joined(q, y))[0])
         # scalar oracle: project y onto each column, pick nearest level
         for t in range(50):
             scale = float(q[t, :, 0] @ q[t, :, 0])
@@ -147,7 +146,7 @@ class TestPicSic:
         g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=100, noiseless=True)
         dec = GroupDecoder("pic-sic", code.grouping, code.group_sets)
         idx, metric = dec.decide(joined(g, y))
-        np.testing.assert_allclose(group_symbols(dec.groups, dec.sets, idx), x0)
+        np.testing.assert_allclose(group_symbols_oracle(dec.groups, dec.sets, idx), x0)
         assert metric.max() < 1e-10
 
     def test_tail_projector_identities(self):
@@ -504,7 +503,7 @@ def test_noiseless_recovery_every_decoder(problem):
     rng = np.random.default_rng(seed)
     trials = 4
     sent = np.stack([rng.integers(s.size, size=trials) for s in code.group_sets], axis=1)
-    x = group_symbols(code.grouping.groups, code.group_sets, sent)
+    x = group_symbols_oracle(code.grouping.groups, code.group_sets, sent)
     f, gm = cn(rng, trials, code.N), cn(rng, trials, code.N, nd)
     v, w = np.zeros((trials, code.N, code.T1)), np.zeros((trials, code.T2, nd))
     white = RelayChannel(code).observe(x, f, gm, v, w, PowerConfig.balanced(code, 10.0))

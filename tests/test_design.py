@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from dstbc.design import (
     verify_cod,
 )
 
-from tests.helpers import load_design, reindex, save_design
+from tests.helpers import load_design, reindex, save_design, verify_cod_oracle
 
 
 def test_evaluate_zero_and_unit_vectors():
@@ -66,6 +67,26 @@ class TestCod:
         x = np.ones(4)
         m = evaluate(c.design, x)
         assert abs(np.linalg.det(m.conj().T @ m) - 16.0) < 1e-10
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-13, 4e-13, 2e-12, 1e-11, 1e-6])
+    def test_equals_loop_oracle(self, eps):
+        # each entry of each weight moved by eps in turn, well away from the
+        # 1e-12 tolerance's edge: the one einsum and the pair loop agree
+        verdicts = set()
+        for c in (cod_trivial(), cod_alamouti()):
+            w = c.design.weights
+            for idx in itertools.product(*map(range, w.shape)):
+                for step in (eps, 1j * eps):
+                    moved = w.copy()
+                    moved[idx] += step
+                    d = LinearDesign.from_weights(moved)
+                    verdicts.add(verify_cod(d))
+                    assert verify_cod(d) is verify_cod_oracle(d)
+        if eps <= 1e-13:
+            assert verdicts == {True}
+        elif eps >= 2e-12:
+            assert verdicts == {False}  # 4e-13 moves some identities past 1e-12
+        assert verify_cod(LinearDesign(1, 1, 0, np.zeros((0, 1, 1))))  # no pairs to check
 
     def test_duplicated_weights_fail(self):
         d = LinearDesign.from_weights(np.stack([np.eye(2) + 0j, np.eye(2) + 0j]))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dstbc.constellation import (
     make_rotated_qam,
     rotation_2d,
 )
-from dstbc.construct import build, drop_relays, from_design
+from dstbc.construct import build, drop_relays, from_design, preset, preset_names
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial
 from dstbc.diversity import (
     REL_SV_THRESHOLD,
@@ -24,7 +25,11 @@ from dstbc.diversity import (
     relay_failure_sweep,
 )
 
-from tests.helpers import complement_transform_selftest, relative_sv_oracle
+from tests.helpers import (
+    cod_certificate_oracle,
+    complement_transform_selftest,
+    relative_sv_oracle,
+)
 
 
 def duplicated_column_code():
@@ -246,6 +251,47 @@ class TestCertificate:
             r = check_pic_sic(code, 100, rng)
             if r.analytic_certificate:
                 assert r.passed
+
+    @staticmethod
+    def _all_presets():
+        """Every preset with N <= 8, lam <= 4 and n <= 3, with its default alphabets."""
+        for name, N in itertools.product(preset_names(), range(1, 9)):
+            for lam, n in itertools.product((None, 1, 2, 3, 4), (1, 2, 3)):
+                try:
+                    yield preset(name, N, lam, n)
+                except ValueError:  # N or lam outside the preset
+                    pass
+
+    def test_equals_loop_oracle_on_presets_and_drops(self):
+        seen = 0
+        for code in self._all_presets():
+            assert cod_certificate(code) is cod_certificate_oracle(code)
+            seen += cod_certificate(code)
+            for j in range(code.N if code.N > 1 else 0):
+                dropped = drop_relays(code, [j])
+                assert cod_certificate(dropped) is cod_certificate_oracle(dropped) is False
+        assert seen > 100
+
+    @pytest.mark.parametrize("args", [("alamouti", 8, 2, 3), ("scalar", 8, 1, 3),
+                                      ("scalar", 4, 2, 2), ("alamouti", 4, 1, 1)])
+    def test_equals_loop_oracle_on_mutated_codes(self, args):
+        code = preset(*args)
+        p = code.params
+        assert cod_certificate(code) is cod_certificate_oracle(code) is True
+        mutated = []
+        for i in (0, code.K - 1):
+            w = code.design.weights.copy()
+            w[i] = np.roll(w[i], p.Tp, axis=0)  # one block row down: off its layer
+            mutated.append(w)
+            w = code.design.weights.copy()
+            w[i, 0, -1] = 0.5  # block row 0, last block column: outside the band
+            mutated.append(w)
+            w = code.design.weights.copy()
+            w[i] = 0  # a symbol in no block
+            mutated.append(w)
+        for w in mutated:
+            bad = replace(code, design=LinearDesign.from_weights(w))
+            assert cod_certificate(bad) is cod_certificate_oracle(bad) is False
 
 
 class TestRelayFailure:

@@ -15,7 +15,7 @@ from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
 from dstbc.construct import (
     build, code_from_dict, code_to_dict, from_design, GroupingScheme, preset,
 )
-from dstbc.decode import DECODERS, GroupDecoder, group_symbols
+from dstbc.decode import DECODERS, GroupDecoder
 from dstbc.design import cod_trivial
 from dstbc.harness import (
     BerCurve,
@@ -125,7 +125,7 @@ class TestEngineCrossCheck:
             for grp, s, idx in zip(code.grouping.groups, code.group_sets, tx_idx[0]):
                 x[list(grp)] = s.points[idx]
             white = channel.observe(x[None], f, gm, v, w, power)
-            x_hat = group_symbols(dec.groups, dec.sets, dec.decide(white)[0])[0]
+            x_hat = group_symbols_oracle(dec.groups, dec.sets, dec.decide(white)[0])[0]
             errs = 0
             for k, (grp, s) in enumerate(zip(code.grouping.groups, code.group_sets)):
                 # nearest point: ZF decisions carry per-coordinate levels
@@ -153,7 +153,7 @@ class TestEngineCrossCheck:
         assert shapes == {"x": (code.K,), "f": (code.N,), "gm": (code.N, nd),
                           "v": (code.N, code.T1), "w": (code.T2, nd)}
         tx_idx, *drawn = engine._draw_chunk(mix_seed(8, 0), 0, 5)
-        arrays = dict(x=group_symbols(engine.groups, engine.sets, tx_idx),
+        arrays = dict(x=group_symbols_oracle(engine.groups, engine.sets, tx_idx),
                       **dict(zip(("f", "gm", "v", "w"), drawn)))
         assert {name: a.shape for name, a in arrays.items()} == {
             name: (5, *shape) for name, shape in shapes.items()}
@@ -484,7 +484,6 @@ class TestTableGathers:
         assert np.array_equal(tx_idx, labels_oracle(words, engine.bits_per_group, engine.sets))
         x = group_symbols_oracle(engine.groups, engine.sets, tx_idx)
         assert np.array_equal(engine.symbols(tx_idx), x)
-        assert np.array_equal(group_symbols(engine.groups, engine.sets, tx_idx), x)
         power = PowerConfig.balanced(code, snr_db_to_power(snr_db))
         assert np.array_equal(engine.channel.transmit(x, f, gm, v, w, power),
                               transmit_oracle(engine.channel, x, f, gm, v, w, power))

@@ -11,8 +11,10 @@ a short chunk, for every decoder and master_seed 0 and 1. A decoder a code
 refuses prints the hash of its message instead.
 Then a line per `dstbc check --criterion all` exit code and reports, on
 three presets and the dropped code, hashing each report's verdict, sample
-count, witness, certificate and coverage but not its min_singular_value,
-whose last digits depend on the order BLAS sums in. Last, a line per
+count, witness, certificate, coverage and min_singular_value. The last is
+hashed to 9 significant digits: its last digits depend on the order BLAS
+sums in, while the interference draws, and the differences a group draws
+above the cap, move it in the leading ones even where no verdict moves. Last, a line per
 `dstbc simulate` stdout and exit code, for the ber-sweep-pam2 flags (SNR 2
 to 14 dB in steps of 3) and a fractional-step grid, at master_seed 0 and 1:
 these pin the flag-to-config mapping and the SNR grid builder. That is 108
@@ -130,7 +132,9 @@ def main() -> int:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli.main(["check", *argv, "--criterion", "all", "--seed", "0"])
-            reports = [{f: r[f] for f in CHECK_FIELDS} for r in json.loads(out.getvalue())]
+            reports = [{f: r[f] for f in CHECK_FIELDS}
+                       | {"min_singular_value": f"{r['min_singular_value']:.9g}"}
+                       for r in json.loads(out.getvalue())]
             print(f"{name} exit={code} {sha256(json.dumps(reports))}", flush=True)
     for name, argv in CLI_RUNS.items():
         for seed in (0, 1):
