@@ -20,9 +20,10 @@ Whitening is done in the complex domain, on the covariance Gamma_c of
 vec(U) in slot-major vec order, row t*N_D + l for slot t and antenna l. In
 that order Gamma_c is block-diagonal with T2/s blocks of size s*N_D, where
 s, fixed per code, is the smallest divisor of T2 whose aligned s x s
-diagonal blocks hold every nonzero entry of the Bbar_j Bbar_j^H. Presets have diagonal Bbar_j Bbar_j^H and s = 1; s = T2 is
-the whole matrix. One matmul of the relay gain products with those blocks of
-the Bbar_j Bbar_j^H builds them (_slot_blocks). Each block is the identity
+diagonal blocks hold every nonzero entry of the Bbar_j Bbar_j^H. Presets
+have diagonal Bbar_j Bbar_j^H and s = 1; s = T2 is the whole matrix. One
+matmul of the relay gain products with those blocks of the
+Bbar_j Bbar_j^H builds them (_slot_blocks). Each block is the identity
 plus a PSD sum, so it has a Cholesky factor L whose pivots are at least 1,
 and W_c = blockdiag(L^-1) whitens Gamma_c; it is applied by forward
 substitution on the L of each block (solve_lower), in place on the columns

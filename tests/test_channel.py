@@ -373,7 +373,7 @@ class TestSolveLower:
         rng = np.random.default_rng(19)
         code = build(4, cod_alamouti(), 2, 2)
         gamma_c = covariance(RelayChannel(code), cn(rng, 32, code.N, nd),
-                                                PowerConfig.balanced(code, 30.0))
+                             PowerConfig.balanced(code, 30.0))
         low = np.linalg.cholesky(gamma_c)
         self._assert_solves(low, cn(rng, 32, low.shape[1], code.K + 1))
 

@@ -202,7 +202,8 @@ class TestSimulate:
         assert len(lines) == 3
 
     def test_unwritable_out_refused_before_the_run(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr("dstbc.harness.run_ber", lambda *args: pytest.fail("run_ber was called"))
+        monkeypatch.setattr("dstbc.harness.run_ber",
+                            lambda *args: pytest.fail("run_ber was called"))
         path = tmp_path / "missing" / "curve.csv"
         code, out, err = run(capsys, "simulate", *_TOEPLITZ, *_GRID, "--out", str(path))
         assert code == 2 and out == ""

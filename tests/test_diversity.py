@@ -289,8 +289,10 @@ class TestCertificate:
             w = code.design.weights.copy()
             w[i] = 0  # a symbol in no block
             mutated.append(w)
-        for w in mutated:
-            bad = replace(code, design=LinearDesign.from_weights(w))
+        bad_codes = [replace(code, design=LinearDesign.from_weights(w)) for w in mutated]
+        if p.n > 1:  # the last layer lies outside the band of a code with one layer less
+            bad_codes.append(replace(code, params=replace(p, n=p.n - 1)))
+        for bad in bad_codes:
             assert cod_certificate(bad) is cod_certificate_oracle(bad) is False
 
 

@@ -104,3 +104,4 @@ def test_traced_names_restored():
     finally:
         tracer.restore()
     assert dstbc.run_ber is harness.run_ber is original
+    assert not set(vars(dstbc)) & set(dstbc.__all__)
