@@ -126,7 +126,6 @@ def _snr_grid(start, stop, step) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
-    from .decode import GroupDecoder
     from .harness import ExperimentConfig, run_ber
 
     overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
@@ -136,11 +135,6 @@ def _cmd_simulate(args) -> int:
     cfg = (ExperimentConfig(**overrides) if args.config is None
            else ExperimentConfig.from_json(args.config, **overrides))
     code = resolve_code(cfg)
-    if code.group_sets is not None:  # else run_ber names the missing modulation
-        try:  # the decoder's own refusals, named; run_ber builds it again
-            GroupDecoder(cfg.decoder, code.grouping, code.group_sets)
-        except ValueError as e:
-            require(False, "decoder", f"suit the code ({e})", cfg.decoder)
     out, created = None, False
     if args.out:
         # opened before the run, so a path that cannot be written costs no trials;

@@ -71,6 +71,7 @@ import numpy as np
 from .channel import solve_lower
 from .constellation import SignalSet
 from .construct import GroupingScheme
+from .design import require
 
 __all__ = ["DECODERS", "GroupDecoder", "ML_CANDIDATE_CAP"]
 
@@ -141,8 +142,9 @@ def _separable_axes(s: SignalSet):
     return axes, table
 
 
-def _singleton_refinement(grouping: GroupingScheme, sets):
-    """The ZF view of a grouping: one group per symbol, per-coordinate sets.
+def _singleton_refinement(grouping: GroupingScheme, sets, decoder: str):
+    """The ZF view of a grouping: one group per symbol, per-coordinate sets;
+    a group that does not factor refuses the decoder, which the refusal quotes.
 
     Also returns the label map (strides (K, g), offsets (g,), table) that
     takes per-symbol level indices lv back to each original group's point
@@ -159,11 +161,9 @@ def _singleton_refinement(grouping: GroupingScheme, sets):
             tables.append(np.arange(s.size, dtype=np.int64))
             continue
         split = _separable_axes(s)
-        if split is None:
-            raise ValueError(
-                f"group {k} is not coordinate-separable; ZF decoding needs "
-                "per-symbol alphabets (a rotated group alphabet couples its symbols)"
-            )
+        require(split is not None, "decoder",
+                f"suit the code (group {k} is not coordinate-separable; ZF decoding needs "
+                "per-symbol alphabets (a rotated group alphabet couples its symbols))", decoder)
         axes, table = split
         stride = s.size
         for i, levels in zip(grp, axes):
@@ -215,17 +215,18 @@ class GroupDecoder:
     decide(W (b, d, K + 1)) returns each trial's point index and metric per
     decode group. ZF flavours decode the singleton refinement;
     group_indices maps their decisions back to the grouping's groups.
+    A decoder the code does not admit (ZF on a rotated group, ML above
+    ML_CANDIDATE_CAP) is refused when built, as "decoder must suit the code".
     """
 
     def __init__(self, decoder: str, grouping: GroupingScheme, sets):
-        if decoder not in DECODERS:
-            raise ValueError(f"decoder must be one of {DECODERS}")
+        require(decoder in DECODERS, "decoder", f"be one of {', '.join(DECODERS)}", decoder)
         sets = grouping.check_sets(sets)
         self.decoder = decoder
         self.K = grouping.K
         self.label_map = None
         if decoder in ("zf", "zf-sic"):
-            grouping, sets, self.label_map = _singleton_refinement(grouping, sets)
+            grouping, sets, self.label_map = _singleton_refinement(grouping, sets, decoder)
         self.groups = [list(g) for g in grouping.groups]
         self.sets = tuple(sets)
         pic = decoder in ("pic", "zf")
@@ -241,9 +242,8 @@ class GroupDecoder:
         if decoder == "ml":
             self.sizes = [s.size for s in self.sets]
             total = math.prod(self.sizes)
-            if total > ML_CANDIDATE_CAP:
-                raise ValueError(f"product alphabet has {total} points, "
-                                 f"above the cap {ML_CANDIDATE_CAP}")
+            require(total <= ML_CANDIDATE_CAP, "decoder", f"suit the code (product alphabet "
+                    f"has {total} points, above the cap {ML_CANDIDATE_CAP})", decoder)
             # product-alphabet index: the last group varies fastest
             self.strides = np.array([math.prod(self.sizes[k + 1:])
                                      for k in range(len(self.sizes))])

@@ -254,7 +254,7 @@ def oracle_decide(decoder, grouping, sets, g, y):
     whose smallest metric two or more candidates share exactly."""
     sets = grouping.check_sets(sets)
     if decoder in ("zf", "zf-sic"):
-        grouping, sets, _ = _singleton_refinement(grouping, sets)
+        grouping, sets, _ = _singleton_refinement(grouping, sets, decoder)
     groups = [list(grp) for grp in grouping.groups]
     b, ties = g.shape[0], 0
     if decoder == "ml":
