@@ -49,9 +49,11 @@ R is searched exactly. Its candidate is the MMSE-SIC decision (Wübben,
 Böhnke, Kühn & Kammeyer, IEEE VTC 2003-Fall): _sic on the Cholesky factor
 of G'G + I. The identity is the MMSE term of the whitened noise (unit
 variance per real dimension) and makes the matrix positive definite, so the
-factor always exists. The QR factor's zero pivots would leave SIC stages
-blind, and a far candidate makes a wide sphere. rss is common to a trial's
-candidates, so no decision depends on it.
+factor exists in exact arithmetic. In floating point the identity is lost
+to rounding once G'G is large enough (at 150 dB on the criterion-9 code),
+so a config's SNR points stop at harness.MAX_SNR_DB = 100. The QR factor's
+zero pivots would leave SIC stages blind, and a far candidate makes a wide
+sphere. rss is common to a trial's candidates, so no decision depends on it.
 
 Decoding is batch-first: GroupDecoder decides a chunk of trials along a
 leading axis, and a single problem is a batch of one. Ties go to the lowest

@@ -22,7 +22,7 @@ the PIC-SIC criterion deterministically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -80,16 +80,8 @@ class CriterionReport:
     exact_svd_fallbacks: int = field(default=0, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "passed": self.passed,
-            "samples_tested": self.samples_tested,
-            "min_singular_value": self.min_singular_value,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "analytic_certificate": self.analytic_certificate,
-            "coverage": self.coverage,
-            "exact_svd_fallbacks": self.exact_svd_fallbacks,
-        }
+        """Every field, in declaration order, with the witness as its to_dict."""
+        return asdict(self) | {"witness": None if self.witness is None else self.witness.to_dict()}
 
 
 def _relative_sv(mats: np.ndarray, fallbacks: list | None = None) -> np.ndarray:

@@ -66,6 +66,9 @@ __all__ = [
     "worker_count",
 ]
 
+# the highest SNR point a grid may hold: at 150 dB ML's MMSE factor lost its
+# identity term to rounding, and at 1,600 dB the squared power overflowed
+MAX_SNR_DB = 100
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SALT, _MUL1, _MUL2 = 0xD1B54A32D192ED03, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
@@ -160,6 +163,7 @@ class ExperimentConfig:
                 self.decoder)
         require(grid and all(map(math.isfinite, grid)) and list(grid) == sorted(grid),
                 "snr_grid_db", "be a non-empty ascending list of finite numbers", grid)
+        require(grid[-1] <= MAX_SNR_DB, "snr_grid_db", f"lie at or below {MAX_SNR_DB} dB", grid)
         for name in ("max_trials", "max_bit_errors", "nd"):
             require(getattr(self, name) >= 1, name, "be >= 1", getattr(self, name))
         require(0 <= self.master_seed <= _MASK64, "master_seed", "lie in [0, 2**64)",

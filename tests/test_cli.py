@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from dstbc import cli
 from dstbc.cli import MAX_SNR_POINTS, _snr_grid, main
 from dstbc.construct import build, code_to_dict, drop_relays, preset
-from dstbc.decode import DECODERS
+from dstbc.decode import DECODERS, GroupDecoder
 from dstbc.design import cod_trivial
+from dstbc.harness import ExperimentConfig, run_ber
 from tests.helpers import accumulated_snr_grid
 
 
@@ -433,6 +434,10 @@ _REFUSALS = {
        for step in ("1e-300", "5e-324")},
     "flag-snr-stop-bound": (("simulate", *_TOEPLITZ, "--snr-start", "0", "--snr-stop", "20000"),
                             None, {}, "--snr-stop"),
+    "config-grid-max-snr": (("simulate", "--config", "FILE"), _CFG | {"snr_grid_db": [1e308]}, {},
+                            "snr_grid_db"),
+    "flag-snr-max-snr": (("simulate", *_TOEPLITZ, "--snr-start", "1600", "--snr-stop", "1600"),
+                         None, {}, "snr_grid_db"),
 }
 
 
@@ -447,6 +452,35 @@ def test_refusal_reads_name_must_what_got_value(capsys, monkeypatch, tmp_path, a
     code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
     assert code == 2 and out == ""
     assert re.match(f"error: {re.escape(name.replace('FILE', str(path)))} must .*, got .", err)
+
+
+@pytest.mark.parametrize("argv,doc", [row[:2] for row in _REFUSALS.values() if row[3] == "decoder"],
+                         ids=[key for key, row in _REFUSALS.items() if row[3] == "decoder"])
+def test_decoder_refusal_is_the_library_message(capsys, tmp_path, argv, doc):
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    if doc is None:  # the config fields the flags set
+        flags = vars(cli._build_parser().parse_args(argv))
+        doc = {k: flags[k] for k in ("preset", "N", "lam", "n", "modulation", "decoder")
+               if flags[k] is not None} | {"snr_grid_db": [10.0]}
+    with pytest.raises(ValueError) as library:
+        run_ber(ExperimentConfig(**doc))
+    assert code == 2 and err == f"error: {library.value}\n"
+
+
+def test_simulate_builds_one_decoder(capsys, monkeypatch):
+    built = []
+    init = GroupDecoder.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupDecoder, "__init__", counting)
+    code, _, _ = run(capsys, "simulate", *_TOEPLITZ, *_GRID, "--decoder", "zf-sic")
+    assert code == 0 and built == ["zf-sic"]
 
 
 def test_design_file_round_trip_via_cli(capsys, tmp_path):

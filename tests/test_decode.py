@@ -16,7 +16,7 @@ from dstbc.decode import (
     _project_out,
 )
 from dstbc.design import cod_alamouti, cod_trivial
-from dstbc.harness import modulation_set
+from dstbc.harness import ExperimentConfig, modulation_set
 from tests.helpers import group_symbols_oracle, joined, oracle_decide, real_model
 
 
@@ -169,8 +169,18 @@ class TestZf:
 
     def test_rotated_group_refused(self):
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(16, rotation_2d()))
-        with pytest.raises(ValueError, match="coordinate-separable"):
+        with pytest.raises(ValueError, match=r"^decoder must suit the code \(group 0 is not "
+                                             "coordinate-separable; .*\\), got 'zf'$"):
             GroupDecoder("zf", code.grouping, code.group_sets)
+
+    def test_unknown_decoder_refused_as_the_config_refuses_it(self):
+        code = build(2, cod_trivial(), 1, 2, make_pam(2))
+        with pytest.raises(ValueError) as library:
+            GroupDecoder("magic", code.grouping, code.group_sets)
+        with pytest.raises(ValueError) as config:
+            ExperimentConfig(decoder="magic", preset="toeplitz", N=2, n=2, snr_grid_db=(0.0,))
+        assert str(library.value) == str(config.value) == (
+            "decoder must be one of ml, pic, pic-sic, zf, zf-sic, got 'magic'")
 
     def test_unrotated_product_set_splits(self):
         # identity-rotation QPSK factors per coordinate, so ZF may refine it

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from dstbc.construct import build, drop_relays, from_design, preset, preset_name
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial
 from dstbc.diversity import (
     REL_SV_THRESHOLD,
+    CriterionReport,
     _relative_sv,
     check_pic,
     check_pic_sic,
@@ -365,6 +366,12 @@ def test_report_json_shape():
     }
     assert doc["criterion"] == "PIC-SIC" and doc["witness"] is None
     assert doc["exact_svd_fallbacks"] == 0  # every ratio of a clean code is large
+
+
+def test_report_dict_keys_are_the_fields_in_order():
+    for r in (check_pic_sic(build(2, cod_alamouti(), 1, 1), 20, np.random.default_rng(19)),
+              check_pic_sic(duplicated_column_code(), 50, np.random.default_rng(4))):
+        assert list(r.to_dict()) == [f.name for f in fields(CriterionReport)]
 
 
 def test_exact_svd_fallbacks_counted():

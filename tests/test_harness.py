@@ -168,6 +168,10 @@ def _crit9_code():
     return preset("alamouti", 4, 2, 2, modulation_set("qam4"))
 
 
+# the criterion-9 configuration's code and antennas
+_CRIT9 = dict(preset="alamouti", N=4, lam=2, n=2, modulation="qam4", nd=4)
+
+
 def _record_workspaces(engine) -> list:
     """(thread ident, Workspace) of each chunk that engine draws from now on."""
     seen, draw = [], engine._draw_chunk
@@ -571,7 +575,7 @@ class TestRunBer:
             decoder="zf", preset="scalar", N=4, lam=2, n=2, modulation="qam16",
             nd=2, snr_grid_db=(10.0,), max_trials=10, master_seed=0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^decoder must suit the code"):
             run_ber(cfg)
 
     def test_ml_candidate_cap_enforced(self):
@@ -579,8 +583,36 @@ class TestRunBer:
             decoder="ml", preset="alamouti", N=4, lam=2, n=3, modulation="qam16",
             nd=1, snr_grid_db=(10.0,), max_trials=10, master_seed=0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^decoder must suit the code"):
             run_ber(cfg)
+
+    @pytest.mark.parametrize("decoder,spec,text", [
+        ("zf", _CRIT9, "group 0"), ("zf-sic", _CRIT9, "group 0"),
+        ("ml", dict(preset="toeplitz", N=2, n=2, modulation="pam64"), "product alphabet"),
+    ], ids=["zf-crit9", "zf-sic-crit9", "ml-toeplitz-pam64"])
+    def test_decoder_refused_by_name_on_the_library_path(self, decoder, spec, text):
+        cfg = ExperimentConfig(decoder=decoder, snr_grid_db=(6.0,), max_trials=10, **spec)
+        with pytest.raises(ValueError, match=rf"^decoder must suit the code \({text}"):
+            run_ber(cfg)
+
+    @pytest.mark.parametrize("spec", [_CRIT9, _CRIT9 | {"nd": 1},
+                                      dict(preset="scalar", N=2, lam=1, n=2, modulation="pam2",
+                                           nd=2)], ids=["crit9", "crit9-nd1", "ber-sweep-pam2"])
+    def test_every_admitted_decoder_decodes_at_the_snr_bound(self, spec):
+        # at 150 dB, ML's MMSE factor lost its identity term to rounding on
+        # the criterion-9 code at N_D = 1, and at 200 dB on all three
+        decoded = 0
+        for decoder in DECODERS:
+            cfg = ExperimentConfig(decoder=decoder, snr_grid_db=(harness.MAX_SNR_DB,),
+                                   max_trials=256, max_bit_errors=10**9, **spec)
+            try:
+                curve = run_ber(cfg)
+            except ValueError as e:
+                assert str(e).startswith("decoder must suit the code (group 0")
+                continue
+            assert curve.points[0]["trials"] == 256
+            decoded += 1
+        assert decoded >= 3
 
     def test_pam8_zf_sic_setup_runs(self):
         # the 2 bpcu, rate-1/3 single-receive-antenna configuration
@@ -686,6 +718,12 @@ class TestCsvAndConfig:
     def test_numpy_numbers_accepted(self):
         cfg = small_config(snr_grid_db=np.array([4.0, 8.0]), max_trials=np.int64(50))
         assert cfg.snr_grid_db == (4.0, 8.0)
+
+    @pytest.mark.parametrize("grid", [(100.000001,), (0.0, 1e308)])
+    def test_snr_above_the_bound_rejected(self, grid):
+        with pytest.raises(ValueError, match=r"^snr_grid_db must lie at or below 100 dB, got "):
+            small_config(snr_grid_db=grid)
+        assert small_config(snr_grid_db=(harness.MAX_SNR_DB,)).snr_grid_db == (100.0,)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_snr_grid_rejected(self, bad):
