@@ -1,10 +1,10 @@
 """Finite signal sets for per-group encoding.
 
-PAM/QAM component alphabets with Gray bit labels, full-diversity rotations
-for multidimensional groups, and difference sets. All alphabets are
-normalized to a mean energy of 1/2 per real dimension, so that a pair of
-real symbols forming one complex symbol carries unit mean energy.
-modulation_set maps the names pamM and qamM to the standard alphabets.
+PAM and rotated QAM, both from one builder of rotated Gray-labelled PAM
+grids; full-diversity rotations and difference sets. All alphabets have a
+mean energy of 1/2 per real dimension, so that a pair of real symbols
+forming one complex symbol carries unit mean energy. modulation_set maps
+the names pamM and qamM to the standard alphabets.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ ENERGY_PER_REAL_DIM = 0.5
 _ORTHO_TOL = 1e-10
 _ZERO_COORD_TOL = 1e-9
 _ENERGY_TOL = 1e-12
-
-
-def _gray(k: int) -> int:
-    return k ^ (k >> 1)
 
 
 @dataclass(frozen=True)
@@ -124,6 +120,20 @@ def _pam_levels(m: int) -> np.ndarray:
     return levels / scale
 
 
+def _gray_grid(side: int, q: RotationMatrix) -> SignalSet:
+    """The product of q.dim side-PAM components, rotated by q. The last
+    component varies fastest; each is Gray-labelled, and the first
+    component's bits are the highest."""
+    levels = _pam_levels(side)
+    comp_bits = side.bit_length() - 1
+    idx = np.indices((side,) * q.dim).reshape(q.dim, -1).T
+    labels = ((idx ^ (idx >> 1)) << comp_bits * np.arange(q.dim)[::-1]).sum(axis=1)
+    s = SignalSet(q.dim, levels[idx] @ q.entries.T, q.dim * comp_bits, labels,
+                  rotation=q, component_levels=levels.copy())
+    assert abs(np.mean(np.sum(s.points**2, axis=1)) - q.dim * ENERGY_PER_REAL_DIM) < _ENERGY_TOL
+    return s
+
+
 def make_pam(m: int) -> SignalSet:
     """Gray-labeled M-PAM with mean energy 1/2 per point.
 
@@ -131,14 +141,7 @@ def make_pam(m: int) -> SignalSet:
     """
     if m < 2 or m & (m - 1):
         raise ValueError(f"PAM order must be a power of two >= 2, got {m}")
-    levels = _pam_levels(m)
-    bits = int(np.log2(m))
-    labels = np.array([_gray(k) for k in range(m)], dtype=np.int64)
-    s = SignalSet(1, levels.reshape(-1, 1), bits, labels,
-                  rotation=identity_rotation(1),
-                  component_levels=levels.copy())
-    assert abs(np.mean(levels**2) - ENERGY_PER_REAL_DIM) < _ENERGY_TOL
-    return s
+    return _gray_grid(m, identity_rotation(1))
 
 
 def make_rotated_qam(m: int, q: RotationMatrix) -> SignalSet:
@@ -154,18 +157,7 @@ def make_rotated_qam(m: int, q: RotationMatrix) -> SignalSet:
         raise ValueError(f"QAM order must be the square of a power of two, got {m}")
     if q.dim != 2:
         raise ValueError(f"rotation must be 2-dimensional, got dim {q.dim}")
-    levels = _pam_levels(side)
-    comp_bits = int(np.log2(side))
-    grid = np.array([[a, b] for a in levels for b in levels])
-    points = grid @ q.entries.T
-    labels = np.array(
-        [(_gray(u) << comp_bits) | _gray(v) for u in range(side) for v in range(side)],
-        dtype=np.int64,
-    )
-    s = SignalSet(2, points, 2 * comp_bits, labels,
-                  rotation=q, component_levels=levels.copy())
-    assert abs(np.mean(np.sum(s.points**2, axis=1)) - 2 * ENERGY_PER_REAL_DIM) < _ENERGY_TOL
-    return s
+    return _gray_grid(side, q)
 
 
 def verify_rotation(q: RotationMatrix, component_set: np.ndarray) -> bool:

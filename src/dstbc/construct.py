@@ -153,15 +153,11 @@ class ConjugateLinearForm:
 
 @dataclass(frozen=True)
 class BuildParams:
-    """Construction parameters; present only for codes built from a COD grid."""
+    """Parameters of build, set only on codes it built; the COD's sizes are cod.design's."""
 
-    N: int
-    Np: int
-    Tp: int
     L: int
     lam: int
     n: int
-    Kp: int
     cod: CodProfile
 
 
@@ -221,10 +217,10 @@ def default_group_set(lam: int) -> SignalSet | None:
 def _consecutive_pairs(params: BuildParams) -> list:
     """Real-symbol index pairs forming the complex variables of each block.
 
-    Block (m, ell) carries the COD in globals lam*Kp*m + ell + lam*i for
-    i = 0..Kp-1; its complex variables pair consecutive COD symbols.
+    Block (m, ell) carries the COD's K' symbols in globals lam*K'*m + ell +
+    lam*i, i = 0..K'-1; its complex variables pair consecutive COD symbols.
     """
-    lam, kp, n = params.lam, params.Kp, params.n
+    lam, kp, n = params.lam, params.cod.design.K, params.n
     if kp % 2:
         return []
     pairs = []
@@ -329,12 +325,11 @@ def build(
     explicit set (with a full-diversity rotation of matching dimension);
     without one the code is still usable for structure and rate queries.
     """
-    require(N >= 1 and N % cod.Np == 0, "N",
-            f"be a positive multiple of the COD width {cod.Np}", N)
-    L = N // cod.Np
+    tp, npp, kp = cod.design.T, cod.design.N, cod.design.K
+    require(N >= 1 and N % npp == 0, "N", f"be a positive multiple of the COD width {npp}", N)
+    L = N // npp
     require(1 <= lam <= L, "lam", f"be in 1..{L}", lam)
     require(n >= 1, "n", "be >= 1", n)
-    kp, tp, npp = cod.Kp, cod.Tp, cod.Np
     K = lam * n * kp
     T2 = (n + L - 1) * tp
     weights = np.zeros((K, T2, N), dtype=complex)
@@ -348,7 +343,7 @@ def build(
                     += cod.design.weights[i]
     design = LinearDesign(T2, N, K, weights)
     assert independent_weights(design)
-    params = BuildParams(N, npp, tp, L, lam, n, kp, cod)
+    params = BuildParams(L, lam, n, cod)
     grouping = contiguous_grouping(lam, kp, n)
     pairs = _consecutive_pairs(params)
     form = _relay_form_or_none(design, pairs) if pairs else None

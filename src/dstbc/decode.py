@@ -7,8 +7,9 @@ PIC decodes each group after projecting out the span of every other
 group's columns; PIC-SIC walks the groups in order, projecting out only
 later groups and subtracting each decision before moving on. ZF / ZF-SIC
 are the same decoders under the all-singleton refinement of the grouping,
-available when the group alphabets factor per coordinate. ML minimizes
-||y - G x||^2 over the full product alphabet.
+available when the group alphabets factor per coordinate; a symbol's levels
+are its alphabet's own coordinate values. ML minimizes ||y - G x||^2 over
+the full product alphabet.
 
 The decoders read (G, y) only through the Gram matrix [G y]'[G y] = Re(W^H W),
 formed once per chunk and indexed into the decoder's column order. Every
@@ -128,20 +129,21 @@ def _project_out(cols, y, gk):
 
 
 def _separable_axes(s: SignalSet):
-    """Per-coordinate levels and the table from mixed-radix level index to
-    point index, if the set is the full product of its levels; else None."""
+    """Per-coordinate levels, the set's own values grouped to 12 decimals, and
+    the table from mixed-radix level index to point index, if the set is the
+    full product of its levels; else None."""
     rounded = np.round(s.points, 12)
-    axes = [np.unique(rounded[:, d]) for d in range(s.dim)]
-    sizes = [a.size for a in axes]
+    # per coordinate: each level's first point, and each point's level
+    found = [np.unique(rounded[:, d], return_index=True, return_inverse=True)[1:]
+             for d in range(s.dim)]
+    sizes = [first.size for first, _ in found]
     if math.prod(sizes) != s.size:
         return None
-    levels = [np.searchsorted(a, rounded[:, d]) for d, a in enumerate(axes)]
-    code = np.ravel_multi_index(levels, sizes)
-    if np.unique(code).size != s.size:
+    table = np.full(s.size, -1, dtype=np.int64)
+    table[np.ravel_multi_index([level for _, level in found], sizes)] = np.arange(s.size)
+    if table.min() < 0:  # two points share their levels, so some product point is missing
         return None
-    table = np.empty(s.size, dtype=np.int64)
-    table[code] = np.arange(s.size)
-    return axes, table
+    return [s.points[first, d] for d, (first, _) in enumerate(found)], table
 
 
 def _singleton_refinement(grouping: GroupingScheme, sets, decoder: str):
@@ -157,11 +159,6 @@ def _singleton_refinement(grouping: GroupingScheme, sets, decoder: str):
     offsets, tables = [], []
     for k, (grp, s) in enumerate(zip(grouping.groups, sets)):
         offsets.append(sum(t.size for t in tables))
-        if s.dim == 1:
-            coord_sets[grp[0]] = s
-            strides[grp[0], k] = 1
-            tables.append(np.arange(s.size, dtype=np.int64))
-            continue
         split = _separable_axes(s)
         require(split is not None, "decoder",
                 f"suit the code (group {k} is not coordinate-separable; ZF decoding needs "

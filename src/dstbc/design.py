@@ -80,15 +80,9 @@ def independent_weights(d: LinearDesign) -> bool:
 class CodProfile:
     """A design verified to satisfy the COD identity at construction."""
 
-    Tp: int
-    Np: int
-    Kp: int
     design: LinearDesign
 
     def __post_init__(self):
-        d = self.design
-        if (d.T, d.N, d.K) != (self.Tp, self.Np, self.Kp):
-            raise ValueError("profile dimensions disagree with the design")
         if not verify_cod(self):
             raise ValueError("weight matrices do not satisfy the COD identity")
 
@@ -114,7 +108,7 @@ def verify_cod(c: CodProfile | LinearDesign) -> bool:
 def cod_trivial() -> CodProfile:
     """The 1x1 COD carrying one complex symbol s1 + i*s2."""
     w = np.array([[[1.0 + 0j]], [[1j]]])
-    return CodProfile(1, 1, 2, LinearDesign.from_weights(w))
+    return CodProfile(LinearDesign.from_weights(w))
 
 
 def cod_alamouti() -> CodProfile:
@@ -128,7 +122,7 @@ def cod_alamouti() -> CodProfile:
         ],
         dtype=complex,
     )
-    return CodProfile(2, 2, 4, LinearDesign.from_weights(w))
+    return CodProfile(LinearDesign.from_weights(w))
 
 
 def design_to_dict(d: LinearDesign) -> dict:

@@ -244,11 +244,12 @@ def cod_certificate(code: DstbcCode) -> bool:
             return False
     nonzero = np.abs(code.design.weights) > 0  # (K, T2, N)
     # the layer of each entry of the design: its block row less its block column
-    offset = np.arange(code.T2)[:, None] // p.Tp - np.arange(code.N) // p.Np
+    cod = p.cod.design
+    offset = np.arange(code.T2)[:, None] // cod.T - np.arange(code.N) // cod.N
     # symbols of group k live only in layer k // K' blocks
     groups = code.grouping.groups
     layer = np.empty(code.K, dtype=int)
-    layer[np.concatenate(groups)] = np.repeat(np.arange(len(groups)) // p.Kp,
+    layer[np.concatenate(groups)] = np.repeat(np.arange(len(groups)) // cod.K,
                                               [len(g) for g in groups])
     return bool(nonzero.any(axis=(1, 2)).all()
                 and not (nonzero.any(axis=0) & ((offset < 0) | (offset >= p.n))).any()

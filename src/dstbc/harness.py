@@ -200,12 +200,15 @@ class _Engine:
 
     def __init__(self, code: DstbcCode, decoder: str, nd: int):
         self.sets = code.signal_sets()
+        self.bits_per_group = [s.bits_per_point for s in self.sets]
+        self.bits_per_cw = sum(self.bits_per_group)
+        # with no bit per codeword there is nothing to draw, and the BER divides by 0
+        require(self.bits_per_cw > 0, "modulation", "give some group more than one point",
+                [s.size for s in self.sets])
         self.decoder = decoder
         self.channel = RelayChannel(code)
         self.dec = GroupDecoder(decoder, code.grouping, self.sets)
         self.groups = code.grouping.groups
-        self.bits_per_group = [s.bits_per_point for s in self.sets]
-        self.bits_per_cw = sum(self.bits_per_group)
         self.symbols = _SymbolTable(self.groups, self.sets)
         # Gray labels: group k reads bits [pos, pos + nb) of the label words,
         # shifted down from word pos // 64 and, when the field straddles two

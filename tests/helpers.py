@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from dstbc.constellation import verify_rotation
+from dstbc.constellation import _pam_levels, verify_rotation
 from dstbc.construct import ConjugateLinearForm, DstbcCode, rate_cspcu
 from dstbc.decode import _project_out, _singleton_refinement
 from dstbc.design import (
@@ -134,6 +134,24 @@ def save_design(d: LinearDesign, path) -> None:
         json.dump(design_to_dict(d), f)
 
 
+def gray_grid_oracle(m: int, q=None):
+    """(points, labels, bits_per_point, component_levels) of make_pam(m), or of
+    make_rotated_qam(m, q) when q is given, built from lists as they were
+    before one builder made both alphabets."""
+    def gray(k):
+        return k ^ (k >> 1)
+
+    if q is None:
+        levels = _pam_levels(m)
+        return levels.reshape(-1, 1), np.array([gray(k) for k in range(m)]), int(np.log2(m)), levels
+    side = math.isqrt(m)
+    levels = _pam_levels(side)
+    comp_bits = int(np.log2(side))
+    grid = np.array([[a, b] for a in levels for b in levels])
+    labels = [(gray(u) << comp_bits) | gray(v) for u in range(side) for v in range(side)]
+    return grid @ q.entries.T, np.array(labels), 2 * comp_bits, levels
+
+
 def load_design(path) -> LinearDesign:
     with open(path) as f:
         return design_from_dict(json.load(f))
@@ -145,17 +163,18 @@ def reindex(c: CodProfile, symbol_indices, k_total: int) -> LinearDesign:
     symbol_indices[i] (0-based) is the global symbol that weight A'_i of the
     COD attaches to; all other global symbols get a zero weight.
     """
+    d = c.design
     idx = list(symbol_indices)
-    if len(idx) != c.Kp:
-        raise ValueError(f"expected {c.Kp} indices, got {len(idx)}")
+    if len(idx) != d.K:
+        raise ValueError(f"expected {d.K} indices, got {len(idx)}")
     if len(set(idx)) != len(idx):
         raise ValueError("symbol indices must be distinct")
     if any(i < 0 or i >= k_total for i in idx):
         raise ValueError("symbol index out of range")
-    w = np.zeros((k_total, c.Tp, c.Np), dtype=complex)
+    w = np.zeros((k_total, d.T, d.N), dtype=complex)
     for i, gi in enumerate(idx):
-        w[gi] = c.design.weights[i]
-    return LinearDesign(c.Tp, c.Np, k_total, w)
+        w[gi] = d.weights[i]
+    return LinearDesign(d.T, d.N, k_total, w)
 
 
 # The realified route to the whitened model: realify the complex covariance
@@ -391,16 +410,16 @@ def cod_certificate_oracle(code: DstbcCode) -> bool:
         if (s.rotation is None or s.component_levels is None or s.dim != p.lam
                 or not verify_rotation(s.rotation, s.component_levels)):
             return False
-    w = code.design.weights
+    w, c = code.design.weights, p.cod.design
     mag = np.abs(w).sum(axis=0)
     for rb in range(p.n + p.L - 1):
         for cb in range(p.L):
-            block = mag[rb * p.Tp:(rb + 1) * p.Tp, cb * p.Np:(cb + 1) * p.Np]
+            block = mag[rb * c.T:(rb + 1) * c.T, cb * c.N:(cb + 1) * c.N]
             if block.max() > 0 and not 0 <= rb - cb <= p.n - 1:
                 return False
     for k, grp in enumerate(code.grouping.groups):
         for i in grp:
             rows, cols = np.nonzero(np.abs(w[i]) > 0)
-            if rows.size == 0 or np.any(rows // p.Tp - cols // p.Np != k // p.Kp):
+            if rows.size == 0 or np.any(rows // c.T - cols // c.N != k // c.K):
                 return False
     return True

@@ -51,10 +51,10 @@ def test_criterion_01_cod_algebra():
         for cod in (cod_trivial(), cod_alamouti()):
             assert verify_cod(cod)
             for _ in range(100):
-                x = rng.standard_normal(cod.Kp)
+                x = rng.standard_normal(cod.design.K)
                 m = evaluate(cod.design, x)
                 gram = m.conj().T @ m
-                assert np.abs(gram - np.sum(x**2) * np.eye(cod.Np)).max() < 1e-10
+                assert np.abs(gram - np.sum(x**2) * np.eye(cod.design.N)).max() < 1e-10
 
 
 def test_criterion_02_construction_arithmetic():

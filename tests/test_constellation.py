@@ -14,6 +14,31 @@ from dstbc.constellation import (
     verify_rotation,
 )
 from dstbc.construct import default_group_set
+from tests.helpers import gray_grid_oracle
+
+
+def assert_bit_equal(s: SignalSet, oracle):
+    """s is the oracle's (points, labels, bits_per_point, component_levels)
+    to the last bit."""
+    points, labels, bits, levels = oracle
+    assert s.points.shape == points.shape and s.points.tobytes() == points.tobytes()
+    assert s.labels.tolist() == labels.tolist() and s.bits_per_point == bits
+    assert s.component_levels.tobytes() == levels.tobytes()
+
+
+class TestGrayGrid:
+    """make_pam and make_rotated_qam share one grid builder; each equals the
+    list-built grid bit for bit."""
+
+    @pytest.mark.parametrize("m", [2**k for k in range(1, 11)])
+    def test_pam(self, m):
+        assert_bit_equal(make_pam(m), gray_grid_oracle(m))
+
+    @pytest.mark.parametrize("q", [rotation_2d(), identity_rotation(2), rotation_2d(0.3)],
+                             ids=["default", "identity", "0.3rad"])
+    @pytest.mark.parametrize("m", [4**k for k in range(1, 7)])
+    def test_qam(self, m, q):
+        assert_bit_equal(make_rotated_qam(m, q), gray_grid_oracle(m, q))
 
 
 class TestPam:

@@ -92,11 +92,11 @@ class TestBuild:
     )
     def test_block_placement(self, cod, N, lam, n):
         code = build(N, cod(), lam, n)
-        p = code.params
+        p, c = code.params, code.params.cod.design
         mag = np.abs(code.design.weights).sum(axis=0)
         for rb in range(p.n + p.L - 1):
             for cb in range(p.L):
-                block = mag[rb * p.Tp:(rb + 1) * p.Tp, cb * p.Np:(cb + 1) * p.Np]
+                block = mag[rb * c.T:(rb + 1) * c.T, cb * c.N:(cb + 1) * c.N]
                 if block.max() > 0:
                     assert 0 <= rb - cb <= p.n - 1
         # column cb's nonzero blocks occupy block-rows cb .. cb+n-1
@@ -104,18 +104,18 @@ class TestBuild:
             rows = [
                 rb
                 for rb in range(p.n + p.L - 1)
-                if mag[rb * p.Tp:(rb + 1) * p.Tp, cb * p.Np:(cb + 1) * p.Np].max() > 0
+                if mag[rb * c.T:(rb + 1) * c.T, cb * c.N:(cb + 1) * c.N].max() > 0
             ]
             assert rows == list(range(cb, cb + p.n))
 
     def test_group_to_layer_mapping(self):
         code = build(8, cod_alamouti(), 2, 3)
-        p = code.params
+        c = code.params.cod.design
         for k, grp in enumerate(code.grouping.groups):
-            layer = k // p.Kp
+            layer = k // c.K
             for i in grp:
                 rows, cols = np.nonzero(np.abs(code.design.weights[i]) > 0)
-                assert np.all(rows // p.Tp - cols // p.Np == layer)
+                assert np.all(rows // c.T - cols // c.N == layer)
 
 
 class TestRelayForm:

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from dstbc import decode
 from dstbc.channel import PowerConfig, RelayChannel
-from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam, rotation_2d
+from dstbc.constellation import (
+    SignalSet, identity_rotation, make_pam, make_rotated_qam, rotation_2d,
+)
 from dstbc.construct import GroupingScheme, build, from_design, preset
 from dstbc.decode import (
     DECODERS,
     ML_CANDIDATE_CAP,
     GroupDecoder,
     _project_out,
+    _singleton_refinement,
 )
 from dstbc.design import cod_alamouti, cod_trivial
 from dstbc.harness import ExperimentConfig, modulation_set
@@ -190,6 +193,32 @@ class TestZf:
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(4, identity_rotation(2)))
         g, y, _ = observed_problem(code, 2, 10.0, rng)
         assert x_hat("zf", code, g, y).shape == (1, code.K)
+
+    def test_unrotated_qam16_levels_are_the_sent_coordinates(self):
+        s = make_rotated_qam(16, identity_rotation(2))
+        _, coord_sets, _ = _singleton_refinement(GroupingScheme(((0, 1),)), (s,), "zf")
+        for d, c in enumerate(coord_sets):
+            assert c.points.ravel().tobytes() == np.unique(s.points[:, d]).tobytes()
+
+    @pytest.mark.parametrize("m", [2**k for k in range(1, 11)])
+    def test_pam_set_refines_to_its_own_points(self, m):
+        s = make_pam(m)
+        _, (c,), (strides, offsets, table) = _singleton_refinement(
+            GroupingScheme(((0,),)), (s,), "zf")
+        assert c.points.tobytes() == s.points.tobytes()
+        assert strides.tolist() == [[1]] and offsets.tolist() == [0]
+        np.testing.assert_array_equal(table, np.arange(m))
+
+    @pytest.mark.parametrize("points", [
+        [[0.5], [0.5 + 1e-14]],
+        # as many points as the product of the levels, but (0, 0) twice and no (1, 0)
+        [[0.0, 0.0], [1e-14, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    ], ids=["1d", "2d"])
+    def test_points_equal_to_12_decimals_refused(self, points):
+        s = SignalSet(len(points[0]), points, len(points).bit_length() - 1, range(len(points)))
+        grouping = GroupingScheme((tuple(range(s.dim)),))
+        with pytest.raises(ValueError, match=r"^decoder must suit the code \(group 0 is not "):
+            GroupDecoder("zf", grouping, (s,))
 
     def test_k1_all_decoders_agree(self):
         rng = np.random.default_rng(11)

@@ -96,10 +96,10 @@ class TestCod:
         rng = np.random.default_rng(2)
         for c in (cod_trivial(), cod_alamouti()):
             for _ in range(100):
-                x = rng.standard_normal(c.Kp)
+                x = rng.standard_normal(c.design.K)
                 m = evaluate(c.design, x)
                 gram = m.conj().T @ m
-                assert np.abs(gram - np.sum(x**2) * np.eye(c.Np)).max() < 1e-10
+                assert np.abs(gram - np.sum(x**2) * np.eye(c.design.N)).max() < 1e-10
 
 
 class TestReindex:

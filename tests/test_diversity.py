@@ -282,7 +282,7 @@ class TestCertificate:
         mutated = []
         for i in (0, code.K - 1):
             w = code.design.weights.copy()
-            w[i] = np.roll(w[i], p.Tp, axis=0)  # one block row down: off its layer
+            w[i] = np.roll(w[i], p.cod.design.T, axis=0)  # one block row down: off its layer
             mutated.append(w)
             w = code.design.weights.copy()
             w[i, 0, -1] = 0.5  # block row 0, last block column: outside the band

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dstbc import harness
 from dstbc.channel import PowerConfig, RelayChannel, Workspace
-from dstbc.constellation import identity_rotation, make_pam, make_rotated_qam
+from dstbc.constellation import SignalSet, identity_rotation, make_pam, make_rotated_qam
 from dstbc.construct import (
     build, code_from_dict, code_to_dict, from_design, GroupingScheme, preset,
 )
@@ -687,6 +687,18 @@ class TestCsvAndConfig:
         doc = code_to_dict(build(2, cod_trivial(), 1, 2)) | {"grouping": [[0, 1, 2], [3]]}
         with pytest.raises(ValueError, match="^modulation must be given for groups with no "):
             run_ber(small_config(), code_from_dict(doc))
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_run_ber_names_a_code_with_no_bits(self, decoder):
+        one = SignalSet(1, [[0.71]], 0, [0])
+        code = preset("scalar", 2, 1, 2)
+        with pytest.raises(ValueError, match=r"^modulation must give some group more than "
+                                             r"one point, got \[1, 1, 1, 1\]$"):
+            run_ber(small_config(decoder=decoder), code.with_sets(one))
+        # one-point groups beside groups with bits still run
+        mixed = code.with_sets((make_pam(2), one, one, make_pam(2)))
+        curve = run_ber(small_config(decoder=decoder, max_trials=600), mixed)
+        assert curve.points[0]["trials"] == 600
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

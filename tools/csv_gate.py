@@ -7,8 +7,10 @@ B_0 B_0^H is not diagonal (the noise covariance has cross-slot terms), a
 design file of the criterion-9 code with relay 0 dropped (a drop that flips
 the orientation of a conjugation component), and the criterion-9 (256-trial
 chunks) and criterion-8 (512-trial chunks) codes at trial caps that end in
-a short chunk, for every decoder and master_seed 0 and 1. A decoder a code
-refuses prints the hash of its message instead.
+a short chunk, a code with unrotated QAM-16 groups (whose ZF view splits
+groups of two symbols) and an N = 8 QAM-64 code of 72 bits per codeword
+(label fields straddle two 64-bit words), for every decoder and master_seed
+0 and 1. A decoder a code refuses prints the hash of its message instead.
 Then a line per `dstbc check --criterion all` exit code and reports, on
 three presets and the dropped code, hashing each report's verdict, sample
 count, witness, certificate, coverage and min_singular_value. The last is
@@ -17,7 +19,7 @@ sums in, while the interference draws, and the differences a group draws
 above the cap, move it in the leading ones even where no verdict moves. Last, a line per
 `dstbc simulate` stdout and exit code, for the ber-sweep-pam2 flags (SNR 2
 to 14 dB in steps of 3) and a fractional-step grid, at master_seed 0 and 1:
-these pin the flag-to-config mapping and the SNR grid builder. That is 108
+these pin the flag-to-config mapping and the SNR grid builder. That is 128
 lines. Two checkouts decode and check alike when their outputs are equal:
 
     DSTBC_THREADS=1 python3 tools/csv_gate.py > a.txt
@@ -40,13 +42,15 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dstbc import cli  # noqa: E402
+from dstbc.constellation import SignalSet, identity_rotation, make_rotated_qam  # noqa: E402
 from dstbc.construct import code_to_dict, drop_relays, from_design, preset  # noqa: E402
 from dstbc.decode import DECODERS  # noqa: E402
 from dstbc.design import LinearDesign  # noqa: E402
 from dstbc.harness import ExperimentConfig, run_ber  # noqa: E402
 
 # name: (code, modulation, nd, SNR grid in dB, trial cap, error target); the
-# code is a preset (preset, N, lam, n) or the name of a design file in DESIGNS
+# code is a preset (preset, N, lam, n) or the name of a design file in DESIGNS,
+# and the modulation a name or a SignalSet for every group of the preset
 CONFIGS = {
     "ber-sweep-pam2": (("scalar", 2, 1, 2), "pam2", 2, (2, 5, 8, 11, 14), 16384, 400),
     "ber-pam8-zfsic": (("alamouti", 8, 1, 3), "pam8", 1, (10, 15, 20), 1024, 10**9),
@@ -63,6 +67,12 @@ CONFIGS = {
     # 1300 = 2*512 + 276: the low point stops inside a 512-trial chunk and
     # the high one ends in a short chunk
     "pam2-tail-chunk": (("scalar", 2, 1, 2), "pam2", 2, (2, 14), 1300, 400),
+    # an alphabet no modulation name gives, so the code reaches run_ber as an
+    # object: its ZF view splits groups of two symbols
+    "unrotated-qam16": (("scalar", 4, 2, 2), make_rotated_qam(16, identity_rotation(2)), 2,
+                        (6, 16), 512, 10**9),
+    # 12 groups of 6 bits: some label fields straddle two 64-bit words
+    "qam64-72-bit": (("alamouti", 8, 2, 3), "qam64", 2, (10, 20), 512, 10**9),
 }
 
 # name: simulate flags, less --seed; the first are those of the benchmark's
@@ -117,13 +127,16 @@ def main() -> int:
                 spec = dict(design_file=design_files[code])
             else:
                 spec = dict(zip(("preset", "N", "lam", "n"), code))
+            code_object = None
+            if isinstance(modulation, SignalSet):
+                code_object, modulation = preset(*code, modulation), None
             for decoder in DECODERS:
                 for seed in (0, 1):
                     cfg = ExperimentConfig(
                         decoder=decoder, modulation=modulation, nd=nd, snr_grid_db=grid,
                         max_trials=cap, max_bit_errors=target, master_seed=seed, **spec)
                     try:
-                        out, kind = run_ber(cfg).to_csv(), "csv"
+                        out, kind = run_ber(cfg, code_object).to_csv(), "csv"
                     except ValueError as e:
                         out, kind = str(e), "refused"
                     print(f"{name} {decoder} seed={seed} {kind} {sha256(out)}", flush=True)
