@@ -170,7 +170,9 @@ def verify_rotation(q: RotationMatrix, component_set: np.ndarray) -> bool:
     levels = np.asarray(component_set, dtype=float).ravel()
     if levels.size == 0:
         raise ValueError("component set must be nonempty")
-    diffs = np.unique(np.round(levels[:, None] - levels[None, :], 12).ravel())
+    # return_index keeps np.unique from importing numpy.ma
+    diffs = np.unique(np.round(levels[:, None] - levels[None, :], 12).ravel(),
+                      return_index=True)[0]
     grids = np.meshgrid(*[diffs] * q.dim, indexing="ij")
     d = np.stack([g.ravel() for g in grids], axis=1)
     d = d[np.any(d != 0, axis=1)]
@@ -185,16 +187,22 @@ def difference_set(s: SignalSet) -> np.ndarray:
     pts = s.points
     d = pts[:, None, :] - pts[None, :, :]
     d = d.reshape(-1, s.dim)
-    return np.unique(np.round(d, 12), axis=0)
+    return np.unique(np.round(d, 12), axis=0, return_index=True)[0]
 
 
-def modulation_set(name: str) -> SignalSet:
-    """pamM for one-symbol groups, qamM (rotated) for two-symbol groups: the
-    standard alphabets, named as --modulation and ExperimentConfig take them."""
+def _modulation_shape(name: str) -> tuple:
+    """(M, dim) of the modulation name: pamM is M points of dim 1, qamM M of dim 2."""
     kind, order = name[:3].lower(), name[3:]
     require(kind in ("pam", "qam") and order.isdecimal(), "modulation",
             "be pamM or qamM with M a number", name)
     m = int(order)
     require(m >= 2 and m & (m - 1) == 0 and (kind == "pam" or math.isqrt(m) ** 2 == m),
             "modulation", "be pamM with M in 2, 4, 8, ... or qamM with M in 4, 16, 64, ...", name)
-    return make_pam(m) if kind == "pam" else make_rotated_qam(m, rotation_2d())
+    return m, 1 if kind == "pam" else 2
+
+
+def modulation_set(name: str) -> SignalSet:
+    """pamM for one-symbol groups, qamM (rotated) for two-symbol groups: the
+    standard alphabets, named as --modulation and ExperimentConfig take them."""
+    m, dim = _modulation_shape(name)
+    return make_pam(m) if dim == 1 else make_rotated_qam(m, rotation_2d())

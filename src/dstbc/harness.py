@@ -22,12 +22,14 @@ bits of the XOR of its sent and decided labels, counted by a table.
 
 Trials are processed in chunks, sized per engine from its words per trial,
 whose linear algebra is batched; per-trial results do not depend on the
-chunking. Each SNR point runs one loop for any worker count (DSTBC_THREADS):
-it keeps at most a window of chunks submitted, consumes them in index order
-and stops at the first trial that reaches max_bit_errors, so early stopping
-is deterministic. The worker count picks only how chunks are submitted: to a
-thread pool kept for the run, two per worker, or, at one worker, run in the
-calling thread as they are submitted, one at a time.
+chunking. Each SNR point runs one loop for any worker count w
+(DSTBC_THREADS, at most MAX_WORKERS): it keeps at most 2w chunks pending,
+consumes them in index order and stops at the first trial that reaches
+max_bit_errors, so early stopping is deterministic. Chunk i runs in the
+calling thread when i % w == 0, computed only when the loop reaches it, and
+otherwise on a pool of w - 1 threads kept for the run; a pool chunk past
+the stop is cancelled if it has not started. At one worker every chunk runs
+in the calling thread and no thread is started.
 
 An engine keeps one channel.Workspace per thread, into which each chunk
 writes its hash words, A_k H products and W (a short chunk uses leading
@@ -43,13 +45,13 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .channel import PowerConfig, RelayChannel, Workspace
-from .constellation import modulation_set
+from .constellation import _modulation_shape, modulation_set
 from .construct import DstbcCode, _load_json, resolve_code
 from .decode import DECODERS, GroupDecoder, _SymbolTable
 from .design import require
@@ -69,6 +71,8 @@ __all__ = [
 # the highest SNR point a grid may hold: at 150 dB ML's MMSE factor lost its
 # identity term to rounding, and at 1,600 dB the squared power overflowed
 MAX_SNR_DB = 100
+# the most workers a run may use: each holds a thread and a Workspace
+MAX_WORKERS = 64
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SALT, _MUL1, _MUL2 = 0xD1B54A32D192ED03, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
@@ -113,14 +117,16 @@ def snr_db_to_power(snr_db: float) -> float:
 
 
 def worker_count() -> int:
+    """DSTBC_THREADS, or the CPU count when it is unset, at most MAX_WORKERS."""
     env = os.environ.get("DSTBC_THREADS", "").strip()
     if not env:
-        return max(1, os.cpu_count() or 1)
+        return min(MAX_WORKERS, max(1, os.cpu_count() or 1))
     try:
         count = int(env)
     except ValueError:
         count = 0
     require(count >= 1, "DSTBC_THREADS", "be a positive integer", env)
+    require(count <= MAX_WORKERS, "DSTBC_THREADS", f"be at most {MAX_WORKERS}", env)
     return count
 
 
@@ -297,57 +303,73 @@ class _Engine:
         return self._popcount[diff].sum(axis=1, dtype=np.int64)
 
 
-def _now(fn, *args) -> Future:
-    """fn(*args) run in the calling thread, as a finished Future."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
 def _run_point(engine: _Engine, power: PowerConfig, key: int, config: ExperimentConfig,
-               submit, window: int) -> dict:
+               pool: ThreadPoolExecutor, workers: int) -> dict:
     """Bit errors and trials of one SNR point, key = mix_seed(master_seed,
-    snr_index). Chunks are submitted in index order, at most window at a
-    time, and consumed in index order; the first trial that reaches
-    max_bit_errors ends the point."""
+    snr_index). Chunks are queued in index order, at most 2 * workers at a
+    time, and consumed in index order; chunk i is computed in the calling
+    thread when i % workers == 0 and submitted to pool otherwise. The first
+    trial that reaches max_bit_errors ends the point."""
     size, cap = engine.chunk, config.max_trials
-    pending: deque = deque()
+    pending: deque = deque()  # (chunk_bit_errors arguments, the pool's Future or None)
     lo = bit_errors = trials = 0
     while lo < cap or pending:
-        while lo < cap and len(pending) < window:
-            pending.append(submit(engine.chunk_bit_errors, power, key, lo, min(lo + size, cap)))
+        while lo < cap and len(pending) < 2 * workers:
+            args = (power, key, lo, min(lo + size, cap))
+            pending.append((args, None) if lo // size % workers == 0 else
+                           (args, pool.submit(engine.chunk_bit_errors, *args)))
             lo += size
-        cum = bit_errors + np.cumsum(pending.popleft().result())
+        args, future = pending.popleft()
+        cum = bit_errors + np.cumsum(future.result() if future else engine.chunk_bit_errors(*args))
         hit = np.flatnonzero(cum >= config.max_bit_errors)
         if hit.size:
             bit_errors, trials = int(cum[hit[0]]), trials + int(hit[0]) + 1
             break
         bit_errors, trials = int(cum[-1]), trials + cum.size
-    # submitted past the stop: those not started never run; highest first,
-    # so the chunks that did start are a prefix of the point's chunks
-    for future in reversed(pending):
-        future.cancel()
+    # pool chunks past the stop: those not started never run; highest first,
+    # so the pool chunks that did start are a prefix of the point's pool chunks
+    for _, future in reversed(pending):
+        if future:
+            future.cancel()
     ber = bit_errors / (trials * engine.bits_per_cw)
     return {"trials": trials, "bit_errors": bit_errors, "ber": ber}
 
 
+def _check_code(config: ExperimentConfig, code: DstbcCode) -> None:
+    """Refuse a code that config's preset fields or modulation do not
+    describe; a design_file config is not compared with its file."""
+    if config.preset is not None:
+        p = code.params
+        require(p is not None, "preset", "be unset for a code build did not make", config.preset)
+        for name, value, have in (("N", config.N, code.N),
+                                  ("lam", p.lam if config.lam is None else config.lam, p.lam),
+                                  ("n", 1 if config.n is None else config.n, p.n)):
+            require(value == have, name, f"match the code's {have}", value)
+    if config.modulation is not None:
+        kinds = sorted({(s.size, s.dim) for s in code.signal_sets()})
+        require(kinds == [_modulation_shape(config.modulation)], "modulation",
+                f"match the code's group alphabets of (points, dim) {kinds}", config.modulation)
+
+
 def run_ber(config: ExperimentConfig, code: DstbcCode | None = None) -> BerCurve:
     """Monte-Carlo BER over the SNR grid; see the module docstring for the
-    trial protocol and determinism guarantees."""
-    if code is None:
-        code = resolve_code(config)
+    trial protocol and determinism guarantees. A given code must be the one
+    config describes (_check_code), refused after what its engine refuses."""
+    given = code is not None
+    code = code if given else resolve_code(config)
     engine = _Engine(code, config.decoder, config.nd)
+    if given:
+        _check_code(config, code)
     workers = worker_count()
     t0 = time.time()
     points = []
-    # one pool for the whole run: its threads, and the Workspaces they
-    # write into, serve every SNR point
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        submit, window = (pool.submit, 2 * workers) if workers > 1 else (_now, 1)
+    # one pool for the whole run: its threads, and the Workspaces they write
+    # into, serve every SNR point; at one worker it is never used
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         for s_i, snr_db in enumerate(config.snr_grid_db):
             power = PowerConfig.balanced(code, snr_db_to_power(snr_db), config.pi1)
             key = mix_seed(config.master_seed, s_i)
-            pt = _run_point(engine, power, key, config, submit, window)
+            pt = _run_point(engine, power, key, config, pool, workers)
             pt["snr_db"] = float(snr_db)
             points.append(pt)
     return BerCurve(tuple(points), asdict(config), time.time() - t0)

@@ -410,6 +410,8 @@ _REFUSALS = {
     "flag-seed": (("simulate", *_TOEPLITZ, *_GRID, "--seed", "-1"), None, {}, "master_seed"),
     "env-threads": (("simulate", *_TOEPLITZ, *_GRID), None, {"DSTBC_THREADS": "0"},
                     "DSTBC_THREADS"),
+    "env-threads-bound": (("simulate", *_TOEPLITZ, *_GRID), None, {"DSTBC_THREADS": "100000"},
+                          "DSTBC_THREADS"),
     "config-pi1-range": (("simulate", "--config", "FILE"), _CFG | {"pi1": 5}, {}, "pi1"),
     **{f"flag-modulation-{m}": (("info", "--preset", "example1", "--N", "2", "--modulation", m),
                                 None, {}, "modulation") for m in ("pam3", "pam1", "qam8")},

@@ -153,6 +153,28 @@ class TestDifferenceSet:
         assert difference_set(s).shape[0] == 9
 
 
+@pytest.mark.parametrize("name", [f"pam{2**b}" for b in range(1, 11)]
+                         + [f"qam{4**b}" for b in range(1, 6)])
+def test_unique_calls_equal_the_plain_forms(monkeypatch, name):
+    # verify_rotation and difference_set call np.unique with return_index,
+    # which keeps numpy.ma unloaded; each result equals the plain call's
+    unique, calls = np.unique, []
+
+    def both(ar, **kwargs):
+        out = unique(ar, **kwargs)
+        plain = unique(ar, axis=kwargs.get("axis"))
+        assert kwargs.get("return_index") and out[0].shape == plain.shape
+        assert out[0].tobytes() == plain.tobytes()
+        calls.append(name)
+        return out
+
+    monkeypatch.setattr(np, "unique", both)
+    s = modulation_set(name)
+    verify_rotation(s.rotation, s.component_levels)
+    difference_set(s)
+    assert len(calls) == 2
+
+
 def test_signal_set_rejects_duplicate_points():
     with pytest.raises(ValueError):
         SignalSet(1, np.array([[1.0], [1.0]]), 1, np.array([0, 1]))

@@ -308,47 +308,71 @@ class TestSchedule:
             csvs.append(curve.to_csv())
             stop = (curve.points[0]["trials"] - 1) // 512
             assert 0 < stop < 15
-            chunks, threads = zip(*calls)
-            if workers == 1:  # exactly the chunks up to the stop, in this thread
-                assert list(chunks) == list(range(stop + 1))
-                assert set(threads) == {threading.get_ident()}
-            else:  # a prefix, ending inside the window of 2 chunks per worker
-                assert sorted(chunks) == list(range(len(chunks)))
-                assert stop < len(chunks) <= stop + 2 * workers
-                assert threading.get_ident() not in threads
+            chunks = [chunk for chunk, _ in calls]
+            # the calling thread computes its chunks up to the stop, in order
+            assert [chunk for chunk, thread in calls if thread == threading.get_ident()] == [
+                i for i in range(stop + 1) if i % workers == 0]
+            # every chunk up to the stop once; past it, fewer than 2 per worker, all pool chunks
+            assert sorted(c for c in chunks if c <= stop) == list(range(stop + 1))
+            past = [c for c in chunks if c > stop]
+            assert len(set(past)) == len(past) < 2 * workers
+            assert all(c % workers for c in past)
+            assert len({thread for _, thread in calls}) <= workers
         assert csvs[0] == csvs[1] == csvs[2]
 
     def test_chunks_submitted_on_an_early_stopped_point(self, monkeypatch):
-        # the window shows in the chunks submitted, not in those started: a
-        # chunk submitted past the stop is cancelled before a worker starts it
+        # the window shows in the pool chunks submitted, not in those started:
+        # a chunk submitted past the stop is cancelled before a thread starts it
         config = small_config(snr_grid_db=(2.0,), max_trials=512 * 16, max_bit_errors=900)
-        events = []  # ("submit" | "result", chunk index), in the calling thread
+        events = []  # ("submit" | "consume", chunk index), in the calling thread
+        pools = []  # max_workers of each pool made
+        chunk_bit_errors, caller = _Engine.chunk_bit_errors, threading.get_ident()
 
-        def recorded(future, lo):
-            events.append(("submit", lo // 512))
-            result = future.result
-            future.result = lambda *args: (events.append(("result", lo // 512)), result(*args))[1]
-            return future
+        def recording(self, power, key, lo, hi):
+            if threading.get_ident() == caller:
+                events.append(("consume", lo // 512))
+            return chunk_bit_errors(self, power, key, lo, hi)
 
         class RecordingPool(ThreadPoolExecutor):
-            def submit(self, fn, power, key, lo, hi):
-                return recorded(super().submit(fn, power, key, lo, hi), lo)
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
 
-        now = harness._now
+            def submit(self, fn, power, key, lo, hi):
+                events.append(("submit", lo // 512))
+                future = super().submit(fn, power, key, lo, hi)
+                result = future.result
+                future.result = lambda *args: (events.append(("consume", lo // 512)),
+                                               result(*args))[1]
+                return future
+
+        monkeypatch.setattr(_Engine, "chunk_bit_errors", recording)
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness, "_now", lambda fn, power, key, lo, hi: recorded(
-            now(fn, power, key, lo, hi), lo))
+        csvs = []
         for workers in (1, 2, 3):
             monkeypatch.setenv("DSTBC_THREADS", str(workers))
             events.clear()
+            pools.clear()
             curve = run_ber(config)
+            csvs.append(curve.to_csv())
             stop = (curve.points[0]["trials"] - 1) // 512
             assert 0 < stop < 15
+            assert pools == [max(1, workers - 1)]
+            # pool chunks only, in index order; at one worker, none
             submitted = [chunk for kind, chunk in events if kind == "submit"]
-            assert submitted == list(range(len(submitted)))
-            assert [chunk for kind, chunk in events if kind == "result"] == list(range(stop + 1))
-            in_flight = np.cumsum([1 if kind == "submit" else -1 for kind, _ in events])
-            assert in_flight.max() == (2 * workers if workers > 1 else 1)
+            assert submitted == sorted(set(submitted))
+            assert all(chunk % workers for chunk in submitted)
+            assert [chunk for kind, chunk in events if kind == "consume"] == list(range(stop + 1))
+            # a pool chunk is submitted at most 2 * workers - 1 chunks ahead of
+            # the next one consumed, and the window is filled
+            consumed, ahead = 0, []
+            for kind, chunk in events:
+                if kind == "consume":
+                    consumed += 1
+                else:
+                    ahead.append(chunk - consumed)
+            assert workers == 1 or max(ahead) == 2 * workers - 1
+        assert csvs[0] == csvs[1] == csvs[2]
 
 
 class TestChunkSize:
@@ -695,9 +719,10 @@ class TestCsvAndConfig:
         with pytest.raises(ValueError, match=r"^modulation must give some group more than "
                                              r"one point, got \[1, 1, 1, 1\]$"):
             run_ber(small_config(decoder=decoder), code.with_sets(one))
-        # one-point groups beside groups with bits still run
+        # one-point groups beside groups with bits still run; no modulation
+        # name describes this mix, so the config names none
         mixed = code.with_sets((make_pam(2), one, one, make_pam(2)))
-        curve = run_ber(small_config(decoder=decoder, max_trials=600), mixed)
+        curve = run_ber(small_config(decoder=decoder, max_trials=600, modulation=None), mixed)
         assert curve.points[0]["trials"] == 600
 
     def test_validation_errors(self):
@@ -754,6 +779,68 @@ class TestCsvAndConfig:
         with pytest.raises(ValueError,
                            match=f"^DSTBC_THREADS must be a positive integer, got '{value}'$"):
             worker_count()
+
+    @pytest.mark.parametrize("value", ["65", "100000"])
+    def test_thread_count_above_the_bound_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("DSTBC_THREADS", value)
+        with pytest.raises(ValueError, match=f"^DSTBC_THREADS must be at most 64, got '{value}'$"):
+            worker_count()
+        monkeypatch.setenv("DSTBC_THREADS", str(harness.MAX_WORKERS))
+        assert worker_count() == 64
+
+    def test_cpu_count_capped_at_the_bound(self, monkeypatch):
+        monkeypatch.delenv("DSTBC_THREADS", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 1000)
+        assert worker_count() == harness.MAX_WORKERS
+
+    def test_run_ber_refuses_the_thread_count_before_any_pool(self, monkeypatch):
+        # one chunk: under the calling thread's share of chunks, this config
+        # would start no pool thread even if the bound were missing
+        pools = []
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", lambda **kw: pools.append(kw))
+        monkeypatch.setenv("DSTBC_THREADS", "100000")
+        with pytest.raises(ValueError, match="^DSTBC_THREADS must be at most 64, got '100000'$"):
+            run_ber(small_config(max_trials=100))
+        assert pools == []
+
+
+class TestGivenCode:
+    """run_ber(config, code) runs only a code that config describes."""
+
+    @pytest.mark.parametrize("config,code,message", [
+        # a scalar pam2 config handed an alamouti qam16 code
+        (dict(preset="scalar", N=2, lam=1, n=2, modulation="pam2"),
+         ("alamouti", 4, 2, 2, "qam16"), "N must match the code's 4, got 2"),
+        (dict(preset="scalar", N=2, lam=1, n=2, modulation="pam2"),
+         ("scalar", 2, 2, 2, None), "lam must match the code's 2, got 1"),
+        (dict(preset="scalar", N=2, lam=None, n=3, modulation=None),
+         ("scalar", 2, 1, 2, None), "n must match the code's 2, got 3"),
+        (dict(preset="scalar", N=2, lam=1, n=2, modulation="pam2"),
+         ("scalar", 2, 1, 2, "pam4"),
+         r"modulation must match the code's group alphabets of \(points, dim\) "
+         r"\[\(4, 1\)\], got 'pam2'"),
+        (dict(preset="alamouti", N=4, lam=2, n=2, modulation="pam4"),
+         ("alamouti", 4, 2, 2, "qam4"), r"modulation must match .* \[\(4, 2\)\], got 'pam4'"),
+    ], ids=["N", "lam", "n", "modulation-size", "modulation-dim"])
+    def test_refused_by_field(self, config, code, message):
+        *spec, modulation = code
+        code = preset(*spec, modulation_set(modulation) if modulation else None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_ber(small_config(**config), code)
+
+    def test_code_without_build_parameters_refused_with_a_preset(self):
+        code = code_from_dict(code_to_dict(preset("scalar", 2, 1, 2)))
+        with pytest.raises(ValueError, match="^preset must be unset for a code build did not "
+                                             "make, got 'scalar'$"):
+            run_ber(small_config(), code)
+        # a design_file config is not compared with its file
+        assert run_ber(small_config(preset=None, design_file="any.json"), code).points
+
+    @pytest.mark.parametrize("lam", [1, None])
+    def test_described_code_runs_as_resolved(self, lam):
+        config = small_config(lam=lam, max_trials=600)
+        code = preset("scalar", 2, lam, 2, modulation_set("pam2"))
+        assert run_ber(config, code).to_csv() == run_ber(config).to_csv()
 
 
 @pytest.mark.parametrize("name", ["pamx", "pam", "qam", "qam4x", "psk8"])

@@ -63,6 +63,25 @@ def test_engine_not_loaded(code, loads):
     assert loads in loaded and not loaded & ENGINE
 
 
+def test_check_leaves_numpy_ma_unloaded():
+    # a plain np.unique (no return_index) imports numpy.ma, about 0.9 MiB;
+    # the last call shows that the probe would see it
+    script = """
+import sys
+import numpy as np
+from dstbc import check_pic_sic
+from dstbc.construct import preset
+check_pic_sic(preset("alamouti", 4, 2, 2), trials=20)
+print("numpy.ma" in sys.modules)
+np.unique(np.zeros(2))
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.split() == ["False", "True"]
+
+
 def test_simulate_loads_no_diversity():
     loaded = loaded_after(_CLI.format(argv=[
         "simulate", "--preset", "scalar", "--N", "2", "--snr-start", "0", "--snr-stop", "0",
