@@ -18,19 +18,29 @@ that a run does not touch fresh pages on every chunk.
 
 Whitening is done in the complex domain, on the covariance Gamma_c of
 vec(U) in slot-major vec order, row t*N_D + l for slot t and antenna l. In
-that order Gamma_c is block-diagonal with T2/s blocks of size s*N_D, where
-s, fixed per code, is the smallest divisor of T2 whose aligned s x s
+that order Gamma_c is block-diagonal with T2/s slot blocks of size s*N_D,
+where s, fixed per code, is the smallest divisor of T2 whose aligned s x s
 diagonal blocks hold every nonzero entry of the Bbar_j Bbar_j^H. Presets
-have diagonal Bbar_j Bbar_j^H and s = 1; s = T2 is the whole matrix. One
-matmul of the relay gain products with those blocks of the
-Bbar_j Bbar_j^H builds them (_slot_blocks). Each block is the identity
-plus a PSD sum, so it has a Cholesky factor L whose pivots are at least 1,
-and W_c = blockdiag(L^-1) whitens Gamma_c; it is applied by forward
-substitution on the L of each block (solve_lower), in place on the columns
-that observe writes. observe returns one complex array
+have diagonal Bbar_j Bbar_j^H and s = 1; s = T2 is the whole matrix. Slot
+blocks repeat: the run length m, also fixed per code, is the largest
+divisor of T2/s for which every aligned run of m slot blocks of each
+Bbar_j Bbar_j^H is equal, so Gamma_c's slot blocks are equal within a run.
+The two slots of an Alamouti block row carry one relay set, so the
+alamouti presets have m = 2 (m = T2 at N = 2, whose one block column spans
+every slot); the scalar and toeplitz presets, and a code with s = T2, have
+m = 1. One matmul of the relay gain products with the first block of each
+run of the Bbar_j Bbar_j^H builds one block per run (_slot_blocks). Each
+is the identity plus a PSD sum, so it has a Cholesky factor L whose pivots
+are at least 1, and W_c = blockdiag(L^-1) whitens Gamma_c; it is applied by
+forward substitution on the L of each run (solve_lower), in place on the
+columns that observe writes, with the run's m slot blocks side by side as
+one right-hand side of m(K + 1) columns. W's rows are therefore in run
+order: run r, then block row (x, l), then block i of the run, for slot
+(r*m + i)*s + x and antenna l. That is the slot-major order whenever m = 1
+or s*N_D = 1. observe returns one complex array
 W = [sqrt(2 rho) W_c vec(A_1 H) ... sqrt(2 rho) W_c vec(A_K H), sqrt(2) W_c vec(Y)],
-vec slot-major, whose real model decode states. Any exact whitener gives
-the same W^H W, which is all the decoders read.
+rows in run order, whose real model decode states. Any exact whitener, and
+any order of its rows, gives the same W^H W, which is all the decoders read.
 """
 
 from __future__ import annotations
@@ -132,9 +142,12 @@ class RelayChannel:
         self.s = next(s for s in range(1, self.T2 + 1) if self.T2 % s == 0
                       and not nonzero[slot[:, None] // s != slot // s].any())
         nb = self.T2 // self.s
-        # those blocks, (N, nb*s*s), and the weights as (N, T2*K)
-        self._bbh_blocks = np.einsum("jaxay->jaxy", self.bbh.reshape(
-            self.N, nb, self.s, nb, self.s)).reshape(self.N, -1)
+        blocks = np.einsum("jaxay->jaxy", self.bbh.reshape(self.N, nb, self.s, nb, self.s))
+        # run length m: the largest divisor of T2/s whose aligned runs of m slot blocks are equal
+        self.m = max(m for m in range(1, nb + 1) if nb % m == 0
+                     and not np.diff(blocks.reshape(self.N, nb // m, m, -1), axis=2).any())
+        # one block per run, (N, nb/m*s*s), and the weights as (N, T2*K)
+        self._bbh_blocks = blocks[:, ::self.m].reshape(self.N, -1)
         self._weights_t = self.weights.transpose(2, 1, 0).reshape(self.N, -1)
 
     def transmit(self, x, f, gm, v, w, power: PowerConfig) -> np.ndarray:
@@ -143,8 +156,8 @@ class RelayChannel:
         z = x @ self.V.T
         r = math.sqrt(power.pi1 * power.P) * f[:, :, None] * z[:, None, :] + v
         np.conjugate(r, out=r, where=self.s_mask[:, None])
-        t = math.sqrt(power.relay_gain) * (self.relay_mats @ r[..., None])[..., 0]
-        return np.einsum("bjl,bjt->btl", gm, t) + w
+        t = math.sqrt(power.relay_gain) * (self.relay_mats @ r.transpose(1, 2, 0))  # (N, T2, b)
+        return np.einsum("bjl,jtb->btl", gm, t) + w
 
     def effective(self, f, gm) -> np.ndarray:
         """H = diag(fbar) Gmat, with f conjugated on the relays in S; (b, N, N_D)."""
@@ -152,12 +165,12 @@ class RelayChannel:
         return fbar[:, :, None] * gm
 
     def _slot_blocks(self, gm, power: PowerConfig) -> np.ndarray:
-        """The T2/s diagonal blocks of Gamma_c in slot-major order,
-        (b*T2/s, s*N_D, s*N_D): entry ((x, l1), (y, l2)) of block beta is
-        relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H[beta*s + x, beta*s + y]
-        + 1{x=y, l1=l2}. Gamma_c is zero outside them."""
+        """One diagonal block of Gamma_c per run, (b*T2/(m*s), s*N_D, s*N_D):
+        entry ((x, l1), (y, l2)) of the block of run r is relay_gain * sum_j
+        g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H[r*m*s + x, r*m*s + y] + 1{x=y, l1=l2},
+        which is each of the run's m slot blocks. Gamma_c is zero outside them."""
         b, _, nd = gm.shape
-        s, nb = self.s, self.T2 // self.s
+        s, nb = self.s, self.T2 // (self.m * self.s)
         g = np.swapaxes(gm, 1, 2)
         coef = power.relay_gain * (g[:, :, None, :] * g.conj()[:, None, :, :])  # (b, l1, l2, j)
         # one (b*N_D^2, N) @ (N, nb*s^2) product, then the blocks to (x, l1, y, l2)
@@ -167,8 +180,8 @@ class RelayChannel:
         return blocks
 
     def observe(self, x, f, gm, v, w, power: PowerConfig, work=None) -> np.ndarray:
-        """Transmit, then whiten: W (b, T2*N_D, K + 1), complex, rows in
-        slot-major vec order, the columns of G and then y (module docstring).
+        """Transmit, then whiten: W (b, T2*N_D, K + 1), complex, rows in run
+        order, the columns of G and then y (module docstring).
 
         The A_k H products and W are written into the Workspace work, by
         default a new one; W is its array "white"."""
@@ -181,10 +194,11 @@ class RelayChannel:
         np.matmul(np.swapaxes(self.effective(f, gm), 1, 2).reshape(-1, self.N),
                   self._weights_t, out=ah.reshape(b * nd, -1))
         white = work("white", (b, self.T2 * nd, self.K + 1), complex)
-        cols = white.reshape(b, self.T2, nd, self.K + 1)
-        np.multiply(ah.reshape(b, nd, self.T2, self.K).transpose(0, 2, 1, 3),
+        cols = white.reshape(b, -1, self.s, nd, self.m, self.K + 1)  # (run, x, l, i) rows
+        np.multiply(ah.reshape(b, nd, -1, self.m, self.s, self.K).transpose(0, 2, 4, 1, 3, 5),
                     math.sqrt(2.0 * power.rho), out=cols[..., :-1])
-        np.multiply(y, math.sqrt(2.0), out=cols[..., -1])
+        np.multiply(y.reshape(b, -1, self.m, self.s, nd).transpose(0, 1, 3, 4, 2),
+                    math.sqrt(2.0), out=cols[..., -1])
         blocks = self._slot_blocks(gm, power)
         solved = solve_lower(np.linalg.cholesky(blocks), cols.reshape(*blocks.shape[:2], -1))
         return solved.reshape(white.shape)

@@ -186,7 +186,8 @@ def _cmd_selftest(args) -> int:
     f, gm = np.repeat(cn(1, code.N), n, axis=0), np.repeat(cn(1, code.N, 2), n, axis=0)
     noise = (np.zeros((n, code.K)), f, gm, cn(n, code.N, code.T1), cn(n, code.T2, 2), power)
     draws = channel.transmit(*noise).reshape(n, -1)  # vec(Y), slot-major
-    blocks = channel._slot_blocks(gm[:1], power)  # Gamma_c: these blocks, 0 off them
+    # Gamma_c: one block per run, repeated over the run's slot blocks, 0 off them
+    blocks = np.repeat(channel._slot_blocks(gm[:1], power), channel.m, axis=0)
     nb, m = blocks.shape[:2]
     err = (draws.T @ draws.conj() / n).reshape(nb, m, nb, m)
     err[np.arange(nb), :, np.arange(nb)] -= blocks

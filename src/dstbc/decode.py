@@ -23,8 +23,12 @@ of y outside span(G), so ||y - G x||^2 = ||z - R x||^2 + rss:
   et al., Electron. Lett. 2001). Each stage is a nearest-point search on its
   own diagonal block of R, and a decision is subtracted from z through R.
 - PIC / ZF take x^ = R^-1 z, with R^-1 by forward substitution on R'
-  (channel.solve_lower). Group k scores (a - x^_k)' S_k (a - x^_k) + rss,
-  where S_k is the inverse of block k of (G'G)^-1 = R^-1 R^-T.
+  (channel.solve_lower). Group k scores ||L_k^-1 (a - x^_k)||^2 + rss, where
+  U_k is group k's rows of R^-1, so that U_k U_k' is block k of
+  (G'G)^-1 = R^-1 R^-T, and L_k L_k' = U_k U_k'. The Cholesky recurrence on
+  [[U_k U_k', a - x^_k], [(a - x^_k)', .]] gives L_k in its first rows and
+  L_k^-1 (a - x^_k) in its last. It runs row by row, elementwise, over every
+  trial, point and group of one size and point count at once.
 - ML takes the PIC-SIC order and factor, and searches the sphere
   ||z - R x||^2 <= r^2 breadth-first (Fincke-Pohst; Viterbo & Boutros,
   IEEE Trans. IT 1999; Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT
@@ -234,10 +238,10 @@ class GroupDecoder:
         # Gram columns: PIC keeps G's order, SIC and ML take the groups in reverse; y last
         cols = list(range(self.K)) if pic else [c for grp in self.groups[::-1] for c in grp]
         self.order = np.array(cols + [self.K])
-        # PIC inverts the S_k blocks of one size in one call
-        sizes = sorted({len(grp) for grp in self.groups})
-        self.size_classes = [[k for k, grp in enumerate(self.groups) if len(grp) == m]
-                             for m in sizes]
+        # PIC scores the groups of one size and point count at once
+        keys = [(len(grp), s.size) for grp, s in zip(self.groups, self.sets)]
+        self.size_classes = [[k for k, key in enumerate(keys) if key == c]
+                             for c in sorted(set(keys))]
         if decoder == "ml":
             self.sizes = [s.size for s in self.sets]
             total = math.prod(self.sizes)
@@ -271,23 +275,28 @@ class GroupDecoder:
                      lambda t: self._projected(_realify(w[t])))
 
     def _pic(self, r, z, rss):
-        """Metric (a - x^_k)' S_k (a - x^_k) + ||y - G x^||^2 per group."""
+        """Metric ||L_k^-1 (a - x^_k)||^2 + ||y - G x^||^2 per group (module docstring)."""
         # R^-1 = (R'^-1)', by forward substitution on the lower factor R'
         eye = np.tile(np.eye(self.K), (r.shape[0], 1, 1))  # solved in place
         rinv = np.swapaxes(solve_lower(np.swapaxes(r, 1, 2), eye), 1, 2)
         xh = np.einsum("bkl,bl->bk", rinv, z)
-        s_blocks = {}
+        idx = np.empty((r.shape[0], len(self.groups)), dtype=np.int64)
+        metric = np.empty(idx.shape)
         for ks in self.size_classes:
-            u = rinv[:, np.array([self.groups[k] for k in ks]), :]  # (b, n, m, K)
-            s = np.linalg.inv(u @ np.swapaxes(u, 2, 3))
-            s_blocks.update((k, s[:, i]) for i, k in enumerate(ks))
-        idx, metric = [], []
-        for k, grp in enumerate(self.groups):
-            diff = self.sets[k].points[None] - xh[:, None, grp]
-            metrics = np.einsum("bmi,bij,bmj->bm", diff, s_blocks[k], diff)
-            idx.append(np.argmin(metrics, axis=1))
-            metric.append(metrics.min(axis=1) + rss)
-        return np.stack(idx, axis=1), np.stack(metric, axis=1)
+            cols = np.array([self.groups[k] for k in ks])  # (n, m)
+            u = rinv[:, cols.T]  # (b, m, n, K): row i of every group's U_k
+            diff = np.stack([self.sets[k].points for k in ks]) - xh[:, cols][:, :, None]
+            # Cholesky rows of [[U U', diff], [diff', .]]: rows i < m are L, row m is L^-1 diff
+            m, low = cols.shape[1], {}
+            for i in range(m + 1):
+                for j in range(min(i + 1, m)):
+                    g = diff[..., j] if i == m else np.einsum(
+                        "bnl,bnl->bn", u[:, i], u[:, j])[..., None]
+                    g = g - sum(low[i, p] * low[j, p] for p in range(j))
+                    low[i, j] = np.sqrt(g) if i == j else g / low[j, j]
+            metrics = sum(low[m, j] ** 2 for j in range(m))  # (b, n, M)
+            idx[:, ks], metric[:, ks] = metrics.argmin(axis=2), metrics.min(axis=2) + rss[:, None]
+        return idx, metric
 
     def _sic(self, r, z, rss):
         """Stages on R's diagonal blocks. With the columns in reverse group

@@ -100,13 +100,15 @@ def covariance(channel, gm, power) -> np.ndarray:
 
     Block (l1, l2) is
     relay_gain * sum_j g[j,l1] conj(g[j,l2]) Bbar_j Bbar_j^H + 1{l1=l2} I:
-    the slot blocks that RelayChannel.observe factors, scattered into place.
+    the blocks that RelayChannel.observe factors, one per run, each repeated
+    over its run's m slot blocks and scattered into place.
     gm is refused as observe refuses it.
     """
     channel._check_shapes(gm=gm)
     b, _, nd = gm.shape
     s, nb = channel.s, channel.T2 // channel.s
-    blocks = channel._slot_blocks(gm, power).reshape(b, nb, s, nd, s, nd)
+    runs = channel._slot_blocks(gm, power)
+    blocks = np.repeat(runs, channel.m, axis=0).reshape(b, nb, s, nd, s, nd)
     gamma_c = np.zeros((b, nd, nb, s, nd, nb, s), complex)
     r = np.arange(nb)
     gamma_c[:, :, r, :, :, r] = blocks.transpose(1, 0, 3, 2, 5, 4)

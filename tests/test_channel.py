@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstbc.channel import PowerConfig, RelayChannel, Workspace, solve_lower
-from dstbc.construct import build, code_from_dict, from_design
+from dstbc.construct import build, code_from_dict, drop_relays, from_design, preset
 from dstbc.design import LinearDesign, cod_alamouti, cod_trivial, evaluate
 from tests.helpers import (
     _real_channel,
@@ -534,9 +534,33 @@ class TestObserveInto:
         assert {name: len(a) for name, a in work.arrays.items()} == {"ah": 16, "white": 16}
 
 
+def _per_slot_gram(code, x, f, gm, v, w, power):
+    """W^H W of the whitened model with each slot block of Gamma_c factored on
+    its own, from the covariance oracle, in slot-major row order."""
+    channel = RelayChannel(code)
+    b, _, nd = gm.shape
+    y = channel.transmit(x, f, gm, v, w, power)
+    ah = np.einsum("ktn,bnl->btlk", channel.weights, channel.effective(f, gm))
+    cols = np.concatenate([np.sqrt(2.0 * power.rho) * ah, np.sqrt(2.0) * y[..., None]], axis=3)
+    cols = cols.reshape(b, code.T2 * nd, code.K + 1)
+    perm = [l * code.T2 + t for t in range(code.T2) for l in range(nd)]  # slot-major rows
+    gamma = covariance_oracle(code, gm, power)[:, perm][:, :, perm]
+    size = channel.s * nd
+    white = np.concatenate([np.linalg.solve(np.linalg.cholesky(gamma[:, r:r + size, r:r + size]),
+                                            cols[:, r:r + size])
+                            for r in range(0, code.T2 * nd, size)], axis=1)
+    return np.swapaxes(white.conj(), 1, 2) @ white
+
+
+def _crit9_drop_relay0():
+    return drop_relays(build(4, cod_alamouti(), 2, 2), [0])
+
+
 class TestSlotBlocks:
-    """observe factors Gamma_c as T2/s slot blocks of size s*N_D, s the
-    smallest divisor of T2 whose aligned s x s blocks hold every Bbar_j Bbar_j^H."""
+    """observe factors Gamma_c as one block of size s*N_D per run of m slot
+    blocks: s is the smallest divisor of T2 whose aligned s x s blocks hold
+    every Bbar_j Bbar_j^H, and m the largest divisor of T2/s whose aligned
+    runs of m slot blocks are equal in every Bbar_j Bbar_j^H."""
 
     def test_block_size(self):
         assert all(RelayChannel(code).s == 1 for _, code in _sweep_codes())
@@ -544,6 +568,83 @@ class TestSlotBlocks:
         two_slot = RelayChannel(_two_slot_bbh_code())
         assert (two_slot.s, two_slot.T2) == (2, 4)
         np.testing.assert_allclose(two_slot.bbh[0], np.kron(np.eye(2), [[2, 1], [1, 1]]))
+
+    @pytest.mark.parametrize("make_code", [
+        lambda: preset("alamouti", 2, 1, 1), lambda: preset("alamouti", 4, 2, 2),
+        lambda: preset("alamouti", 8, 1, 3), lambda: preset("alamouti", 8, 2, 2),
+        lambda: preset("single-complex", 4, 2, 2), lambda: preset("single-complex", 4, None, 3),
+        _crit9_drop_relay0,
+    ], ids=["alamouti-N2", "alamouti-N4-crit9", "alamouti-N8-l1", "alamouti-N8-l2",
+            "single-complex-N4-n2", "single-complex-N4-n3", "crit9-drop-relay0"])
+    def test_two_rows_of_a_cod_block_are_one_run(self, make_code):
+        # the two slots of an Alamouti block row carry one relay set
+        channel = RelayChannel(make_code())
+        assert (channel.s, channel.m) == (1, 2)
+
+    def test_one_relay_pair_is_one_run(self):
+        # N = 2 Alamouti has one block column, so every slot carries both relays
+        channel = RelayChannel(preset("alamouti", 2, 1, 3))
+        assert (channel.s, channel.m, channel.T2) == (1, 6, 6)
+
+    @pytest.mark.parametrize("make_code", [
+        lambda: preset("scalar", 2, 1, 2), lambda: preset("scalar", 4, 2, 2),
+        lambda: preset("scalar", 8, 2, 3), lambda: preset("toeplitz", 4, None, 3),
+        lambda: preset("toeplitz", 8, 1, 1), lambda: preset("single-complex", 2, 2, 2),
+        _non_diagonal_bbh_code,
+    ], ids=["scalar-N2", "scalar-N4", "scalar-N8", "toeplitz-N4", "toeplitz-N8",
+            "single-complex-N2", "non-diagonal-bbh-s-T2"])
+    def test_distinct_slot_blocks_are_runs_of_one(self, make_code):
+        assert RelayChannel(make_code()).m == 1
+
+    def test_equal_blocks_of_two_slots_are_one_run(self):
+        channel = RelayChannel(_two_slot_bbh_code())
+        assert (channel.s, channel.m) == (2, 2)
+
+    def test_one_block_per_run(self):
+        code = build(4, cod_alamouti(), 2, 2)
+        channel, power = RelayChannel(code), PowerConfig.balanced(code, 10.0)
+        gm = cn(np.random.default_rng(30), 3, code.N, 4)
+        assert channel._slot_blocks(gm, power).shape == (3 * code.T2 // 2, 4, 4)
+
+    @pytest.mark.parametrize("nd", [1, 4])
+    @pytest.mark.parametrize("make_code", [
+        lambda: build(4, cod_alamouti(), 2, 2), _crit9_drop_relay0,
+        lambda: preset("alamouti", 2, 1, 3), lambda: preset("scalar", 2, 1, 2),
+        _non_diagonal_bbh_code, _two_slot_bbh_code,
+    ], ids=["crit9", "crit9-drop-relay0", "alamouti-N2-n3", "scalar-N2", "non-diagonal-bbh",
+            "two-slot-bbh"])
+    def test_gram_equals_per_slot_whitening(self, make_code, nd):
+        code = make_code()
+        rng = np.random.default_rng(31)
+        b = 20
+        args = (rng.standard_normal((b, code.K)), cn(rng, b, code.N), cn(rng, b, code.N, nd),
+                cn(rng, b, code.N, code.T1), cn(rng, b, code.T2, nd),
+                PowerConfig.balanced(code, 20.0))
+        white = RelayChannel(code).observe(*args)
+        gram = np.swapaxes(white.conj(), 1, 2) @ white
+        ref = _per_slot_gram(code, *args)
+        rel = np.linalg.norm(gram - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert rel.max() <= 1e-12
+
+    def test_rows_in_run_order(self):
+        # W's rows run over (run, block row, block of the run): on the crit-9
+        # code (s = 1, m = 2), run r's antenna l of slot 2r + i is row
+        # (2r*N_D + 2l + i), and y's rows are sqrt(2) L^-1 of that run's slots
+        code = build(4, cod_alamouti(), 2, 2)
+        channel = RelayChannel(code)
+        rng = np.random.default_rng(32)
+        nd, b = 3, 4
+        args = (rng.standard_normal((b, code.K)), cn(rng, b, code.N), cn(rng, b, code.N, nd),
+                cn(rng, b, code.N, code.T1), cn(rng, b, code.T2, nd),
+                PowerConfig.balanced(code, 10.0))
+        white = channel.observe(*args)[:, :, -1]
+        y = channel.transmit(*args)
+        low = np.linalg.cholesky(channel._slot_blocks(args[2], args[-1])).reshape(b, -1, nd, nd)
+        for r in range(code.T2 // 2):
+            run = np.sqrt(2.0) * y[:, 2 * r:2 * r + 2].transpose(0, 2, 1)  # (b, l, i)
+            rows = white[:, 2 * r * nd:2 * (r + 1) * nd].reshape(b, nd, 2)
+            np.testing.assert_allclose(rows, np.linalg.solve(low[:, r], run),
+                                       rtol=1e-12, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)

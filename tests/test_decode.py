@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -132,6 +133,50 @@ class TestPic:
                 if ell == k:
                     continue
                 assert np.abs(proj @ g[0][:, code.grouping.groups[ell]]).max() < 1e-10
+
+
+    @staticmethod
+    def _problem(grouping, sets, rng, trials=300, d=12, noise=0.5):
+        """A real W = [G y] for x drawn from the group alphabets, Gaussian G (b, d, K)."""
+        idx = np.stack([rng.integers(s.size, size=trials) for s in sets], axis=1)
+        x = group_symbols_oracle(grouping.groups, sets, idx)
+        g = rng.standard_normal((trials, d, grouping.K))
+        return joined(g, np.einsum("bdk,bk->bd", g, x) + noise * rng.standard_normal((trials, d)))
+
+    def _assert_factor_path_equals_projection(self, decoder, grouping, sets, w, monkeypatch):
+        dec = GroupDecoder(decoder, grouping, sets)
+        exact = spy(monkeypatch, "_projected")
+        idx, metric = dec.decide(w)
+        assert not exact  # every row decoded from the Gram factor
+        ref_idx, ref_metric = dec._projected(w)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_allclose(metric, ref_metric, rtol=1e-9)
+        o_idx, _, _ = oracle_decide(decoder, grouping, sets, w[:, :, :-1], w[:, :, -1])
+        np.testing.assert_array_equal(idx, o_idx)
+
+    def test_three_dimensional_rotated_alphabet(self, monkeypatch):
+        # groups of three symbols on a rotated cube, which no modulation name
+        # makes, beside a singleton: the factor runs to row 3 of L
+        rng = np.random.default_rng(40)
+        rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        cube = SignalSet(3, np.array(list(itertools.product((-1.0, 1.0), repeat=3))) @ rot.T,
+                         3, np.arange(8))
+        grouping = GroupingScheme(((0, 1, 2), (3, 4, 5), (6,)))
+        sets = (cube, cube, make_pam(2))
+        for noise in (0.1, 1.0):
+            w = self._problem(grouping, sets, rng, noise=noise)
+            self._assert_factor_path_equals_projection("pic", grouping, sets, w, monkeypatch)
+
+    @pytest.mark.parametrize("decoder", ["pic", "zf"])
+    def test_size_class_mixing_alphabet_sizes(self, decoder, monkeypatch):
+        # groups of one size with 2, 4 and 8 points, and of two symbols with
+        # 4 and 16 (unrotated, so that ZF splits them into 2- and 4-level axes)
+        rng = np.random.default_rng(41)
+        qam = [make_rotated_qam(m, identity_rotation(2)) for m in (4, 16)]
+        grouping = GroupingScheme(((0,), (1,), (2, 3), (4,), (5, 6), (7,)))
+        sets = (make_pam(2), make_pam(8), qam[0], make_pam(4), qam[1], make_pam(2))
+        w = self._problem(grouping, sets, rng, noise=0.3)
+        self._assert_factor_path_equals_projection(decoder, grouping, sets, w, monkeypatch)
 
 
 class TestPicSic:

@@ -8,9 +8,11 @@ design file of the criterion-9 code with relay 0 dropped (a drop that flips
 the orientation of a conjugation component), and the criterion-9 (256-trial
 chunks) and criterion-8 (512-trial chunks) codes at trial caps that end in
 a short chunk, a code with unrotated QAM-16 groups (whose ZF view splits
-groups of two symbols) and an N = 8 QAM-64 code of 72 bits per codeword
-(label fields straddle two 64-bit words), for every decoder and master_seed
-0 and 1. A decoder a code refuses prints the hash of its message instead.
+groups of two symbols), an N = 8 QAM-64 code of 72 bits per codeword
+(label fields straddle two 64-bit words) and an N = 2 PAM-2 code at N_D = 2
+whose noise covariance is one run of equal slot blocks, for every decoder
+and master_seed 0 and 1. A decoder a code refuses prints the hash of its
+message instead.
 Then a line per `dstbc check --criterion all` exit code and reports, on
 three presets and the dropped code, hashing each report's verdict, sample
 count, witness, certificate, coverage and min_singular_value. The last is
@@ -19,7 +21,7 @@ sums in, while the interference draws, and the differences a group draws
 above the cap, move it in the leading ones even where no verdict moves. Last, a line per
 `dstbc simulate` stdout and exit code, for the ber-sweep-pam2 flags (SNR 2
 to 14 dB in steps of 3) and a fractional-step grid, at master_seed 0 and 1:
-these pin the flag-to-config mapping and the SNR grid builder. That is 128
+these pin the flag-to-config mapping and the SNR grid builder. That is 138
 lines. Two checkouts decode and check alike when their outputs are equal:
 
     DSTBC_THREADS=1 python3 tools/csv_gate.py > a.txt
@@ -73,6 +75,9 @@ CONFIGS = {
                         (6, 16), 512, 10**9),
     # 12 groups of 6 bits: some label fields straddle two 64-bit words
     "qam64-72-bit": (("alamouti", 8, 2, 3), "qam64", 2, (10, 20), 512, 10**9),
+    # one run over both slots (m = T2 = 2) with two antennas: each run's
+    # noise factor whitens a right-hand side of 2(K + 1) columns
+    "one-run-pam2": (("alamouti", 2, 1, 1), "pam2", 2, (0, 10, 20), 2048, 400),
 }
 
 # name: simulate flags, less --seed; the first are those of the benchmark's
