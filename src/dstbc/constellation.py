@@ -32,6 +32,10 @@ __all__ = [
 # then has unit mean energy).
 ENERGY_PER_REAL_DIM = 0.5
 
+# the most points a named alphabet may have; check's difference set holds
+# MAX_POINTS**2 vectors
+MAX_POINTS = 4096
+
 _ORTHO_TOL = 1e-10
 _ZERO_COORD_TOL = 1e-9
 _ENERGY_TOL = 1e-12
@@ -58,12 +62,10 @@ def identity_rotation(dim: int) -> RotationMatrix:
     return RotationMatrix(dim, np.eye(dim))
 
 
-def rotation_2d(theta: float | None = None) -> RotationMatrix:
-    """Planar rotation; default angle atan(2)/2 gives full diversity on
-    integer grids (no coordinate of any nonzero rotated difference vanishes).
-    """
-    if theta is None:
-        theta = 0.5 * np.arctan(2.0)
+def rotation_2d() -> RotationMatrix:
+    """Planar rotation by atan(2)/2, which gives full diversity on integer
+    grids (no coordinate of any nonzero rotated difference vanishes)."""
+    theta = 0.5 * np.arctan(2.0)
     c, s = np.cos(theta), np.sin(theta)
     return RotationMatrix(2, np.array([[c, -s], [s, c]]))
 
@@ -199,4 +201,5 @@ def modulation_set(name: str) -> SignalSet:
     m = int(order)
     require(m >= 2 and m & (m - 1) == 0 and (kind == "pam" or math.isqrt(m) ** 2 == m),
             "modulation", "be pamM with M in 2, 4, 8, ... or qamM with M in 4, 16, 64, ...", name)
+    require(m <= MAX_POINTS, "modulation", f"have at most {MAX_POINTS} points", name)
     return make_pam(m) if kind == "pam" else make_rotated_qam(m, rotation_2d())

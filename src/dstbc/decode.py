@@ -23,7 +23,7 @@ of y outside span(G), so ||y - G x||^2 = ||z - R x||^2 + rss:
   et al., Electron. Lett. 2001). Each stage is a nearest-point search on its
   own diagonal block of R, and a decision is subtracted from z through R.
 - PIC / ZF take x^ = R^-1 z, with R^-1 by forward substitution on R'
-  (channel.solve_lower). Group k scores ||L_k^-1 (a - x^_k)||^2 + rss, where
+  (channel.solve_lower). Group k scores ||L_k^-1 (a - x^_k)||^2, where
   U_k is group k's rows of R^-1, so that U_k U_k' is block k of
   (G'G)^-1 = R^-1 R^-T, and L_k L_k' = U_k U_k'. The Cholesky recurrence on
   [[U_k U_k', a - x^_k], [(a - x^_k)', .]] gives L_k in its first rows and
@@ -38,8 +38,7 @@ of y outside span(G), so ||y - G x||^2 = ||z - R x||^2 + rss:
   exact. Level k extends every survivor by each point of group k, adding
   its block row's term, and keeps the extensions inside the sphere. A
   level whose survivors pass _ML_SURVIVORS splits its trial block in two,
-  and each half goes on alone. The metric returned is ||y - G x||^2, read
-  off W as ||W_y - W_G x||^2.
+  and each half goes on alone.
 
 A Gram factor loses about eps * kappa(G)^2 in relative accuracy. A row whose
 smallest pivot of R is at most _PIVOT_TOL = 1e-4 times its largest has
@@ -199,25 +198,25 @@ def _realify(w):
 
 
 def _rows(full, fast, exact):
-    """The arrays of fast(rows) on the rows where full holds and of
+    """The array of fast(rows) on the rows where full holds and of
     exact(rows) on the rest, merged by row; neither is called without rows."""
     if full.all():
         return fast(slice(None))
     if not full.any():
         return exact(slice(None))
-    out = []
-    for f, e in zip(fast(full), exact(~full)):
-        out.append(np.empty((full.size,) + f.shape[1:], f.dtype))
-        out[-1][full], out[-1][~full] = f, e
-    return tuple(out)
+    f = fast(full)
+    out = np.empty((full.size,) + f.shape[1:], f.dtype)
+    out[full], out[~full] = f, exact(~full)
+    return out
 
 
 class GroupDecoder:
     """One decoder's tables for one grouping, applied to chunks of trials.
 
-    decide(W (b, d, K + 1)) returns each trial's point index and metric per
-    decode group. ZF flavours decode the singleton refinement;
-    group_indices maps their decisions back to the grouping's groups.
+    decide(W (b, d, K + 1)) returns each trial's point index per decode
+    group, one int64 array (b, g). ZF flavours decode the singleton
+    refinement; group_indices maps their decisions back to the grouping's
+    groups.
     A decoder the code does not admit (ZF on a rotated group, ML above
     ML_CANDIDATE_CAP) is refused when built, as "decoder must suit the code".
     """
@@ -262,26 +261,19 @@ class GroupDecoder:
         gram[:, -1, -1] += 1.0  # keeps the factor positive definite when y is in span(G)
         c, full = _factor(gram)  # c = [[R, z], [0, sqrt(rss + 1)]]
         r, z = c[:, :-1, :-1], c[:, :-1, -1]
-        rss = c[:, -1, -1] ** 2 - 1.0  # the part of y outside span(G)
         if self.decoder == "ml":
-            (idx,) = _rows(
-                full, lambda t: (self._sphere(r[t], z[t], self._sic(r[t], z[t], 0.0)[0]),),
-                lambda t: (self._sphere_by_qr(_realify(w[t])[:, :, o], gram[t]),))
-            x = self._symbols(idx)
-            res = w[:, :, -1] - np.einsum("bdk,bk->bd", w[:, :, :-1], x)
-            return idx, np.einsum("bd,bd->b", res.conj(), res).real[:, None]
+            return _rows(full, lambda t: self._sphere(r[t], z[t], self._sic(r[t], z[t])),
+                         lambda t: self._sphere_by_qr(_realify(w[t])[:, :, o], gram[t]))
         solve = self._pic if self.decoder in ("pic", "zf") else self._sic
-        return _rows(full, lambda t: solve(r[t], z[t], rss[t]),
-                     lambda t: self._projected(_realify(w[t])))
+        return _rows(full, lambda t: solve(r[t], z[t]), lambda t: self._projected(_realify(w[t])))
 
-    def _pic(self, r, z, rss):
-        """Metric ||L_k^-1 (a - x^_k)||^2 + ||y - G x^||^2 per group (module docstring)."""
+    def _pic(self, r, z):
+        """Group k's point of least ||L_k^-1 (a - x^_k)||^2 (module docstring)."""
         # R^-1 = (R'^-1)', by forward substitution on the lower factor R'
         eye = np.tile(np.eye(self.K), (r.shape[0], 1, 1))  # solved in place
         rinv = np.swapaxes(solve_lower(np.swapaxes(r, 1, 2), eye), 1, 2)
         xh = np.einsum("bkl,bl->bk", rinv, z)
         idx = np.empty((r.shape[0], len(self.groups)), dtype=np.int64)
-        metric = np.empty(idx.shape)
         for ks in self.size_classes:
             cols = np.array([self.groups[k] for k in ks])  # (n, m)
             u = rinv[:, cols.T]  # (b, m, n, K): row i of every group's U_k
@@ -295,14 +287,14 @@ class GroupDecoder:
                     g = g - sum(low[i, p] * low[j, p] for p in range(j))
                     low[i, j] = np.sqrt(g) if i == j else g / low[j, j]
             metrics = sum(low[m, j] ** 2 for j in range(m))  # (b, n, M)
-            idx[:, ks], metric[:, ks] = metrics.argmin(axis=2), metrics.min(axis=2) + rss[:, None]
-        return idx, metric
+            idx[:, ks] = metrics.argmin(axis=2)
+        return idx
 
-    def _sic(self, r, z, rss):
+    def _sic(self, r, z):
         """Stages on R's diagonal blocks. With the columns in reverse group
         order, group k sits at [after, end): the groups decoded after it
-        come before, and z[end:] holds the residuals of the groups before."""
-        idx, metric = [], []
+        come before."""
+        idx = []
         end = self.K
         for k, grp in enumerate(self.groups):
             after = end - len(grp)
@@ -310,17 +302,15 @@ class GroupDecoder:
             diff = z[:, after:end, None] - r[:, after:end, after:end] @ points.T
             metrics = np.einsum("bjm,bjm->bm", diff, diff)
             choice = np.argmin(metrics, axis=1)
-            done = z[:, end:]
             idx.append(choice)
-            metric.append(metrics.min(axis=1) + rss + np.einsum("bj,bj->b", done, done))
             z = z - np.einsum("bjc,bc->bj", r[:, :, after:end], points[choice])
             end = after
-        return np.stack(idx, axis=1), np.stack(metric, axis=1)
+        return np.stack(idx, axis=1)
 
     def _projected(self, gy):
         """PIC / PIC-SIC by SVD projection on the real [G y]: the exact fallback."""
         g, y = gy[:, :, :-1], gy[:, :, -1]
-        idx, metric = [], []
+        idx = []
         sic = self.decoder.endswith("-sic")
         yk = y.copy() if sic else y
         for k, grp in enumerate(self.groups):
@@ -331,16 +321,15 @@ class GroupDecoder:
             metrics = np.einsum("bdm,bdm->bm", diff, diff)
             choice = np.argmin(metrics, axis=1)
             idx.append(choice)
-            metric.append(metrics.min(axis=1))
             if sic:
                 yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
-        return np.stack(idx, axis=1), np.stack(metric, axis=1)
+        return np.stack(idx, axis=1)
 
     def _sphere_by_qr(self, gy, gram):
         """ML on rows with no usable Cholesky factor: the search runs on the
         upper factor of [G y] by QR, from the MMSE-SIC decision."""
         mmse = np.swapaxes(np.linalg.cholesky(gram + np.eye(self.K + 1)), 1, 2)
-        cand = self._sic(mmse[:, :-1, :-1], mmse[:, :-1, -1], 0.0)[0]
+        cand = self._sic(mmse[:, :-1, :-1], mmse[:, :-1, -1])
         pad = max(0, self.K + 1 - gy.shape[1])  # R is square when G is wide
         c = np.linalg.qr(np.pad(gy, ((0, 0), (0, pad), (0, 0))), mode="r")
         return self._sphere(c[:, :-1, :-1], c[:, :-1, -1], cand)

@@ -291,7 +291,7 @@ class _Engine:
 
     def _decide(self, white):
         """Per-trial decoded group indices, in decode-group order."""
-        return self.dec.decide(white)[0]
+        return self.dec.decide(white)
 
     def _rx_group_indices(self, dec_idx):
         """Map decode-group decisions back to original-group point indices."""

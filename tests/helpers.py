@@ -270,9 +270,9 @@ def realified_noise_bound(channel, gm, power) -> np.ndarray:
 # at a time. GroupDecoder.decide must agree with them.
 
 def oracle_decide(decoder, grouping, sets, g, y):
-    """(idx, metric, ties) for G (b, d, K) and y (b, d): per decode group the
-    point index and metric that decide returns, and the number of decisions
-    whose smallest metric two or more candidates share exactly."""
+    """(idx, ties) for G (b, d, K) and y (b, d): per decode group the point
+    index that decide returns, and the number of decisions whose smallest
+    metric two or more candidates share exactly."""
     sets = grouping.check_sets(sets)
     if decoder in ("zf", "zf-sic"):
         grouping, sets, _ = _singleton_refinement(grouping, sets, decoder)
@@ -290,11 +290,9 @@ def oracle_decide(decoder, grouping, sets, g, y):
             metrics = quad - 2.0 * (cand_x @ c1[i])
             best[i] = np.argmin(metrics)
             ties += int(np.count_nonzero(metrics == metrics[best[i]]) > 1)
-        r = y - np.einsum("bdk,bk->bd", g, cand_x[best])
-        return cand_idx[best], np.einsum("bd,bd->b", r, r)[:, None], ties
+        return cand_idx[best], ties
     nulled = grouping.complement if decoder in ("pic", "zf") else grouping.tail
     idx = np.empty((b, len(groups)), dtype=np.int64)
-    metric = np.empty((b, len(groups)))
     sic = decoder.endswith("-sic")
     yk = y.copy() if sic else y
     for k, grp in enumerate(groups):
@@ -305,11 +303,11 @@ def oracle_decide(decoder, grouping, sets, g, y):
         metrics = np.einsum("bdm,bdm->bm", diff, diff)
         choice = np.argmin(metrics, axis=1)
         idx[:, k] = choice
-        metric[:, k] = metrics[np.arange(b), choice]
-        ties += int(np.count_nonzero((metrics == metric[:, k:k + 1]).sum(axis=1) > 1))
+        least = metrics[np.arange(b), choice][:, None]
+        ties += int(np.count_nonzero((metrics == least).sum(axis=1) > 1))
         if sic:
             yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
-    return idx, metric, ties
+    return idx, ties
 
 
 def solve_lower_out_of_place(low, c):

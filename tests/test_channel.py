@@ -481,7 +481,7 @@ class TestRealifiedOracle:
         for tag, code in codes:
             w, (g_ref, y_ref) = self._observe_both(code, rng, trials=256, P=5.0)
             for decoder, dec in decoders_of(code).items():
-                np.testing.assert_array_equal(dec.decide(w)[0], dec.decide(joined(g_ref, y_ref))[0],
+                np.testing.assert_array_equal(dec.decide(w), dec.decide(joined(g_ref, y_ref)),
                                               err_msg=f"{tag} {decoder}")
 
     @pytest.mark.parametrize("code", [_non_diagonal_bbh_code(), build(4, cod_alamouti(), 1, 2)],

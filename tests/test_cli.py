@@ -477,6 +477,14 @@ _OVERSIZED = {
                      "trials"),
     "nd": (("simulate", "--preset", "scalar", "--N", "2", "--n", "2", "--nd", "200000",
             "--snr-start", "0", "--snr-stop", "0"), "nd"),
+    "check-pam8192": (("check", "--preset", "scalar", "--N", "2", "--modulation", "pam8192"),
+                      "modulation"),
+    "check-pam65536": (("check", "--preset", "scalar", "--N", "2", "--modulation", "pam65536"),
+                       "modulation"),
+    "check-qam1048576": (("check", "--preset", "scalar", "--N", "2", "--lambda", "2",
+                          "--modulation", "qam1048576"), "modulation"),
+    "simulate-pam1048576": (("simulate", "--preset", "scalar", "--N", "2", "--modulation",
+                             "pam1048576", "--snr-start", "0", "--snr-stop", "0"), "modulation"),
 }
 _ADDRESS_SPACE = 1536 * 2**20
 

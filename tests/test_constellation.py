@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dstbc import harness
+from dstbc import constellation, harness
 from dstbc.constellation import (
+    MAX_POINTS,
     RotationMatrix,
     SignalSet,
     difference_set,
@@ -34,7 +35,9 @@ class TestGrayGrid:
     def test_pam(self, m):
         assert_bit_equal(make_pam(m), gray_grid_oracle(m))
 
-    @pytest.mark.parametrize("q", [rotation_2d(), identity_rotation(2), rotation_2d(0.3)],
+    @pytest.mark.parametrize("q", [rotation_2d(), identity_rotation(2),
+                                   RotationMatrix(2, [[np.cos(0.3), -np.sin(0.3)],
+                                                      [np.sin(0.3), np.cos(0.3)]])],
                              ids=["default", "identity", "0.3rad"])
     @pytest.mark.parametrize("m", [4**k for k in range(1, 7)])
     def test_qam(self, m, q):
@@ -197,6 +200,18 @@ class TestModulationSet:
     def test_order_refused_naming_modulation(self, name):
         with pytest.raises(ValueError, match=f"^modulation must be pamM with M in 2, 4, 8, "
                                              rf"\.\.\. or qamM with M in 4, 16, 64, \.\.\., "
+                                             f"got '{name}'$"):
+            modulation_set(name)
+
+    @pytest.mark.parametrize("name", ["pam4096", "qam4096"])
+    def test_largest_alphabets_accepted(self, name):
+        assert modulation_set(name).size == MAX_POINTS
+
+    @pytest.mark.parametrize("name", ["pam8192", "qam16384", "pam1048576"])
+    def test_order_past_the_bound_refused(self, name, monkeypatch):
+        # refused before any grid is built
+        monkeypatch.setattr(constellation, "_gray_grid", None)
+        with pytest.raises(ValueError, match=f"^modulation must have at most 4096 points, "
                                              f"got '{name}'$"):
             modulation_set(name)
 

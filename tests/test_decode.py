@@ -51,7 +51,13 @@ def observed_problem(code, nd, P, rng, trials=1, noiseless=False):
 def x_hat(decoder, code, g, y):
     """One decoder's decisions on a batch, as symbol vectors (b, K)."""
     dec = GroupDecoder(decoder, code.grouping, code.group_sets)
-    return group_symbols_oracle(dec.groups, dec.sets, dec.decide(joined(g, y))[0])
+    return group_symbols_oracle(dec.groups, dec.sets, dec.decide(joined(g, y)))
+
+
+def residual(g, y, x):
+    """||y - G x||^2 per trial of G (b, d, K), y (b, d) and x (b, K)."""
+    r = y - np.einsum("bdk,bk->bd", g, x)
+    return np.einsum("bd,bd->b", r, r)
 
 
 def projector(cols):
@@ -98,10 +104,9 @@ class TestPic:
         rng = np.random.default_rng(2)
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(16, rotation_2d()))
         g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=100, noiseless=True)
-        dec = GroupDecoder("pic", code.grouping, code.group_sets)
-        idx, metric = dec.decide(joined(g, y))
-        np.testing.assert_allclose(group_symbols_oracle(dec.groups, dec.sets, idx), x0)
-        assert metric.max() < 1e-12
+        xh = x_hat("pic", code, g, y)
+        np.testing.assert_allclose(xh, x0)
+        assert residual(g, y, xh).max() < 1e-12
 
     def test_matched_filter_on_orthogonal_columns(self):
         # orthogonal G with singleton groups: PIC must equal per-symbol
@@ -114,7 +119,7 @@ class TestPic:
         x0 = s.points[rng.integers(4, size=(50, 4)), 0]
         y = np.einsum("bdk,bk->bd", q, x0) + 0.05 * rng.standard_normal((50, 8))
         dec = GroupDecoder("pic", grouping, (s,) * 4)
-        xh = group_symbols_oracle(dec.groups, dec.sets, dec.decide(joined(q, y))[0])
+        xh = group_symbols_oracle(dec.groups, dec.sets, dec.decide(joined(q, y)))
         # scalar oracle: project y onto each column, pick nearest level
         for t in range(50):
             scale = float(q[t, :, 0] @ q[t, :, 0])
@@ -146,12 +151,10 @@ class TestPic:
     def _assert_factor_path_equals_projection(self, decoder, grouping, sets, w, monkeypatch):
         dec = GroupDecoder(decoder, grouping, sets)
         exact = spy(monkeypatch, "_projected")
-        idx, metric = dec.decide(w)
+        idx = dec.decide(w)
         assert not exact  # every row decoded from the Gram factor
-        ref_idx, ref_metric = dec._projected(w)
-        np.testing.assert_array_equal(idx, ref_idx)
-        np.testing.assert_allclose(metric, ref_metric, rtol=1e-9)
-        o_idx, _, _ = oracle_decide(decoder, grouping, sets, w[:, :, :-1], w[:, :, -1])
+        np.testing.assert_array_equal(idx, dec._projected(w))
+        o_idx, _ = oracle_decide(decoder, grouping, sets, w[:, :, :-1], w[:, :, -1])
         np.testing.assert_array_equal(idx, o_idx)
 
     def test_three_dimensional_rotated_alphabet(self, monkeypatch):
@@ -192,10 +195,9 @@ class TestPicSic:
         rng = np.random.default_rng(6)
         code = build(6, cod_alamouti(), 2, 2, make_rotated_qam(16, rotation_2d()))
         g, y, x0 = observed_problem(code, 2, 50.0, rng, trials=100, noiseless=True)
-        dec = GroupDecoder("pic-sic", code.grouping, code.group_sets)
-        idx, metric = dec.decide(joined(g, y))
-        np.testing.assert_allclose(group_symbols_oracle(dec.groups, dec.sets, idx), x0)
-        assert metric.max() < 1e-10
+        xh = x_hat("pic-sic", code, g, y)
+        np.testing.assert_allclose(xh, x0)
+        assert residual(g, y, xh).max() < 1e-10
 
     def test_tail_projector_identities(self):
         rng = np.random.default_rng(7)
@@ -271,7 +273,7 @@ class TestZf:
         grouping = GroupingScheme(((0,),))
         g = rng.standard_normal((20, 4, 1))
         y = g[:, :, 0] * s.points[rng.integers(2, size=(20, 1)), 0] + 0.3 * rng.standard_normal((20, 4))
-        a, b, c = (GroupDecoder(d, grouping, (s,)).decide(joined(g, y))[0]
+        a, b, c = (GroupDecoder(d, grouping, (s,)).decide(joined(g, y))
                    for d in ("zf", "zf-sic", "ml"))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(b, c)
@@ -315,9 +317,7 @@ class TestDeterminism:
         code = build(4, cod_trivial(), 2, 2, make_rotated_qam(4, rotation_2d()))
         g, y, _ = observed_problem(code, 2, 5.0, rng)
         dec = GroupDecoder("pic-sic", code.grouping, code.group_sets)
-        a, b = dec.decide(joined(g, y)), dec.decide(joined(g, y))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(dec.decide(joined(g, y)), dec.decide(joined(g, y)))
 
     def test_tie_breaks_to_lowest_index(self):
         # y = 0 makes every symmetric candidate pair tie; index 0 must win
@@ -325,7 +325,7 @@ class TestDeterminism:
         grouping = GroupingScheme(((0,),))
         g, y = np.ones((1, 2, 1)), np.zeros((1, 2))
         for decoder in ("pic", "ml"):
-            assert GroupDecoder(decoder, grouping, (s,)).decide(joined(g, y))[0].tolist() == [[0]]
+            assert GroupDecoder(decoder, grouping, (s,)).decide(joined(g, y)).tolist() == [[0]]
 
 
 class TestBoundaryChecks:
@@ -443,17 +443,9 @@ class TestOracle:
                 shapes["d > K" if d > code.K else "d = K" if d == code.K else "d < K"] += 2
                 for P in (2.0, 1000.0):
                     g, y, _ = observed_problem(code, nd, P, rng, trials=256)
-                    idx, metric = dec.decide(joined(g, y))
-                    o_idx, o_metric, n_ties = oracle_decide(
-                        decoder, code.grouping, code.group_sets, g, y)
-                    msg = f"{tag} N_D={nd} P={P}"
-                    np.testing.assert_array_equal(idx, o_idx, err_msg=msg)
-                    if nd == 2:
-                        np.testing.assert_allclose(metric, o_metric, rtol=1e-9, err_msg=msg)
-                    else:  # plus an absolute floor of 1e-10 ||y||^2 per row
-                        yy = np.einsum("bd,bd->b", y, y)[:, None]
-                        np.testing.assert_allclose(metric / yy, o_metric / yy, rtol=1e-9,
-                                                   atol=1e-10, err_msg=msg)
+                    o_idx, n_ties = oracle_decide(decoder, code.grouping, code.group_sets, g, y)
+                    np.testing.assert_array_equal(dec.decide(joined(g, y)), o_idx,
+                                                  err_msg=f"{tag} N_D={nd} P={P}")
                     batches += 1
                     ties += n_ties
         print(f"{decoder}: {batches} batches of 256 equal the oracle ({shapes}); "
@@ -494,14 +486,11 @@ class TestOracle:
                                        ("complex", w, real_model(w))):
                 msg = f"{form} delta={delta}"
                 exact.clear()
-                idx, metric = dec.decide(wy)
+                idx = dec.decide(wy)
                 fallback_rows = 20 if delta == 1e-6 else 60
                 assert sum(len(args[0]) for args in exact) == fallback_rows, msg
-                o_idx, o_metric, _ = oracle_decide(decoder, code.grouping, code.group_sets,
-                                                   gr, yr)
+                o_idx, _ = oracle_decide(decoder, code.grouping, code.group_sets, gr, yr)
                 np.testing.assert_array_equal(idx, o_idx, err_msg=msg)
-                np.testing.assert_allclose(metric, o_metric, rtol=1e-9, atol=1e-12,
-                                           err_msg=msg)
 
     @pytest.mark.parametrize("decoder", DECODERS)
     def test_rows_decode_as_batches_of_one(self, decoder, monkeypatch):
@@ -520,10 +509,10 @@ class TestOracle:
             # decode from the factor, and the batch of 257 fails it as a whole
             g = duplicate_column(g, np.arange(10, 257, 10), 0, 1)
             gy = joined(g, y)
-            single = np.concatenate([dec.decide(gy[t:t + 1])[0] for t in range(257)])
+            single = np.concatenate([dec.decide(gy[t:t + 1]) for t in range(257)])
             descents.clear()
             for n in sizes:
-                np.testing.assert_array_equal(dec.decide(gy[:n])[0], single[:n],
+                np.testing.assert_array_equal(dec.decide(gy[:n]), single[:n],
                                               err_msg=f"{make_code.__name__} batch of {n}")
             if decoder == "ml":  # one search per batch of 1-9, and more where a block split
                 assert len(descents) > len(sizes) - 1, make_code.__name__
@@ -542,13 +531,30 @@ class TestOracle:
         if budget:
             monkeypatch.setattr(decode, "_ML_SURVIVORS", budget)
         descents, exact = spy(monkeypatch, "_descend"), qr_spy(monkeypatch)
-        idx, metric = dec.decide(joined(g, y))
-        o_idx, o_metric, _ = oracle_decide("ml", code.grouping, code.group_sets, g, y)
-        np.testing.assert_array_equal(idx, o_idx)
-        np.testing.assert_allclose(metric, o_metric, rtol=1e-9)
+        o_idx, _ = oracle_decide("ml", code.grouping, code.group_sets, g, y)
+        np.testing.assert_array_equal(dec.decide(joined(g, y)), o_idx)
         assert sum(len(args[0]) for args in exact) == (128 if nd == 1 else 0)
         # the default budget searches the chunk as one block; 64 splits it
         assert (len(descents) > 1) == bool(budget)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_decide_returns_one_index_array(decoder, monkeypatch):
+    # decisions only, as one int64 (b, g) array, whether a chunk decodes
+    # from its Gram factor, fails it as a whole, or mixes both kinds of row
+    code = _pam_code()
+    dec = GroupDecoder(decoder, code.grouping, code.group_sets)
+    exact = qr_spy(monkeypatch) if decoder == "ml" else spy(monkeypatch, "_projected")
+    rng = np.random.default_rng(19)
+    g, y, _ = observed_problem(code, 2, 20.0, rng, trials=60)
+    chunks = {"factor": (g, 0), "failed": (duplicate_column(g, np.arange(60), 0, 1), 60),
+              "mixed": (duplicate_column(g, np.arange(0, 60, 3), 0, 1, 1e-6, rng), 20)}
+    for name, (gc, fallback_rows) in chunks.items():
+        exact.clear()
+        idx = dec.decide(joined(gc, y))
+        assert sum(len(args[0]) for args in exact) == fallback_rows, name
+        assert isinstance(idx, np.ndarray) and idx.dtype == np.int64, name
+        assert idx.shape == (60, len(dec.groups)), name
 
 
 _MODULATIONS = {1: ("pam2", "pam4", "pam8"), 2: ("qam4", "qam16", "qam4-unrotated")}
@@ -592,5 +598,5 @@ def test_noiseless_recovery_every_decoder(problem):
     v, w = np.zeros((trials, code.N, code.T1)), np.zeros((trials, code.T2, nd))
     white = RelayChannel(code).observe(x, f, gm, v, w, PowerConfig.balanced(code, 10.0))
     for decoder, dec in decoders_of(code).items():
-        np.testing.assert_array_equal(dec.group_indices(dec.decide(white)[0]), sent,
+        np.testing.assert_array_equal(dec.group_indices(dec.decide(white)), sent,
                                       err_msg=decoder)

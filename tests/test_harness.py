@@ -125,7 +125,7 @@ class TestEngineCrossCheck:
             for grp, s, idx in zip(code.grouping.groups, code.group_sets, tx_idx[0]):
                 x[list(grp)] = s.points[idx]
             white = channel.observe(x[None], f, gm, v, w, power)
-            x_hat = group_symbols_oracle(dec.groups, dec.sets, dec.decide(white)[0])[0]
+            x_hat = group_symbols_oracle(dec.groups, dec.sets, dec.decide(white))[0]
             errs = 0
             for k, (grp, s) in enumerate(zip(code.grouping.groups, code.group_sets)):
                 # nearest point: ZF decisions carry per-coordinate levels
