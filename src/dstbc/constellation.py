@@ -76,7 +76,7 @@ class SignalSet:
 
     points has shape (2**bits_per_point, dim). labels[i] is the integer
     whose bits label point i; the labels form a permutation of
-    0..2**bits_per_point - 1. index_of_label is the inverse permutation.
+    0..2**bits_per_point - 1; a simulation draws labels, not points.
 
     rotation / component_levels record how the set was generated (rotated
     per-dimension component grid); they are None for hand-built sets and
@@ -89,7 +89,6 @@ class SignalSet:
     labels: np.ndarray
     rotation: RotationMatrix | None = field(default=None, compare=False)
     component_levels: np.ndarray | None = field(default=None, compare=False)
-    index_of_label: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, self.dim)
@@ -105,10 +104,6 @@ class SignalSet:
         labels.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labels)
-        inv = np.empty(m, dtype=np.int64)
-        inv[labels] = np.arange(m)
-        inv.setflags(write=False)
-        object.__setattr__(self, "index_of_label", inv)
 
     @property
     def size(self) -> int:
@@ -196,10 +191,13 @@ def modulation_set(name: str) -> SignalSet:
     """pamM for one-symbol groups, qamM (rotated) for two-symbol groups: the
     standard alphabets, named as --modulation and ExperimentConfig take them."""
     kind, order = name[:3].lower(), name[3:]
-    require(kind in ("pam", "qam") and order.isdecimal(), "modulation",
+    require(kind in ("pam", "qam") and order.isascii() and order.isdecimal(), "modulation",
             "be pamM or qamM with M a number", name)
-    m = int(order)
+    # a numeral longer than MAX_POINTS's is above it, and int() refuses one of 4,300 digits
+    digits, most = order.lstrip("0") or "0", f"have at most {MAX_POINTS} points"
+    require(len(digits) <= len(str(MAX_POINTS)), "modulation", most, name)
+    m = int(digits)
     require(m >= 2 and m & (m - 1) == 0 and (kind == "pam" or math.isqrt(m) ** 2 == m),
             "modulation", "be pamM with M in 2, 4, 8, ... or qamM with M in 4, 16, 64, ...", name)
-    require(m <= MAX_POINTS, "modulation", f"have at most {MAX_POINTS} points", name)
+    require(m <= MAX_POINTS, "modulation", most, name)
     return make_pam(m) if kind == "pam" else make_rotated_qam(m, rotation_2d())

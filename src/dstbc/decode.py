@@ -8,8 +8,9 @@ group's columns; PIC-SIC walks the groups in order, projecting out only
 later groups and subtracting each decision before moving on. ZF / ZF-SIC
 are the same decoders under the all-singleton refinement of the grouping,
 available when the group alphabets factor per coordinate; a symbol's levels
-are its alphabet's own coordinate values. ML minimizes ||y - G x||^2 over
-the full product alphabet.
+are its alphabet's own coordinate values, and decide maps the levels it
+picks back to each group's point. ML minimizes ||y - G x||^2 over the full
+product alphabet.
 
 The decoders read (G, y) only through the Gram matrix [G y]'[G y] = Re(W^H W),
 formed once per chunk and indexed into the decoder's column order. Every
@@ -75,7 +76,6 @@ import math
 import numpy as np
 
 from .channel import solve_lower
-from .constellation import SignalSet
 from .construct import GroupingScheme
 from .design import require
 
@@ -90,21 +90,21 @@ _ML_SURVIVORS = 2**15
 
 
 class _SymbolTable:
-    """The map from per-group point indices idx (b, g) to symbol vectors
-    (b, K), as one gather from the points of every group, flattened in group
-    order: symbol c of group k, at place i of the group, reads entry
+    """The map from per-group indices idx (b, g) to symbol vectors (b, K), as
+    one gather from every group's point array (M_k, len(group)), flattened in
+    group order: symbol c of group k, at place i of the group, reads entry
     idx[:, k] * len(group) + i of that group's points."""
 
-    def __init__(self, groups, sets):
+    def __init__(self, groups, points):
         k_total = sum(len(grp) for grp in groups)
         self.group, self.dim, self.base = np.zeros((3, k_total), dtype=np.int64)
         offset = 0
-        for k, (grp, s) in enumerate(zip(groups, sets)):
+        for k, (grp, pts) in enumerate(zip(groups, points)):
             cols = list(grp)
             self.group[cols], self.dim[cols] = k, len(cols)
             self.base[cols] = offset + np.arange(len(cols))
-            offset += s.points.size
-        self.flat = np.concatenate([s.points.ravel() for s in sets])
+            offset += pts.size
+        self.flat = np.concatenate([pts.ravel() for pts in points])
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         return self.flat[idx[:, self.group] * self.dim + self.base]
@@ -131,52 +131,52 @@ def _project_out(cols, y, gk):
     return py, pg
 
 
-def _separable_axes(s: SignalSet):
-    """Per-coordinate levels, the set's own values grouped to 12 decimals, and
-    the table from mixed-radix level index to point index, if the set is the
-    full product of its levels; else None."""
-    rounded = np.round(s.points, 12)
+def _separable_axes(points: np.ndarray):
+    """Per-coordinate levels, the points' own values grouped to 12 decimals,
+    and the table from mixed-radix level index to point index, if the points
+    are the full product of their levels; else None."""
+    rounded = np.round(points, 12)
     # per coordinate: each level's first point, and each point's level
-    found = [np.unique(rounded[:, d], return_index=True, return_inverse=True)[1:]
-             for d in range(s.dim)]
+    found = [np.unique(column, return_index=True, return_inverse=True)[1:]
+             for column in rounded.T]
     sizes = [first.size for first, _ in found]
-    if math.prod(sizes) != s.size:
+    if math.prod(sizes) != len(points):
         return None
-    table = np.full(s.size, -1, dtype=np.int64)
-    table[np.ravel_multi_index([level for _, level in found], sizes)] = np.arange(s.size)
+    table = np.full(len(points), -1, dtype=np.int64)
+    table[np.ravel_multi_index([level for _, level in found], sizes)] = np.arange(len(points))
     if table.min() < 0:  # two points share their levels, so some product point is missing
         return None
-    return [s.points[first, d] for d, (first, _) in enumerate(found)], table
+    return [points[first, d] for d, (first, _) in enumerate(found)], table
 
 
 def _singleton_refinement(grouping: GroupingScheme, sets, decoder: str):
-    """The ZF view of a grouping: one group per symbol, per-coordinate sets;
-    a group that does not factor refuses the decoder, which the refusal quotes.
+    """The ZF view of a grouping: one group per symbol, whose points are its
+    coordinate's levels (m, 1); a group that does not factor refuses the
+    decoder, which the refusal quotes.
 
-    Also returns the label map (strides (K, g), offsets (g,), table) that
-    takes per-symbol level indices lv back to each original group's point
-    index: table[lv @ strides + offsets].
+    Also returns the map (strides (K, g), offsets (g,), table) that takes
+    per-symbol level indices lv back to each original group's point index:
+    table[lv @ strides + offsets].
     """
-    coord_sets = [None] * grouping.K
+    levels = [None] * grouping.K
     strides = np.zeros((grouping.K, grouping.g), dtype=np.int64)
     offsets, tables = [], []
     for k, (grp, s) in enumerate(zip(grouping.groups, sets)):
         offsets.append(sum(t.size for t in tables))
-        split = _separable_axes(s)
+        split = _separable_axes(s.points)
         require(split is not None, "decoder",
                 f"suit the code (group {k} is not coordinate-separable; ZF decoding needs "
                 "per-symbol alphabets (a rotated group alphabet couples its symbols))", decoder)
         axes, table = split
         stride = s.size
-        for i, levels in zip(grp, axes):
-            m = levels.size
-            coord_sets[i] = SignalSet(1, levels.reshape(-1, 1), int(np.log2(m)), np.arange(m))
-            stride //= m
+        for i, axis in zip(grp, axes):
+            levels[i] = axis.reshape(-1, 1)
+            stride //= axis.size
             strides[i, k] = stride
         tables.append(table)
     singles = GroupingScheme(tuple((i,) for i in range(grouping.K)))
-    label_map = (strides, np.array(offsets, dtype=np.int64), np.concatenate(tables))
-    return singles, tuple(coord_sets), label_map
+    level_map = (strides, np.array(offsets, dtype=np.int64), np.concatenate(tables))
+    return singles, levels, level_map
 
 
 def _factor(gram):
@@ -213,10 +213,10 @@ def _rows(full, fast, exact):
 class GroupDecoder:
     """One decoder's tables for one grouping, applied to chunks of trials.
 
-    decide(W (b, d, K + 1)) returns each trial's point index per decode
-    group, one int64 array (b, g). ZF flavours decode the singleton
-    refinement; group_indices maps their decisions back to the grouping's
-    groups.
+    decide(W (b, d, K + 1)) returns each trial's point index in each of
+    the code's groups, one int64 array (b, g), for every decoder. groups and
+    points are the groups decoded and their point arrays: for ZF flavours,
+    the singleton refinement and its levels, which decide maps back.
     A decoder the code does not admit (ZF on a rotated group, ML above
     ML_CANDIDATE_CAP) is refused when built, as "decoder must suit the code".
     """
@@ -226,11 +226,10 @@ class GroupDecoder:
         sets = grouping.check_sets(sets)
         self.decoder = decoder
         self.K = grouping.K
-        self.label_map = None
+        self.level_map, self.points = None, [s.points for s in sets]
         if decoder in ("zf", "zf-sic"):
-            grouping, sets, self.label_map = _singleton_refinement(grouping, sets, decoder)
+            grouping, self.points, self.level_map = _singleton_refinement(grouping, sets, decoder)
         self.groups = [list(g) for g in grouping.groups]
-        self.sets = tuple(sets)
         pic = decoder in ("pic", "zf")
         nulled = grouping.complement if pic else grouping.tail
         self.interference = [list(nulled(k)) for k in range(grouping.g)]
@@ -238,18 +237,18 @@ class GroupDecoder:
         cols = list(range(self.K)) if pic else [c for grp in self.groups[::-1] for c in grp]
         self.order = np.array(cols + [self.K])
         # PIC scores the groups of one size and point count at once
-        keys = [(len(grp), s.size) for grp, s in zip(self.groups, self.sets)]
+        keys = [(len(grp), len(pts)) for grp, pts in zip(self.groups, self.points)]
         self.size_classes = [[k for k, key in enumerate(keys) if key == c]
                              for c in sorted(set(keys))]
         if decoder == "ml":
-            self.sizes = [s.size for s in self.sets]
+            self.sizes = [len(pts) for pts in self.points]
             total = math.prod(self.sizes)
             require(total <= ML_CANDIDATE_CAP, "decoder", f"suit the code (product alphabet "
                     f"has {total} points, above the cap {ML_CANDIDATE_CAP})", decoder)
             # product-alphabet index: the last group varies fastest
             self.strides = np.array([math.prod(self.sizes[k + 1:])
                                      for k in range(len(self.sizes))])
-            self._symbols = _SymbolTable(self.groups, self.sets)
+            self._symbols = _SymbolTable(self.groups, self.points)
 
     def decide(self, w: np.ndarray):
         if w.ndim != 3 or w.shape[2] != self.K + 1:
@@ -265,7 +264,11 @@ class GroupDecoder:
             return _rows(full, lambda t: self._sphere(r[t], z[t], self._sic(r[t], z[t])),
                          lambda t: self._sphere_by_qr(_realify(w[t])[:, :, o], gram[t]))
         solve = self._pic if self.decoder in ("pic", "zf") else self._sic
-        return _rows(full, lambda t: solve(r[t], z[t]), lambda t: self._projected(_realify(w[t])))
+        idx = _rows(full, lambda t: solve(r[t], z[t]), lambda t: self._projected(_realify(w[t])))
+        if self.level_map is None:
+            return idx
+        strides, offsets, table = self.level_map  # ZF: symbol levels to group points
+        return table[idx @ strides + offsets]
 
     def _pic(self, r, z):
         """Group k's point of least ||L_k^-1 (a - x^_k)||^2 (module docstring)."""
@@ -277,7 +280,7 @@ class GroupDecoder:
         for ks in self.size_classes:
             cols = np.array([self.groups[k] for k in ks])  # (n, m)
             u = rinv[:, cols.T]  # (b, m, n, K): row i of every group's U_k
-            diff = np.stack([self.sets[k].points for k in ks]) - xh[:, cols][:, :, None]
+            diff = np.stack([self.points[k] for k in ks]) - xh[:, cols][:, :, None]
             # Cholesky rows of [[U U', diff], [diff', .]]: rows i < m are L, row m is L^-1 diff
             m, low = cols.shape[1], {}
             for i in range(m + 1):
@@ -298,7 +301,7 @@ class GroupDecoder:
         end = self.K
         for k, grp in enumerate(self.groups):
             after = end - len(grp)
-            points = self.sets[k].points
+            points = self.points[k]
             diff = z[:, after:end, None] - r[:, after:end, after:end] @ points.T
             metrics = np.einsum("bjm,bjm->bm", diff, diff)
             choice = np.argmin(metrics, axis=1)
@@ -316,7 +319,7 @@ class GroupDecoder:
         for k, grp in enumerate(self.groups):
             gk = g[:, :, grp]
             py, pg = _project_out(g[:, :, self.interference[k]], yk, gk)
-            points = self.sets[k].points
+            points = self.points[k]
             diff = py[:, :, None] - pg @ points.T
             metrics = np.einsum("bdm,bdm->bm", diff, diff)
             choice = np.argmin(metrics, axis=1)
@@ -348,9 +351,9 @@ class GroupDecoder:
         # of its points a, (b, M_k, end), holds on rows [start, end) its block
         # row's term and on the rows above its update of z
         products, end = [], self.K
-        for grp, s in zip(self.groups, self.sets):
+        for grp, pts in zip(self.groups, self.points):
             start = end - len(grp)
-            products.append(s.points @ np.swapaxes(r[:, :end, start:end], 1, 2))
+            products.append(pts @ np.swapaxes(r[:, :end, start:end], 1, 2))
             end = start
         leaves = self._descend(products, radius, 0, np.arange(b),
                                np.zeros(b, dtype=np.int64), np.zeros(b), z)
@@ -386,10 +389,3 @@ class GroupDecoder:
                         for leaf in self._descend(products, radius, k + 1, trial[part],
                                                   flat[part], metric[part], zr[part])]
         return [(trial, flat, metric)]
-
-    def group_indices(self, dec_idx: np.ndarray) -> np.ndarray:
-        """Map decode-group decisions to point indices of the original groups."""
-        if self.label_map is None:
-            return dec_idx
-        strides, offsets, table = self.label_map
-        return table[dec_idx @ strides + offsets]

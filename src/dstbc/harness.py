@@ -16,9 +16,10 @@ one shift-and-mask (a field may straddle two words); each Gaussian is
 Box-Muller on two 53-bit uniforms, sqrt(-ln u1) exp(2 pi i u2) with u1 in
 (0, 1], which is CN(0, 1). Every draw is a pure function of
 (master_seed, p, i), so results are reproducible and independent of how
-trials are scheduled. Labels, symbols and bit errors are gathers from
-per-group tables built once per engine: a trial's bit errors are the set
-bits of the XOR of its sent and decided labels, counted by a table.
+trials are scheduled. The draw's label fields are the sent labels. Symbols
+are gathered from each group's points in label order and decided labels
+from the groups' labels, tables built once per engine; a trial's bit errors
+are the set bits of the XOR of its sent and decided labels, by a table.
 
 Trials are processed in chunks, sized per engine from its words per trial,
 whose linear algebra is batched; per-trial results do not depend on the
@@ -221,8 +222,9 @@ class _Engine:
         per_trial = nd * max(code.T2 * (code.K + 1), code.T2 * self.channel.s * nd, code.N * nd)
         require(256 * per_trial <= MAX_CHUNK_ENTRIES, "nd",
                 f"keep each array of a 256-trial chunk within {MAX_CHUNK_ENTRIES} entries", nd)
-        self.groups = code.grouping.groups
-        self.symbols = _SymbolTable(self.groups, self.sets)
+        # each group's points in label order: label l sends point argsort(labels)[l]
+        self.symbols = _SymbolTable(code.grouping.groups,
+                                    [s.points[np.argsort(s.labels)] for s in self.sets])
         # Gray labels: group k reads bits [pos, pos + nb) of the label words,
         # shifted down from word pos // 64 and, when the field straddles two
         # words, up from the next one; a field inside one word takes that
@@ -234,10 +236,8 @@ class _Engine:
         self._shift_down = shift.astype(np.uint64)
         self._shift_up = np.where(straddle, 64 - shift, 63).astype(np.uint64)
         self._mask = np.array([(1 << n) - 1 for n in self.bits_per_group], dtype=np.uint64)
-        # per-group tables concatenated in group order; group k's entries
-        # start at _offsets[k]
+        # the groups' labels concatenated in group order; group k's start at _offsets[k]
         self._offsets = np.cumsum([0] + [s.size for s in self.sets[:-1]])
-        self._index_of_label = np.concatenate([s.index_of_label for s in self.sets])
         self._labels = np.concatenate([s.labels for s in self.sets])
         # the bits set in each label difference, up to the widest group's
         self._popcount = np.array([bin(d).count("1") for d in range(2 ** max(nb))], np.uint8)
@@ -267,9 +267,8 @@ class _Engine:
         return _mix_round_into(key, words, work("shifted", shape, np.uint64))
 
     def _draw_chunk(self, key: int, lo: int, hi: int, work=None):
-        """Transmitted point indices (b, groups) and f, gm, v, w of trials
-        lo..hi-1, from the hash state key = mix_seed(master_seed, snr_index).
-        The hash words are written into the Workspace work if it is given."""
+        """Sent labels (b, groups) and f, gm, v, w of trials lo..hi-1, from the
+        hash state key = mix_seed(master_seed, snr_index); hash words go into work if given."""
         b = hi - lo
         words = self._words(key, lo, hi, work)
         labels = words[:, :self.label_words]
@@ -281,21 +280,19 @@ class _Engine:
         field = (labels[:, self._word] >> self._shift_down) | (
             labels[:, self._next] << self._shift_up)
         field &= self._mask
-        tx_idx = self._index_of_label[field.astype(np.int64) + self._offsets]
-        return tx_idx, f, gm, v, w
+        return field.astype(np.int64), f, gm, v, w
 
     # -- physical channel + whitened model ---------------------------------
-    def _observe(self, tx_idx, f, gm, v, w, power: PowerConfig, work=None):
-        x = self.symbols(tx_idx)
-        return self.channel.observe(x, f, gm, v, w, power, work)
+    def _observe(self, sent, f, gm, v, w, power: PowerConfig, work=None):
+        return self.channel.observe(self.symbols(sent), f, gm, v, w, power, work)
 
     def _decide(self, white):
-        """Per-trial decoded group indices, in decode-group order."""
+        """Per-trial decided point indices (b, groups)."""
         return self.dec.decide(white)
 
     def _rx_group_indices(self, dec_idx):
-        """Map decode-group decisions back to original-group point indices."""
-        return self.dec.group_indices(dec_idx)
+        """The labels (b, groups) of the decided points."""
+        return self._labels[dec_idx + self._offsets]
 
     def chunk_bit_errors(self, power: PowerConfig, key: int, lo: int, hi: int) -> np.ndarray:
         """Bit errors of trials lo..hi-1; key as for _draw_chunk. The chunk
@@ -303,11 +300,10 @@ class _Engine:
         work = getattr(self._local, "work", None)
         if work is None:
             work = self._local.work = Workspace()
-        tx_idx, f, gm, v, w = self._draw_chunk(key, lo, hi, work)
-        white = self._observe(tx_idx, f, gm, v, w, power, work)
-        rx_idx = self._rx_group_indices(self._decide(white))
-        diff = self._labels[tx_idx + self._offsets] ^ self._labels[rx_idx + self._offsets]
-        return self._popcount[diff].sum(axis=1, dtype=np.int64)
+        sent, f, gm, v, w = self._draw_chunk(key, lo, hi, work)
+        white = self._observe(sent, f, gm, v, w, power, work)
+        decided = self._rx_group_indices(self._decide(white))
+        return self._popcount[sent ^ decided].sum(axis=1, dtype=np.int64)
 
 
 def _run_point(engine: _Engine, power: PowerConfig, key: int, config: ExperimentConfig,

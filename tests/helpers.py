@@ -270,18 +270,22 @@ def realified_noise_bound(channel, gm, power) -> np.ndarray:
 # at a time. GroupDecoder.decide must agree with them.
 
 def oracle_decide(decoder, grouping, sets, g, y):
-    """(idx, ties) for G (b, d, K) and y (b, d): per decode group the point
-    index that decide returns, and the number of decisions whose smallest
-    metric two or more candidates share exactly."""
+    """(idx, ties) for G (b, d, K) and y (b, d): per group of the grouping
+    the point index that decide returns, and the number of decisions whose
+    smallest metric two or more candidates share exactly. ZF decodes each
+    symbol over its coordinate's levels and finds the group's point whose
+    coordinates equal the decided levels."""
     sets = grouping.check_sets(sets)
+    code_groups, code_sets = grouping.groups, sets
+    points = [s.points for s in sets]
     if decoder in ("zf", "zf-sic"):
-        grouping, sets, _ = _singleton_refinement(grouping, sets, decoder)
+        grouping, points, _ = _singleton_refinement(grouping, sets, decoder)
     groups = [list(grp) for grp in grouping.groups]
     b, ties = g.shape[0], 0
     if decoder == "ml":
-        sizes = [s.size for s in sets]
+        sizes = [len(pts) for pts in points]
         cand_idx = np.stack(np.unravel_index(np.arange(math.prod(sizes)), sizes), axis=1)
-        cand_x = group_symbols_oracle(groups, sets, cand_idx)
+        cand_x = group_symbols_oracle(groups, points, cand_idx)
         c1 = np.einsum("bdk,bd->bk", g, y)
         gram = np.einsum("bdk,bdl->bkl", g, g)
         best = np.empty(b, dtype=np.int64)
@@ -298,16 +302,22 @@ def oracle_decide(decoder, grouping, sets, g, y):
     for k, grp in enumerate(groups):
         gk = g[:, :, grp]
         py, pg = _project_out(g[:, :, list(nulled(k))], yk, gk)
-        points = sets[k].points
-        diff = py[:, :, None] - pg @ points.T
+        diff = py[:, :, None] - pg @ points[k].T
         metrics = np.einsum("bdm,bdm->bm", diff, diff)
         choice = np.argmin(metrics, axis=1)
         idx[:, k] = choice
         least = metrics[np.arange(b), choice][:, None]
         ties += int(np.count_nonzero((metrics == least).sum(axis=1) > 1))
         if sic:
-            yk = yk - np.einsum("bdc,bc->bd", gk, points[choice])
-    return idx, ties
+            yk = yk - np.einsum("bdc,bc->bd", gk, points[k][choice])
+    if decoder not in ("zf", "zf-sic"):
+        return idx, ties
+    # the point of each group that the decided levels make
+    x = group_symbols_oracle(groups, points, idx)
+    found = [np.nonzero((s.points[None] == x[:, None, list(grp)]).all(axis=2))
+             for grp, s in zip(code_groups, code_sets)]
+    assert all(np.array_equal(rows, np.arange(b)) for rows, _ in found)
+    return np.stack([point for _, point in found], axis=1), ties
 
 
 def solve_lower_out_of_place(low, c):
@@ -323,26 +333,34 @@ def solve_lower_out_of_place(low, c):
 # bit-exact oracles: labels read from the draw's label words, symbols from
 # point indices, bit errors of a chunk, and the relay channel's transmit.
 
-def labels_oracle(label_words, bits_per_group, sets) -> np.ndarray:
-    """Point indices (b, g) from the label words (b, words) of a draw: group
-    k reads the next bits_per_group[k] bits, which may straddle two words."""
-    tx_idx = np.empty((label_words.shape[0], len(sets)), dtype=np.int64)
+def labels_oracle(label_words, bits_per_group) -> np.ndarray:
+    """Labels (b, g) from the label words (b, words) of a draw: group k
+    reads the next bits_per_group[k] bits, which may straddle two words."""
+    labels = np.empty((label_words.shape[0], len(bits_per_group)), dtype=np.int64)
     pos = 0
-    for k, (nb, s) in enumerate(zip(bits_per_group, sets)):
+    for k, nb in enumerate(bits_per_group):
         q, o = divmod(pos, 64)
         field = label_words[:, q] >> o
         if o + nb > 64:
             field |= label_words[:, q + 1] << (64 - o)
-        tx_idx[:, k] = s.index_of_label[(field & ((1 << nb) - 1)).astype(np.int64)]
+        labels[:, k] = (field & ((1 << nb) - 1)).astype(np.int64)
         pos += nb
-    return tx_idx
+    return labels
+
+
+def label_points_oracle(sets, labels) -> np.ndarray:
+    """Point indices (b, g) of the points that carry labels (b, g), found by
+    comparing each label with every point's."""
+    return np.stack([(s.labels[None, :] == labels[:, k, None]).argmax(axis=1)
+                     for k, s in enumerate(sets)], axis=1)
 
 
 def group_symbols_oracle(groups, sets, idx) -> np.ndarray:
-    """Symbol vectors (b, K) from per-group point indices idx (b, g)."""
+    """Symbol vectors (b, K) from per-group point indices idx (b, g); sets
+    holds SignalSets or point arrays (M_k, len(group))."""
     x = np.empty((idx.shape[0], sum(len(g) for g in groups)))
     for k, (grp, s) in enumerate(zip(groups, sets)):
-        x[:, list(grp)] = s.points[idx[:, k]]
+        x[:, list(grp)] = getattr(s, "points", s)[idx[:, k]]
     return x
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -17,6 +19,7 @@ from dstbc.decode import DECODERS, GroupDecoder
 from dstbc.design import cod_trivial
 from dstbc.harness import ExperimentConfig, run_ber
 from tests.helpers import accumulated_snr_grid
+from tests.test_constellation import modulation_names
 
 
 def run(capsys, *argv):
@@ -51,6 +54,16 @@ class TestInfo:
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "info", "--preset", "bogus", "--N", "2")
         assert code == 2
+
+    @settings(deadline=None, max_examples=150)
+    @given(modulation_names())
+    def test_any_modulation_runs_or_is_refused_by_name(self, name):
+        # --modulation=<name>, so that a name starting with "-" is not read as a flag
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["info", "--preset", "scalar", "--N", "2", f"--modulation={name}"])
+        assert code == 0 or code == 2 and err.getvalue().startswith(
+            "error: modulation must "), (code, err.getvalue()[:200])
 
     @pytest.mark.parametrize("modulation", ["pamx", "pam"])
     def test_modulation_without_an_order_is_usage_error(self, capsys, modulation):

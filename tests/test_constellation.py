@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstbc import constellation, harness
 from dstbc.constellation import (
@@ -98,7 +100,8 @@ class TestRotatedQam:
     def test_labels_bijective(self):
         s = make_rotated_qam(16, rotation_2d())
         assert sorted(s.labels.tolist()) == list(range(16))
-        assert np.array_equal(s.index_of_label[s.labels], np.arange(16))
+        # the points in label order, read at each point's label, give the point
+        assert np.array_equal(s.points[np.argsort(s.labels)][s.labels], s.points)
 
 
 class TestRotation:
@@ -188,9 +191,23 @@ def test_signal_set_rejects_bad_labels():
         SignalSet(1, np.array([[1.0], [-1.0]]), 1, np.array([0, 2]))
 
 
+def modulation_names():
+    """Arbitrary text, the names (?i)(pam|qam)[0-9]{0,6000}, and such names
+    whose numerals run past int()'s 4,300 digits, with and without leading
+    zeros (the regex alone rarely draws one longer than a few digits)."""
+    kind = st.sampled_from(["pam", "qam", "PAM", "qAm"])
+    long_order = st.builds(lambda k, zeros, digit, n, tail: k + "0" * zeros + digit * n + tail,
+                           kind, st.integers(0, 6000), st.sampled_from("0123456789"),
+                           st.integers(0, 6000), st.text("0123456789", max_size=6))
+    return st.one_of(st.text(), st.from_regex(r"(?i)(pam|qam)[0-9]{0,6000}", fullmatch=True),
+                     long_order)
+
+
 class TestModulationSet:
-    @pytest.mark.parametrize("name,dim,size", [("pam2", 1, 2), ("PAM8", 1, 8), ("qam4", 2, 4),
-                                               ("qam16", 2, 16), ("qam64", 2, 64)])
+    # int() refuses a numeral of 4,300 digits or more, leading zeros counted
+    @pytest.mark.parametrize("name,dim,size", [
+        ("pam2", 1, 2), ("PAM8", 1, 8), ("qam4", 2, 4), ("qam16", 2, 16), ("qam64", 2, 64),
+        pytest.param("qam" + "0" * 6000 + "16", 2, 16, id="qam16-6000-zeros")])
     def test_standard_alphabets(self, name, dim, size):
         s = modulation_set(name)
         assert (s.dim, s.size) == (dim, size)
@@ -201,6 +218,13 @@ class TestModulationSet:
         with pytest.raises(ValueError, match=f"^modulation must be pamM with M in 2, 4, 8, "
                                              rf"\.\.\. or qamM with M in 4, 16, 64, \.\.\., "
                                              f"got '{name}'$"):
+            modulation_set(name)
+
+    @pytest.mark.parametrize("name", ["pam\u0668", "pam" + "\u0660" * 5 + "8", "qam\uff11\uff16"],
+                             ids=["arabic-indic-8", "arabic-indic-zeros-8", "fullwidth-16"])
+    def test_non_ascii_digits_refused_as_no_number(self, name):
+        # int() reads these digits, but the names are pamM and qamM with M in ASCII digits
+        with pytest.raises(ValueError, match="^modulation must be pamM or qamM with M a number"):
             modulation_set(name)
 
     @pytest.mark.parametrize("name", ["pam4096", "qam4096"])
@@ -214,6 +238,24 @@ class TestModulationSet:
         with pytest.raises(ValueError, match=f"^modulation must have at most 4096 points, "
                                              f"got '{name}'$"):
             modulation_set(name)
+
+    def test_numeral_past_int_digit_limit_refused_by_size(self, monkeypatch):
+        # int() refuses a numeral of 4,300 digits or more; the refusal quotes
+        # the name's repr cut to 200 characters
+        monkeypatch.setattr(constellation, "_gray_grid", None)
+        with pytest.raises(ValueError, match=r"^modulation must have at most 4096 points, "
+                                             r"got 'pam9{193}\.\.\.$"):
+            modulation_set("pam" + "9" * 5000)
+
+    @settings(deadline=None, max_examples=300)
+    @given(modulation_names())
+    def test_any_name_gives_a_bounded_set_or_is_refused_by_name(self, name):
+        try:
+            s = modulation_set(name)
+        except ValueError as e:
+            assert str(e).startswith("modulation must "), str(e)[:200]
+        else:
+            assert s.size <= MAX_POINTS
 
     def test_default_group_sets_are_the_smallest_standard_alphabets(self):
         for lam, name in ((1, "pam2"), (2, "qam4")):

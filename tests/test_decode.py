@@ -51,7 +51,7 @@ def observed_problem(code, nd, P, rng, trials=1, noiseless=False):
 def x_hat(decoder, code, g, y):
     """One decoder's decisions on a batch, as symbol vectors (b, K)."""
     dec = GroupDecoder(decoder, code.grouping, code.group_sets)
-    return group_symbols_oracle(dec.groups, dec.sets, dec.decide(joined(g, y)))
+    return group_symbols_oracle(code.grouping.groups, code.group_sets, dec.decide(joined(g, y)))
 
 
 def residual(g, y, x):
@@ -119,7 +119,7 @@ class TestPic:
         x0 = s.points[rng.integers(4, size=(50, 4)), 0]
         y = np.einsum("bdk,bk->bd", q, x0) + 0.05 * rng.standard_normal((50, 8))
         dec = GroupDecoder("pic", grouping, (s,) * 4)
-        xh = group_symbols_oracle(dec.groups, dec.sets, dec.decide(joined(q, y)))
+        xh = group_symbols_oracle(grouping.groups, (s,) * 4, dec.decide(joined(q, y)))
         # scalar oracle: project y onto each column, pick nearest level
         for t in range(50):
             scale = float(q[t, :, 0] @ q[t, :, 0])
@@ -153,7 +153,10 @@ class TestPic:
         exact = spy(monkeypatch, "_projected")
         idx = dec.decide(w)
         assert not exact  # every row decoded from the Gram factor
-        np.testing.assert_array_equal(idx, dec._projected(w))
+        with monkeypatch.context() as m:
+            m.setattr(decode, "_PIVOT_TOL", 1.0)  # no pivot ratio exceeds 1
+            np.testing.assert_array_equal(idx, dec.decide(w))
+        assert sum(len(args[0]) for args in exact) == len(w)  # every row by projection
         o_idx, _ = oracle_decide(decoder, grouping, sets, w[:, :, :-1], w[:, :, -1])
         np.testing.assert_array_equal(idx, o_idx)
 
@@ -243,16 +246,31 @@ class TestZf:
 
     def test_unrotated_qam16_levels_are_the_sent_coordinates(self):
         s = make_rotated_qam(16, identity_rotation(2))
-        _, coord_sets, _ = _singleton_refinement(GroupingScheme(((0, 1),)), (s,), "zf")
-        for d, c in enumerate(coord_sets):
-            assert c.points.ravel().tobytes() == np.unique(s.points[:, d]).tobytes()
+        _, levels, _ = _singleton_refinement(GroupingScheme(((0, 1),)), (s,), "zf")
+        for d, c in enumerate(levels):
+            assert c.shape == (4, 1)
+            assert c.ravel().tobytes() == np.unique(s.points[:, d]).tobytes()
+
+    @pytest.mark.parametrize("decoder", ["zf", "zf-sic"])
+    def test_decisions_in_the_codes_groups(self, decoder):
+        # unrotated QAM-16 groups of two symbols: ZF decodes 16 singleton
+        # levels, and decide returns one point index per group of the code
+        rng = np.random.default_rng(9)
+        code = build(4, cod_trivial(), 2, 2, make_rotated_qam(16, identity_rotation(2)))
+        w, x0 = observed(code, 2, 1e4, rng, trials=40, noiseless=True)
+        dec = GroupDecoder(decoder, code.grouping, code.group_sets)
+        idx = dec.decide(w)
+        assert idx.dtype == np.int64 and idx.shape == (40, code.g) and code.g < code.K
+        assert idx.max() >= 4  # indices of 16-point groups, not of 4 levels
+        np.testing.assert_array_equal(
+            group_symbols_oracle(code.grouping.groups, code.group_sets, idx), x0)
 
     @pytest.mark.parametrize("m", [2**k for k in range(1, 11)])
     def test_pam_set_refines_to_its_own_points(self, m):
         s = make_pam(m)
         _, (c,), (strides, offsets, table) = _singleton_refinement(
             GroupingScheme(((0,),)), (s,), "zf")
-        assert c.points.tobytes() == s.points.tobytes()
+        assert c.tobytes() == s.points.tobytes()
         assert strides.tolist() == [[1]] and offsets.tolist() == [0]
         np.testing.assert_array_equal(table, np.arange(m))
 
@@ -554,7 +572,7 @@ def test_decide_returns_one_index_array(decoder, monkeypatch):
         idx = dec.decide(joined(gc, y))
         assert sum(len(args[0]) for args in exact) == fallback_rows, name
         assert isinstance(idx, np.ndarray) and idx.dtype == np.int64, name
-        assert idx.shape == (60, len(dec.groups)), name
+        assert idx.shape == (60, code.g), name
 
 
 _MODULATIONS = {1: ("pam2", "pam4", "pam8"), 2: ("qam4", "qam16", "qam4-unrotated")}
@@ -598,5 +616,4 @@ def test_noiseless_recovery_every_decoder(problem):
     v, w = np.zeros((trials, code.N, code.T1)), np.zeros((trials, code.T2, nd))
     white = RelayChannel(code).observe(x, f, gm, v, w, PowerConfig.balanced(code, 10.0))
     for decoder, dec in decoders_of(code).items():
-        np.testing.assert_array_equal(dec.group_indices(dec.decide(white)), sent,
-                                      err_msg=decoder)
+        np.testing.assert_array_equal(dec.decide(white), sent, err_msg=decoder)

@@ -29,7 +29,7 @@ from dstbc.harness import (
     worker_count,
 )
 from tests.helpers import (
-    bit_errors_oracle, group_symbols_oracle, labels_oracle, transmit_oracle,
+    bit_errors_oracle, group_symbols_oracle, label_points_oracle, labels_oracle, transmit_oracle,
 )
 from tests.test_channel import _non_diagonal_bbh_code
 from tests.test_construct import _MODULATIONS, preset_codes_with_modulation
@@ -100,7 +100,7 @@ def _pam2_code():
 
 def _unrotated_qam4_code():
     # lambda = 2 groups whose alphabet factors per coordinate, so ZF decodes
-    # per symbol and maps level pairs back to QAM points through the label map
+    # per symbol and maps level pairs back to QAM points in decide
     return build(2, cod_trivial(), 2, 2, make_rotated_qam(4, identity_rotation(2)))
 
 
@@ -120,17 +120,17 @@ class TestEngineCrossCheck:
         dec = GroupDecoder(decoder, code.grouping, code.group_sets)
         singles = []
         for i in range(150):
-            tx_idx, f, gm, v, w = engine._draw_chunk(key, i, i + 1)
+            sent, f, gm, v, w = engine._draw_chunk(key, i, i + 1)
             x = np.empty(code.K)
-            for grp, s, idx in zip(code.grouping.groups, code.group_sets, tx_idx[0]):
-                x[list(grp)] = s.points[idx]
+            for grp, s, label in zip(code.grouping.groups, code.group_sets, sent[0]):
+                x[list(grp)] = s.points[list(s.labels).index(label)]
             white = channel.observe(x[None], f, gm, v, w, power)
-            x_hat = group_symbols_oracle(dec.groups, dec.sets, dec.decide(white))[0]
+            x_hat = group_symbols_oracle(code.grouping.groups, code.group_sets,
+                                         dec.decide(white))[0]
             errs = 0
             for k, (grp, s) in enumerate(zip(code.grouping.groups, code.group_sets)):
-                # nearest point: ZF decisions carry per-coordinate levels
                 rx = int(np.argmin(np.sum((s.points - x_hat[list(grp)]) ** 2, axis=1)))
-                errs += bin(int(s.labels[tx_idx[0, k]]) ^ int(s.labels[rx])).count("1")
+                errs += bin(int(sent[0, k]) ^ int(s.labels[rx])).count("1")
             singles.append(errs)
         assert batched.sum() > 0  # the comparison must see actual errors
         np.testing.assert_array_equal(batched, np.array(singles))
@@ -152,8 +152,8 @@ class TestEngineCrossCheck:
         shapes = engine.channel.shapes(nd)
         assert shapes == {"x": (code.K,), "f": (code.N,), "gm": (code.N, nd),
                           "v": (code.N, code.T1), "w": (code.T2, nd)}
-        tx_idx, *drawn = engine._draw_chunk(mix_seed(8, 0), 0, 5)
-        arrays = dict(x=group_symbols_oracle(engine.groups, engine.sets, tx_idx),
+        sent, *drawn = engine._draw_chunk(mix_seed(8, 0), 0, 5)
+        arrays = dict(x=engine.symbols(sent),
                       **dict(zip(("f", "gm", "v", "w"), drawn)))
         assert {name: a.shape for name, a in arrays.items()} == {
             name: (5, *shape) for name, shape in shapes.items()}
@@ -451,9 +451,9 @@ class TestCounterDraws:
     def test_labels_uniform_over_alphabet(self, make_code):
         code = make_code()
         trials = 8192
-        tx_idx = _Engine(code, "pic-sic", 1)._draw_chunk(mix_seed(9, 0), 0, trials)[0]
+        sent = _Engine(code, "pic-sic", 1)._draw_chunk(mix_seed(9, 0), 0, trials)[0]
         for k, s in enumerate(code.group_sets):
-            counts = np.bincount(tx_idx[:, k], minlength=s.size)
+            counts = np.bincount(sent[:, k], minlength=s.size)
             expected = trials / s.size
             chi2 = np.sum((counts - expected) ** 2 / expected)
             # 99.9% point of chi-square with size - 1 <= 3 degrees of freedom
@@ -463,11 +463,11 @@ class TestCounterDraws:
         code = preset("alamouti", 8, 2, 3, modulation_set("qam64"))
         engine = _Engine(code, "pic-sic", 1)
         assert engine.bits_per_cw == 72 and engine.label_words == 2
-        tx_idx = engine._draw_chunk(mix_seed(10, 0), 0, 2048)[0]
+        sent = engine._draw_chunk(mix_seed(10, 0), 0, 2048)[0]
         # every group, including the one straddling the two label words,
         # reaches its whole 64-point alphabet
         for k, s in enumerate(code.group_sets):
-            assert np.unique(tx_idx[:, k]).size == s.size
+            assert np.unique(sent[:, k]).size == s.size
         cfg = ExperimentConfig(
             decoder="pic-sic", preset="alamouti", N=8, lam=2, n=3, modulation="qam64",
             nd=1, snr_grid_db=(20.0,), max_trials=20, max_bit_errors=10**9, master_seed=1,
@@ -507,18 +507,23 @@ class TestTableGathers:
     def _check(code, nd, seed, lo, b, snr_db):
         engine = _Engine(code, "pic-sic", nd)
         key = mix_seed(seed, 0)
-        tx_idx, f, gm, v, w = engine._draw_chunk(key, lo, lo + b)
+        sent, f, gm, v, w = engine._draw_chunk(key, lo, lo + b)
         words = engine._words(key, lo, lo + b)[:, :engine.label_words]
-        assert np.array_equal(tx_idx, labels_oracle(words, engine.bits_per_group, engine.sets))
-        x = group_symbols_oracle(engine.groups, engine.sets, tx_idx)
-        assert np.array_equal(engine.symbols(tx_idx), x)
+        # the draw yields the label fields themselves
+        assert np.array_equal(sent, labels_oracle(words, engine.bits_per_group))
+        tx_idx = label_points_oracle(engine.sets, sent)
+        x = group_symbols_oracle(code.grouping.groups, engine.sets, tx_idx)
+        assert np.array_equal(engine.symbols(sent), x)
         power = PowerConfig.balanced(code, snr_db_to_power(snr_db))
         assert np.array_equal(engine.channel.transmit(x, f, gm, v, w, power),
                               transmit_oracle(engine.channel, x, f, gm, v, w, power))
         # decisions anywhere in the alphabets, so every label difference occurs
         rng = np.random.default_rng(seed)
         rx_idx = np.stack([rng.integers(s.size, size=b) for s in engine.sets], axis=1)
-        engine._rx_group_indices = lambda dec_idx: rx_idx
+        assert np.array_equal(engine._rx_group_indices(rx_idx),
+                              np.stack([s.labels[rx_idx[:, k]]
+                                        for k, s in enumerate(engine.sets)], axis=1))
+        engine._decide = lambda white: rx_idx
         assert np.array_equal(engine.chunk_bit_errors(power, key, lo, lo + b),
                               bit_errors_oracle(engine.sets, tx_idx, rx_idx))
 
@@ -542,8 +547,9 @@ class TestTableGathers:
         for name in ("mixed-size-design", "mixed-alphabets", "crit9", "non-diagonal-bbh"):
             code = _NAMED_CODES[name]()  # qam64-72-bit is over ML's candidate cap
             dec = GroupDecoder("ml", code.grouping, code.group_sets)
-            idx = np.stack([rng.integers(s.size, size=50) for s in dec.sets], axis=1)
-            assert np.array_equal(dec._symbols(idx), group_symbols_oracle(dec.groups, dec.sets, idx))
+            idx = np.stack([rng.integers(len(pts), size=50) for pts in dec.points], axis=1)
+            assert np.array_equal(dec._symbols(idx),
+                                  group_symbols_oracle(dec.groups, dec.points, idx))
 
 
 class TestRunBer:
